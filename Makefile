@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet lint test race bench microbench
+.PHONY: verify build vet lint test race fuzz-smoke bench microbench
 
 verify: build vet lint test
 
@@ -35,6 +35,16 @@ test:
 # load vs frame reader race slip through once already.
 race:
 	$(GO) test -race ./...
+
+# Ten seconds of coverage-guided fuzzing per byte-level decoder on the redo
+# path (go test accepts one -fuzz target per run). A crasher is written to
+# internal/storage/testdata/fuzz and fails the build.
+FUZZ_TARGETS = FuzzDecodeHeapRows FuzzDecodeIndexEntries FuzzLoadWAL
+
+fuzz-smoke:
+	for f in $(FUZZ_TARGETS); do \
+		$(GO) test ./internal/storage -run '^$$' -fuzz "^$$f$$" -fuzztime 10s || exit 1; \
+	done
 
 # Benchmark artifacts: per-transaction-type latency percentiles and enclave
 # boundary traffic (BENCH_tpcc.json), steady-state replication lag, redo

@@ -63,10 +63,9 @@ func main() {
 	traceSample := flag.Float64("trace-sample", 0.01, "head-sampling rate for the trace overhead arm")
 	poolOut := flag.String("pool-out", "BENCH_pool.json", "output path for the pool experiment")
 	writeOut := flag.String("write-out", "BENCH_write.json", "output path for the write experiment")
-	writeWindow := flag.Duration("write-window", 0, "group-commit window for the write experiment's on arm")
-	writeWarehouses := flag.Int("write-warehouses", 64, "warehouse count for the write experiment's load arms")
-	writeSync := flag.Duration("write-sync", 2*time.Millisecond, "simulated log-flush latency for the write experiment's throughput arms (a remote cloud log volume)")
-	writeLoadSync := flag.Duration("write-load-sync", 200*time.Microsecond, "simulated log-flush latency for the write experiment's load arms (a local NVMe device)")
+	writeWarehouses := flag.Int("write-warehouses", 64, "warehouse count for the write experiment's load measurement")
+	writeSync := flag.Duration("write-sync", 2*time.Millisecond, "simulated log-flush latency for the write experiment's throughput points (a remote cloud log volume)")
+	writeLoadSync := flag.Duration("write-load-sync", 200*time.Microsecond, "simulated log-flush latency for the write experiment's load measurement (a local NVMe device)")
 	flag.IntVar(&reps, "reps", 3, "repetitions per data point (median is reported)")
 	flag.Parse()
 
@@ -91,7 +90,7 @@ func main() {
 	case "pool":
 		runPool(*duration, *poolOut)
 	case "write":
-		runWrite(scale, *duration, *warmup, *writeWindow, *writeSync, *writeLoadSync, *writeWarehouses, *writeOut)
+		runWrite(scale, *duration, *warmup, *writeSync, *writeLoadSync, *writeWarehouses, *writeOut)
 	case "all":
 		runFigure8(scale, *duration, *warmup)
 		fmt.Println()

@@ -8,28 +8,26 @@ import (
 	"alwaysencrypted/internal/tpcc"
 )
 
-// runWrite measures the write-path refactor's two ablations and writes the
-// schema-versioned BENCH_write.json:
+// runWrite measures the write path and writes the schema-versioned
+// BENCH_write.json:
 //
-//   - committed TPC-C throughput at 1/8/16 client threads with group commit
-//     on (the leader coalesces concurrent commit records into one batched
-//     append+flush round) and off (one flush per commit);
-//   - world-load rate at the given warehouse count on the bulk-insert fast
-//     path vs the row-at-a-time baseline. Both arms consume the generator's
-//     random draws in the same order, so they load identical worlds.
+//   - committed TPC-C throughput at 1/8/16 client threads (every commit goes
+//     through the WAL's group-commit protocol: a leader coalesces concurrent
+//     commit records into one batched append+flush round);
+//   - world-load rate at the given warehouse count through the driver's bulk
+//     insert.
 //
-// Every arm runs with the WAL's simulated stable-media flush: with the free
-// in-memory log, the per-round cost that group commit and bulk loading
-// amortize does not exist and neither ablation can show anything. The two
-// sub-experiments model different devices — syncDelay (throughput arms) is a
-// remote cloud log volume, slow enough relative to one transaction's CPU
-// work that the commit round is the bottleneck batching lifts;
-// loadSyncDelay (load arms) is a fast local NVMe, the conservative choice
-// for the bulk-vs-row ratio since a slower device only widens it (the row
-// arm flushes once per row, the bulk arm once per multi-thousand-row batch).
-func runWrite(scale tpcc.Scale, d, warmup time.Duration, window, syncDelay, loadSyncDelay time.Duration, loadWarehouses int, out string) {
-	fmt.Println("=== Write path: group commit throughput, bulk vs row-at-a-time load ===")
-	fmt.Printf("(simulated log flush: %v tps arms, %v load arms; commit window %v)\n", syncDelay, loadSyncDelay, window)
+// Both run with the WAL's simulated stable-media flush: with the free
+// in-memory log, the per-round cost that commit batching and bulk loading
+// amortize does not exist. The two sub-experiments model different devices —
+// syncDelay (throughput) is a remote cloud log volume, slow enough relative
+// to one transaction's CPU work that the commit round is the bottleneck;
+// loadSyncDelay (load) is a fast local NVMe. The one-flush-per-commit and
+// row-at-a-time baselines these were once compared against are on record in
+// CHANGES.md (PR 10).
+func runWrite(scale tpcc.Scale, d, warmup time.Duration, syncDelay, loadSyncDelay time.Duration, loadWarehouses int, out string) {
+	fmt.Println("=== Write path: commit throughput by thread count, bulk load rate ===")
+	fmt.Printf("(simulated log flush: %v throughput, %v load)\n", syncDelay, loadSyncDelay)
 
 	threadCounts := []int{1, 8, 16}
 	// TPC-C contends on one warehouse row per Payment: with threads >
@@ -39,73 +37,56 @@ func runWrite(scale tpcc.Scale, d, warmup time.Duration, window, syncDelay, load
 	if tpsScale.Warehouses < threadCounts[len(threadCounts)-1] {
 		tpsScale.Warehouses = threadCounts[len(threadCounts)-1]
 	}
-	var tps []tpcc.WriteTpsPoint
-	for _, gc := range []bool{true, false} {
-		w, err := tpcc.NewWorld(tpcc.WorldOptions{
-			Mode: tpcc.ModePlaintext, Scale: tpsScale, EnclaveThreads: 1, CTR: true,
-			DisableGroupCommit: !gc, CommitWindow: window, LogSyncDelay: syncDelay,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := w.Load(); err != nil {
-			fmt.Fprintln(os.Stderr, "load:", err)
-			os.Exit(1)
-		}
-		for _, n := range threadCounts {
-			thr := measureOn(w, tpcc.ModePlaintext, n, d, warmup)
-			tps = append(tps, tpcc.WriteTpsPoint{
-				Threads: n, Warehouses: tpsScale.Warehouses, GroupCommit: gc,
-				CommitWindowUS: window.Microseconds(), SyncDelayUS: syncDelay.Microseconds(),
-				Committed: int(thr * d.Seconds()), Throughput: thr,
-			})
-			fmt.Printf("group_commit=%-5v threads=%-3d %10.2f tx/s\n", gc, n, thr)
-		}
-		w.Close()
+	w := newWriteWorld(tpsScale, syncDelay)
+	if err := w.Load(); err != nil {
+		fmt.Fprintln(os.Stderr, "load:", err)
+		os.Exit(1)
 	}
+	var tps []tpcc.WriteTpsPoint
+	for _, n := range threadCounts {
+		thr := measureOn(w, tpcc.ModePlaintext, n, d, warmup)
+		tps = append(tps, tpcc.WriteTpsPoint{
+			Threads: n, Warehouses: tpsScale.Warehouses, SyncDelayUS: syncDelay.Microseconds(),
+			Committed: int(thr * d.Seconds()), Throughput: thr,
+		})
+		fmt.Printf("threads=%-3d %10.2f tx/s\n", n, thr)
+	}
+	w.Close()
 
 	loadScale := scale
 	loadScale.Warehouses = loadWarehouses
-	var load []tpcc.WriteLoadArm
-	for _, arm := range []struct {
-		path string
-		row  bool
-	}{{"bulk", false}, {"row_at_a_time", true}} {
-		w, err := tpcc.NewWorld(tpcc.WorldOptions{
-			Mode: tpcc.ModePlaintext, Scale: loadScale, EnclaveThreads: 1, CTR: true,
-			RowAtATimeLoad: arm.row, LogSyncDelay: loadSyncDelay,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		start := time.Now()
-		if err := w.Load(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s load: %v\n", arm.path, err)
-			os.Exit(1)
-		}
-		elapsed := time.Since(start)
-		rows := w.RowsLoaded()
-		w.Close()
-		load = append(load, tpcc.WriteLoadArm{
-			Path: arm.path, Warehouses: loadWarehouses,
-			SyncDelayUS: loadSyncDelay.Microseconds(), Rows: rows,
-			DurationMs:    float64(elapsed.Nanoseconds()) / 1e6,
-			RowsPerSecond: float64(rows) / elapsed.Seconds(),
-		})
-		fmt.Printf("load %-14s W=%-3d %8d rows in %6.2fs (%8.0f rows/s)\n",
-			arm.path, loadWarehouses, rows, elapsed.Seconds(), float64(rows)/elapsed.Seconds())
-	}
-	if load[0].Rows != load[1].Rows {
-		fmt.Fprintf(os.Stderr, "load arms disagree on row count: %d vs %d\n", load[0].Rows, load[1].Rows)
+	w = newWriteWorld(loadScale, loadSyncDelay)
+	start := time.Now()
+	if err := w.Load(); err != nil {
+		fmt.Fprintln(os.Stderr, "bulk load:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("bulk speedup: %.1fx\n", load[0].RowsPerSecond/load[1].RowsPerSecond)
+	elapsed := time.Since(start)
+	rows := w.RowsLoaded()
+	w.Close()
+	load := []tpcc.WriteLoadArm{{
+		Path: "bulk", Warehouses: loadWarehouses,
+		SyncDelayUS: loadSyncDelay.Microseconds(), Rows: rows,
+		DurationMs:    float64(elapsed.Nanoseconds()) / 1e6,
+		RowsPerSecond: float64(rows) / elapsed.Seconds(),
+	}}
+	fmt.Printf("load bulk W=%-3d %8d rows in %6.2fs (%8.0f rows/s)\n",
+		loadWarehouses, rows, elapsed.Seconds(), float64(rows)/elapsed.Seconds())
 
 	if err := tpcc.NewWriteBenchReport(tps, load).WriteFile(out); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s (schema %s)\n", out, tpcc.WriteBenchSchema)
+}
+
+func newWriteWorld(scale tpcc.Scale, syncDelay time.Duration) *tpcc.World {
+	w, err := tpcc.NewWorld(tpcc.WorldOptions{
+		Mode: tpcc.ModePlaintext, Scale: scale, EnclaveThreads: 1, CTR: true, LogSyncDelay: syncDelay,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	return w
 }

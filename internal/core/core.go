@@ -74,13 +74,6 @@ type ServerConfig struct {
 	// the given sampling policy. Completed traces land in a bounded ring
 	// exposed via Server.Traces (and aedb's -trace-listen endpoint).
 	Trace *trace.Policy
-	// CommitWindow is how long a group-commit leader waits for followers
-	// before appending the batch. Zero still coalesces whatever is queued
-	// at append time; it just never waits.
-	CommitWindow time.Duration
-	// DisableGroupCommit makes every commit append its own log record —
-	// the ablation baseline for BENCH_write.
-	DisableGroupCommit bool
 	// LogSyncDelay models the commit path's stable-media flush latency
 	// (engine.Config.LogSyncDelay). Zero keeps the in-memory log free.
 	LogSyncDelay time.Duration
@@ -169,9 +162,7 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	}
 	eng := engine.New(engine.Config{
 		Enclave: encl, Host: host, HGS: hgs, CTR: !cfg.DisableCTR, Obs: reg,
-		Tracer:       tracer,
-		CommitWindow: cfg.CommitWindow, DisableGroupCommit: cfg.DisableGroupCommit,
-		LogSyncDelay: cfg.LogSyncDelay,
+		Tracer: tracer, LogSyncDelay: cfg.LogSyncDelay,
 	})
 	srv := &Server{
 		Engine:  eng,

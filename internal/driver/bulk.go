@@ -27,10 +27,10 @@ const bulkChunkRows = 256
 // on its own (standard bulkcopy batch semantics); inside one, the whole load
 // rides the transaction. Returns the number of rows the server acknowledged.
 //
-// Failure semantics mirror Exec: a transport failure before any rows reached
-// the wire fails over and retries once; after rows were sent the outcome of
-// the in-flight chunk is unknown and the load stops with ErrIndeterminate
-// (already-acknowledged chunks are committed and counted in the return).
+// Failures follow the same rules as Exec (see retry). A rerun resumes after
+// the rows already acknowledged, so it never re-sends a committed chunk; when
+// the outcome of the in-flight chunk is unknown the load stops with
+// ErrIndeterminate and the return counts the chunks acknowledged before it.
 func (c *Conn) BulkInsert(table string, cols []string, rows [][]sqltypes.Value) (int, error) {
 	if len(rows) == 0 {
 		return 0, nil
@@ -38,24 +38,18 @@ func (c *Conn) BulkInsert(table string, cols []string, rows [][]sqltypes.Value) 
 	if len(cols) == 0 {
 		return 0, errors.New("driver: bulk insert needs at least one column")
 	}
-	n, sent, err := c.bulkInsertOnce(table, cols, rows)
-	if err == nil {
-		return n, nil
-	}
-	if !retryable(err) || c.inTxn {
-		return n, err
-	}
-	if !sent {
-		if c.failover() {
-			n, _, err = c.bulkInsertOnce(table, cols, rows)
+	for r, row := range rows {
+		if len(row) != len(cols) {
+			return 0, fmt.Errorf("driver: bulk row %d has %d values, want %d", r, len(row), len(cols))
 		}
-		return n, err
 	}
-	// Rows were on the wire when the connection died: the in-flight chunk may
-	// or may not have committed. Fail over so the connection stays usable,
-	// but surface the indeterminacy.
-	c.failover()
-	return n, fmt.Errorf("%w: %v", ErrIndeterminate, err)
+	n := 0
+	err := c.retry(func() (bool, error) {
+		got, applied, err := c.bulkInsertOnce(table, cols, rows[n:])
+		n += got
+		return applied, err
+	})
+	return n, err
 }
 
 // bulkDescribeQuery builds the synthetic statement whose describe output
@@ -70,7 +64,8 @@ func bulkDescribeQuery(table string, cols []string) string {
 		table, strings.Join(cols, ", "), strings.Join(ps, ", "))
 }
 
-func (c *Conn) bulkInsertOnce(table string, cols []string, rows [][]sqltypes.Value) (n int, sent bool, err error) {
+func (c *Conn) bulkInsertOnce(table string, cols []string, rows [][]sqltypes.Value) (n int, applied bool, err error) {
+	c.cachedDescribe = ""
 	// Per-column encryption plan: nil key means plaintext encoding.
 	colKeys := make([]*aecrypto.CellKey, len(cols))
 	colTypes := make([]aecrypto.EncryptionType, len(cols))
@@ -119,9 +114,6 @@ func (c *Conn) bulkInsertOnce(table string, cols []string, rows [][]sqltypes.Val
 		chunk := rows[off:end]
 		wire := make([][][]byte, len(chunk))
 		for r, row := range chunk {
-			if len(row) != len(cols) {
-				return n, sent, fmt.Errorf("driver: bulk row %d has %d values, want %d", off+r, len(row), len(cols))
-			}
 			cells := make([][]byte, len(cols))
 			for i, v := range row {
 				if v.IsNull() {
@@ -133,7 +125,7 @@ func (c *Conn) bulkInsertOnce(table string, cols []string, rows [][]sqltypes.Val
 				}
 				ct, err := colKeys[i].Encrypt(v.Encode(), colTypes[i])
 				if err != nil {
-					return n, sent, err
+					return n, applied, err
 				}
 				cells[i] = ct
 			}
@@ -143,12 +135,12 @@ func (c *Conn) bulkInsertOnce(table string, cols []string, rows [][]sqltypes.Val
 		if c.collectTraces {
 			c.traceLog = append(c.traceLog, c.lastTrace)
 		}
-		sent = true
+		applied = true
 		got, err := c.tds.BulkInsert(table, cols, wire, c.lastTrace)
 		if err != nil {
-			return n, sent, err
+			return n, applied, err
 		}
 		n += got
 	}
-	return n, sent, nil
+	return n, applied, nil
 }

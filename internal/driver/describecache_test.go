@@ -70,3 +70,51 @@ func TestStaleDescribeRetriesWithFreshMetadata(t *testing.T) {
 		t.Fatalf("retried insert = %+v, want decrypted 'secret'", rows.Values)
 	}
 }
+
+// A cached describe embeds the enclave session of the connection that
+// fetched it. A second connection sharing the cache whose FIRST enclave
+// operation is a bulk insert is served that entry, has no session of its own,
+// and is rejected by the server when it tries to install CEKs — which the
+// retry wrapper treats like any stale describe: drop, describe afresh (this
+// time attesting), rerun. Before BulkInsert shared Exec's wrapper this failed
+// with "enclave: unknown session".
+func TestSharedDescribeCacheFirstOpBulkInsert(t *testing.T) {
+	env := newServerEnv(t)
+	env.provision("CMK1", "CEK1", true)
+	admin := env.dial(Config{AlwaysEncrypted: true})
+	mustExec(t, admin, `CREATE TABLE acct (id int PRIMARY KEY,
+		bal int ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = CEK1, ENCRYPTION_TYPE = Randomized, ALGORITHM = 'AEAD_AES_256_CBC_HMAC_SHA_256'))`, nil)
+	mustExec(t, admin, "CREATE INDEX ix_bal ON acct (bal)", nil) // enclave-ordered: inserts need the enclave
+
+	shared := NewCache()
+	cfg := Config{AlwaysEncrypted: true, DescribeCache: true, Providers: env.reg, Policy: &env.policy}
+	cols := []string{"id", "bal"}
+	row := func(id int64) [][]sqltypes.Value {
+		return [][]sqltypes.Value{{sqltypes.Int(id), sqltypes.Int(id * 100)}}
+	}
+
+	c1, err := Dial(env.addr, cfg, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	if n, err := c1.BulkInsert("acct", cols, row(1)); err != nil || n != 1 {
+		t.Fatalf("first connection bulk insert = %d, %v", n, err)
+	}
+
+	c2, err := Dial(env.addr, cfg, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if n, err := c2.BulkInsert("acct", cols, row(2)); err != nil || n != 1 {
+		t.Fatalf("second connection's first operation, a bulk insert = %d, %v", n, err)
+	}
+	if c2.DescribeCalls != 1 {
+		t.Fatalf("second connection describe calls = %d, want 1 (cache hit, rejection, one fresh describe)", c2.DescribeCalls)
+	}
+	rows := mustExec(t, c2, "SELECT bal FROM acct WHERE bal >= @lo", map[string]sqltypes.Value{"lo": sqltypes.Int(0)})
+	if len(rows.Values) != 2 {
+		t.Fatalf("rows after both loads = %d, want 2", len(rows.Values))
+	}
+}

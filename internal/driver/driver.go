@@ -58,7 +58,7 @@ type Config struct {
 	// amortizes. The cache is safe to serve stale: an out-of-date describe
 	// makes the driver encrypt against metadata the server will reject (a
 	// ServerError, never silent corruption), and the driver then drops the
-	// entry and retries once against a fresh describe (see Exec). Schema-
+	// entry and retries once against a fresh describe (see retry). Schema-
 	// changing statements issued through this connection invalidate the
 	// cache eagerly.
 	DescribeCache bool
@@ -125,10 +125,11 @@ type Conn struct {
 	// next successful attestation counts as a re-attestation.
 	failedOver bool
 
-	// lastDescribeCached marks that the most recent describe for the current
-	// statement was served from the shared cache — the precondition for the
-	// stale-describe retry in Exec.
-	lastDescribeCached bool
+	// cachedDescribe is the query whose describe the current attempt was
+	// served from the shared cache, "" if it described afresh — the
+	// precondition (and the entry to drop) for the stale-describe rerun in
+	// retry.
+	cachedDescribe string
 
 	// Stats
 	DescribeCalls int
@@ -240,7 +241,7 @@ func Dial(addr string, cfg Config, cache *Cache) (*Conn, error) {
 // session id, the nonce counter, the record of installed CEKs, cached
 // describe results — re-runs the full attestation protocol against the new
 // enclave, re-installs sealed CEKs, and retries the statement once when the
-// retry cannot duplicate effects (see Exec for the exactly-once rules).
+// retry cannot duplicate effects (see retry for the exactly-once rules).
 // Plaintext CEK caches survive (they are client-side property, §4.1);
 // everything bound to the dead enclave session does not.
 func DialMulti(addrs []string, cfg Config, cache *Cache) (*Conn, error) {
@@ -342,53 +343,68 @@ type Rows struct {
 func (r *Rows) Row(i int) []sqltypes.Value { return r.Values[i] }
 
 // Exec runs a parameterized statement with plaintext arguments, applying the
-// full transparency pipeline. With a DialMulti connection, a transport
-// failure fails over to the next address and retries once — but only when the
-// retry cannot duplicate effects: the statement never reached the wire (the
-// failure hit the describe/attestation/CEK phase), or it is read-only. A DML
-// statement that may have executed before the connection died gets
-// ErrIndeterminate instead: the old primary could have applied and shipped
-// the write before crashing, so silently re-running it on the promoted
-// replica would double-apply. No retry happens inside an explicit transaction
-// either (its state died with the server; the application must restart it).
+// full transparency pipeline under the connection's retry rules (see retry).
 func (c *Conn) Exec(query string, args map[string]sqltypes.Value) (*Rows, error) {
-	rows, sent, err := c.execOnce(query, args)
+	var rows *Rows
+	err := c.retry(func() (applied bool, err error) {
+		rows, applied, err = c.execOnce(query, args)
+		return applied, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.afterExec(query)
+	return rows, nil
+}
+
+// retry runs one client request — a statement or a bulk load — through once,
+// and decides what a failure means. It is the only place that decision is
+// made:
+//
+//   - The server processed the request and rejected it (*tds.ServerError):
+//     nothing was applied. If the request's encryption metadata was served
+//     from the shared describe cache the rejection may be staleness — another
+//     client changed the schema, or the cached entry carries another
+//     connection's enclave session — so the entry is dropped and once runs
+//     again against a fresh describe. A rejection for any other reason just
+//     fails again, identically.
+//   - The transport failed inside an explicit transaction: no retry (the
+//     transaction's state died with the server; the application restarts it).
+//   - The transport failed before anything with effects reached the wire (the
+//     describe/attestation/CEK phase, or a read): with a DialMulti connection
+//     the driver fails over to the next address and runs once again.
+//   - The transport failed with effects possibly applied: the old primary
+//     could have applied and shipped the write before crashing, so re-running
+//     it on the promoted replica would double-apply. The driver fails over, so
+//     the connection stays usable for the application's own recovery, and
+//     returns ErrIndeterminate.
+//
+// once reports applied = true when a request whose re-execution could
+// duplicate effects may have reached the server.
+func (c *Conn) retry(once func() (applied bool, err error)) error {
+	applied, err := once()
 	if err == nil {
-		c.afterExec(query)
-		return rows, nil
+		return nil
 	}
 	if !retryable(err) {
-		// The server processed the statement and rejected it — nothing was
-		// applied. If its encryption metadata was served from the describe
-		// cache, the rejection may be staleness (another client ran
-		// ALTER ... ENCRYPTED or changed the schema): drop the entry and
-		// retry once against a fresh describe. A rejection for any other
-		// reason just fails again, identically.
-		if c.lastDescribeCached {
-			c.caches.dropDescribe(query)
-			rows, _, err = c.execOnce(query, args)
-			if err == nil {
-				c.afterExec(query)
-			}
+		if c.cachedDescribe == "" {
+			return err
 		}
-		return rows, err
+		c.caches.dropDescribe(c.cachedDescribe)
+		_, err = once()
+		return err
 	}
 	if c.inTxn {
-		return rows, err
+		return err
 	}
-	if !sent || retrySafe(query) {
-		if c.failover() {
-			rows, _, err = c.execOnce(query, args)
-			if err == nil {
-				c.afterExec(query)
-			}
-		}
-		return rows, err
+	if applied {
+		c.failover()
+		return fmt.Errorf("%w: %v", ErrIndeterminate, err)
 	}
-	// DML with unknown outcome: fail over so the connection stays usable for
-	// the application's own recovery, but surface the indeterminacy.
-	c.failover()
-	return nil, fmt.Errorf("%w: %v", ErrIndeterminate, err)
+	if c.failover() {
+		_, err = once()
+	}
+	return err
 }
 
 // afterExec runs post-success bookkeeping: a schema-changing statement
@@ -408,12 +424,12 @@ func isSchemaChange(query string) bool {
 		strings.HasPrefix(q, "ALTER ")
 }
 
-// execOnce runs the statement once. sent reports whether the execute request
-// itself may have reached the server — the point past which a transport
-// failure leaves the statement's outcome unknown.
-func (c *Conn) execOnce(query string, args map[string]sqltypes.Value) (rows *Rows, sent bool, err error) {
+// execOnce runs the statement once. applied reports whether a statement with
+// effects may have reached the server — the point past which a transport
+// failure leaves its outcome unknown (see retry).
+func (c *Conn) execOnce(query string, args map[string]sqltypes.Value) (rows *Rows, applied bool, err error) {
 	c.ExecCalls++
-	c.lastDescribeCached = false
+	c.cachedDescribe = ""
 	// Mint the statement's trace context client-side: the server trace for
 	// this statement carries our ID, so a client latency sample can be
 	// joined to its server-side span breakdown.
@@ -421,42 +437,35 @@ func (c *Conn) execOnce(query string, args map[string]sqltypes.Value) (rows *Row
 	if c.collectTraces {
 		c.traceLog = append(c.traceLog, c.lastTrace)
 	}
+	var desc *tds.DescribeResp // nil on a plain connection: nothing to decrypt
+	var wire map[string][]byte
 	if !c.cfg.AlwaysEncrypted {
 		// Plain connection: parameters travel as canonical encodings.
-		wire := make(map[string][]byte, len(args))
+		wire = make(map[string][]byte, len(args))
 		for name, v := range args {
 			wire[name] = v.Encode()
 		}
-		rs, err := c.tds.ExecTrace(query, wire, c.lastTrace)
-		if err != nil {
-			return nil, true, err
+	} else {
+		if desc, err = c.describe(query); err != nil {
+			return nil, false, err
 		}
-		rows, err = c.decodeResult(rs, nil)
-		return rows, true, err
-	}
-
-	desc, err := c.describe(query)
-	if err != nil {
-		return nil, false, err
-	}
-
-	// Enclave preparation: install CEKs and, for DDL, authorization.
-	if desc.Desc.NeedsEnclave {
-		if err := c.prepareEnclave(query, desc); err != nil {
+		// Enclave preparation: install CEKs and, for DDL, authorization.
+		if desc.Desc.NeedsEnclave {
+			if err := c.prepareEnclave(query, desc); err != nil {
+				return nil, false, err
+			}
+		}
+		if wire, err = c.encryptParams(&desc.Desc, args); err != nil {
 			return nil, false, err
 		}
 	}
-
-	wire, err := c.encryptParams(&desc.Desc, args)
-	if err != nil {
-		return nil, false, err
-	}
 	rs, err := c.tds.ExecTrace(query, wire, c.lastTrace)
-	if err != nil {
-		return nil, true, err
+	if err == nil {
+		rows, err = c.decodeResult(rs, desc)
 	}
-	rows, err = c.decodeResult(rs, desc)
-	return rows, true, err
+	// Only a failure needs the verdict, so only a failure pays for
+	// classifying the statement text.
+	return rows, err != nil && !retrySafe(query), err
 }
 
 // LastTraceID returns the trace ID minted for the most recent Exec (zero
@@ -506,7 +515,7 @@ func (c *Conn) describe(query string) (*tds.DescribeResp, error) {
 		c.caches.mu.Lock()
 		if d, ok := c.caches.describes[query]; ok {
 			c.caches.mu.Unlock()
-			c.lastDescribeCached = true
+			c.cachedDescribe = query
 			return d, nil
 		}
 		c.caches.mu.Unlock()

@@ -160,3 +160,62 @@ func TestFailoverRetriesUnsentDML(t *testing.T) {
 		t.Fatalf("rows = %+v", rows.Values)
 	}
 }
+
+// BulkInsert goes through the same retry rules as Exec: a load whose describe
+// dies before any row is on the wire is retried on the next address, and one
+// whose chunk was in flight when the connection died is ErrIndeterminate.
+func TestFailoverBulkInsert(t *testing.T) {
+	env := newServerEnv(t)
+	admin := env.dial(Config{})
+	if _, err := admin.Exec("CREATE TABLE t (id int PRIMARY KEY)", nil); err != nil {
+		t.Fatal(err)
+	}
+	rows := func(ids ...int64) [][]sqltypes.Value {
+		out := make([][]sqltypes.Value, len(ids))
+		for i, id := range ids {
+			out[i] = []sqltypes.Value{sqltypes.Int(id)}
+		}
+		return out
+	}
+	count := func(c *Conn) int {
+		t.Helper()
+		got, err := c.Exec("SELECT id FROM t", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(got.Values)
+	}
+
+	unsent, err := DialMulti([]string{startDeadOnArrivalServer(t), env.addr},
+		Config{AlwaysEncrypted: true, Providers: env.reg, Policy: &env.policy}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unsent.Close()
+	if n, err := unsent.BulkInsert("t", []string{"id"}, rows(1, 2, 3)); err != nil || n != 3 {
+		t.Fatalf("unsent bulk retry = %d, %v; want 3, nil", n, err)
+	}
+	if unsent.Failovers != 1 {
+		t.Fatalf("failovers = %d", unsent.Failovers)
+	}
+	if got := count(unsent); got != 3 {
+		t.Fatalf("rows after unsent retry = %d, want 3", got)
+	}
+
+	inflight, err := DialMulti([]string{startHalfDeadServer(t), env.addr}, Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inflight.Close()
+	n, err := inflight.BulkInsert("t", []string{"id"}, rows(4, 5))
+	if !errors.Is(err, ErrIndeterminate) || n != 0 {
+		t.Fatalf("in-flight bulk = %d, %v; want 0, ErrIndeterminate", n, err)
+	}
+	if inflight.Failovers != 1 {
+		t.Fatalf("failovers = %d", inflight.Failovers)
+	}
+	// Not re-sent by the driver: the new server holds only the first load.
+	if got := count(inflight); got != 3 {
+		t.Fatalf("rows after indeterminate bulk = %d, want 3", got)
+	}
+}

@@ -2,94 +2,37 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"alwaysencrypted/internal/obs/trace"
 	"alwaysencrypted/internal/storage"
 )
 
-// Bulk insert: the server half of the bulkcopy fast path. A client sends N
-// pre-encrypted rows in one request; the engine appends them to the heap
-// under a single table-mutex/heap-mutex acquisition and logs ONE multi-row
-// WAL record per structure (heap, each index) instead of N×(1+indexes)
-// records. The transaction's undo list still mirrors per-row operations, so
-// rollback, crash recovery and replica promotion are oblivious to batching.
+// The insert path. A row INSERT statement and a client bulk batch differ only
+// in how their rows arrive — bound from SQL parameters, or N pre-encrypted
+// rows in one request; both hand their cell rows to insertBatch, which appends
+// them to the heap under a single table-mutex/heap-mutex acquisition and logs
+// ONE multi-row WAL record per structure (heap, each index). The
+// transaction's undo list mirrors per-row operations, so rollback, crash
+// recovery and replica promotion are oblivious to batching.
 //
-// Trust boundary (§3): rows arrive as ciphertext envelopes for encrypted
-// columns, exactly like single-row INSERT parameters — the server validates
-// envelope well-formedness and never sees plaintext. Bulk loading widens
-// throughput, not visibility.
+// Trust boundary (§3): cells of encrypted columns arrive as ciphertext
+// envelopes whichever way the rows came — the server validates envelope
+// well-formedness and never sees plaintext. Bulk loading widens throughput,
+// not visibility.
 
 // BulkInsert inserts rows into table under the session's transaction (or an
 // autocommit one). cols names the target columns, in the order the row cell
 // slices are laid out; omitted columns are NULL. The whole batch is one
 // statement: any failure undoes every row of the batch.
 func (s *Session) BulkInsert(table string, cols []string, rows [][][]byte) (int, error) {
-	act := s.engine.tracer.Start(s.traceID, trace.KindInsert)
-	s.traceID = trace.ID{}
-	s.act = act
-	if s.txn != nil {
-		s.txn.act = act
-	}
-	rs, err := s.bulkInsert(act, table, cols, rows)
-	if s.txn != nil {
-		s.txn.act = nil
-	}
-	s.act = nil
-	act.Finish(err)
-	return rs, err
-}
-
-func (s *Session) bulkInsert(act *trace.Active, table string, cols []string, rows [][][]byte) (int, error) {
-	e := s.engine
-	if e.ReadOnly() {
-		return 0, ErrReadOnly
-	}
-	if len(rows) == 0 {
-		return 0, nil
-	}
-	tbl, err := e.catalog.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	colPos := make([]int, len(cols))
-	for i, name := range cols {
-		col, err := tbl.Col(name)
+	rs, err := s.statement(trace.KindInsert, func(act *trace.Active) (*ResultSet, error) {
+		end, err := s.beginExec(act, false)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		colPos[i] = col.Pos
-	}
-
-	// Materialize and validate every row up front: encode failures must not
-	// leave a partially applied batch. One backing array serves every row's
-	// cell slice — batches are tens of thousands of rows, and per-row
-	// allocations here show up directly in load throughput.
-	recs := make([][]byte, len(rows))
-	cellRows := make([][][]byte, len(rows))
-	backing := make([][]byte, len(rows)*len(tbl.Cols))
-	for r, row := range rows {
-		if len(row) != len(cols) {
-			return 0, fmt.Errorf("engine: bulk row %d has %d cells, want %d", r, len(row), len(cols))
-		}
-		cells := backing[r*len(tbl.Cols) : (r+1)*len(tbl.Cols) : (r+1)*len(tbl.Cols)]
-		for i, pos := range colPos {
-			cells[pos] = row[i]
-		}
-		for i := range tbl.Cols {
-			if tbl.Cols[i].NotNull && len(cells[i]) == 0 {
-				return 0, fmt.Errorf("%w: %s.%s", ErrNotNull, tbl.Name, tbl.Cols[i].Name)
-			}
-		}
-		if err := validateEncryptedCells(tbl, cells); err != nil {
-			return 0, err
-		}
-		cellRows[r] = cells
-		recs[r] = encodeRow(cells)
-	}
-
-	rs, err := s.withTxn(func(t *Txn) (*ResultSet, error) {
-		n, err := e.bulkInsertTxn(t, tbl, cellRows, recs)
-		return &ResultSet{Affected: n}, err
+		defer end()
+		return s.bulkInsert(table, cols, rows)
 	})
 	if err != nil {
 		return 0, err
@@ -97,27 +40,69 @@ func (s *Session) bulkInsert(act *trace.Active, table string, cols []string, row
 	return rs.Affected, nil
 }
 
-// bulkInsertTxn applies the batch under an open transaction, with statement
-// atomicity: a failure undoes everything the batch did so far through the
-// normal CLR-logging undo path.
-func (e *Engine) bulkInsertTxn(t *Txn, tbl *Table, cellRows [][][]byte, recs [][]byte) (int, error) {
-	opStart := len(t.ops)
-	fail := func(err error) (int, error) {
-		e.undoOps(t.id, t.ops[opStart:])
-		t.ops = t.ops[:opStart]
-		return 0, err
+func (s *Session) bulkInsert(table string, cols []string, rows [][][]byte) (*ResultSet, error) {
+	e := s.engine
+	if len(rows) == 0 {
+		return &ResultSet{}, nil
 	}
-	// The undo list grows by one op per row per structure; growing it in one
-	// step keeps the appends below from re-copying it O(log n) times.
-	if need := len(recs) * (1 + len(tbl.Indexes)); cap(t.ops)-len(t.ops) < need {
-		grown := make([]txnOp, len(t.ops), len(t.ops)+need)
-		copy(grown, t.ops)
-		t.ops = grown
+	tbl, err := e.catalog.Table(table)
+	if err != nil {
+		return nil, err
 	}
+	colPos := make([]int, len(cols))
+	for i, name := range cols {
+		col, err := tbl.Col(name)
+		if err != nil {
+			return nil, err
+		}
+		colPos[i] = col.Pos
+	}
+	// One backing array serves every row's cell slice — batches are tens of
+	// thousands of rows, and per-row allocations here show up directly in
+	// load throughput.
+	cellRows := make([][][]byte, len(rows))
+	backing := make([][]byte, len(rows)*len(tbl.Cols))
+	for r, row := range rows {
+		if len(row) != len(cols) {
+			return nil, fmt.Errorf("engine: bulk row %d has %d cells, want %d", r, len(row), len(cols))
+		}
+		cells := backing[r*len(tbl.Cols) : (r+1)*len(tbl.Cols) : (r+1)*len(tbl.Cols)]
+		for i, pos := range colPos {
+			cells[pos] = row[i]
+		}
+		cellRows[r] = cells
+	}
+	return s.withTxn(func(t *Txn) (*ResultSet, error) {
+		return e.insertBatch(t, tbl, cellRows)
+	})
+}
+
+// insertBatch inserts one statement's rows — full-width cell slices in table
+// column order — under an open transaction, maintaining all indexes. Every
+// row is validated and encoded before the first one is placed. A later
+// failure (lock, uniqueness) leaves the applied prefix in the undo list and
+// withTxn undoes the statement through the normal CLR-logging path.
+func (e *Engine) insertBatch(t *Txn, tbl *Table, cellRows [][][]byte) (*ResultSet, error) {
+	recs := make([][]byte, len(cellRows))
+	for r, cells := range cellRows {
+		for i := range tbl.Cols {
+			if tbl.Cols[i].NotNull && len(cells[i]) == 0 {
+				return nil, fmt.Errorf("%w: %s.%s", ErrNotNull, tbl.Name, tbl.Cols[i].Name)
+			}
+		}
+		if err := validateEncryptedCells(tbl, cells); err != nil {
+			return nil, err
+		}
+		recs[r] = encodeRow(cells)
+	}
+	// The undo list grows by one op per row per structure; reserving that in
+	// one step keeps the appends below from re-copying it.
+	t.ops = slices.Grow(t.ops, len(recs)*(1+len(tbl.Indexes)))
 
 	tbl.mu.Lock()
 	// Version chains register under the page write latch, before any row is
-	// scannable: concurrent snapshots never see the uncommitted batch.
+	// scannable: a nil pre-image marks "invisible before this txn", so
+	// concurrent snapshots never see the uncommitted rows.
 	rids, err := tbl.Heap.InsertBatch(recs, func(rid storage.RowID) {
 		e.versions.Record(t.id, tbl.Name, rid, nil)
 	})
@@ -128,17 +113,15 @@ func (e *Engine) bulkInsertTxn(t *Txn, tbl *Table, cellRows [][][]byte, recs [][
 		// marks the row invisible, which remains true, and they evict with
 		// the transaction. (Dropping them here would be wrong — Drop is
 		// txn-wide and would discard pre-images of earlier statements.)
-		return 0, err
+		return nil, err
 	}
-	// One WAL record for the whole heap batch, appended under the table
+	// One WAL record for the statement's heap rows, appended under the table
 	// mutex so log order matches page mutation order; the undo list mirrors
 	// per-row inserts so undoOne needs no multi-row case.
-	sp := t.act.StartSpan("wal.append")
-	e.wal.Append(storage.Record{
-		Txn: t.id, Type: storage.RecHeapInsertMulti, Table: tbl.Name,
-		Row: rids[0], New: storage.EncodeHeapRows(rids, recs), Trace: t.act.ID(),
+	t.logRecord(storage.Record{
+		Type: storage.RecHeapInsertMulti, Table: tbl.Name,
+		Row: rids[0], New: storage.EncodeHeapRows(rids, recs),
 	})
-	sp.End()
 	for i, rid := range rids {
 		t.ops = append(t.ops, txnOp{typ: storage.RecHeapInsert, table: tbl.Name, row: rid, new: recs[i]})
 	}
@@ -147,15 +130,14 @@ func (e *Engine) bulkInsertTxn(t *Txn, tbl *Table, cellRows [][][]byte, recs [][
 	// The rids were just allocated under the table mutex: nobody else can
 	// hold or wait on them, so the whole batch locks in one acquisition.
 	if err := e.locks.LockNew(t.id, tbl.Name, rids); err != nil {
-		return fail(err)
+		return nil, err
 	}
 
 	for _, idx := range tbl.Indexes {
 		// The tree retains every key forever, so keys must not alias the
-		// request payload (a small key pinning a whole batch buffer).
-		// Instead of one copyKey allocation pair per row, copy all key bytes
-		// into a single exactly-sized arena: append never reallocates, so the
-		// subslices taken below stay valid.
+		// request payload (a small key pinning a whole batch buffer). All key
+		// bytes of the statement go into a single exactly-sized arena: append
+		// never reallocates, so the subslices taken below stay valid.
 		nc := len(idx.ColPos)
 		var total int
 		for i := range rids {
@@ -171,7 +153,7 @@ func (e *Engine) bulkInsertTxn(t *Txn, tbl *Table, cellRows [][][]byte, recs [][
 			for j, pos := range idx.ColPos {
 				cell := cellRows[i][pos]
 				if len(cell) == 0 {
-					continue // nil key cell, as copyKey would produce
+					continue // NULL component: a nil key cell
 				}
 				start := len(arena)
 				arena = append(arena, cell...)
@@ -181,23 +163,21 @@ func (e *Engine) bulkInsertTxn(t *Txn, tbl *Table, cellRows [][][]byte, recs [][
 		}
 		for i := range rids {
 			if err := idx.Tree.Insert(keys[i], rids[i]); err != nil {
-				// Mirror what the tree already holds before undoing, so the
-				// undo path removes exactly the applied prefix.
+				// Mirror what the tree already holds, so the statement undo
+				// removes exactly the applied prefix.
 				for j := 0; j < i; j++ {
 					t.ops = append(t.ops, txnOp{typ: storage.RecIndexInsert, table: idx.Name, row: rids[j], key: keys[j]})
 				}
-				return fail(err)
+				return nil, err
 			}
 		}
-		sp := t.act.StartSpan("wal.append")
-		e.wal.Append(storage.Record{
-			Txn: t.id, Type: storage.RecIndexInsertMulti, Table: idx.Name,
-			Row: rids[0], New: storage.EncodeIndexEntries(keys, rids), Trace: t.act.ID(),
+		t.logRecord(storage.Record{
+			Type: storage.RecIndexInsertMulti, Table: idx.Name,
+			Row: rids[0], New: storage.EncodeIndexEntries(keys, rids),
 		})
-		sp.End()
 		for i := range rids {
 			t.ops = append(t.ops, txnOp{typ: storage.RecIndexInsert, table: idx.Name, row: rids[i], key: keys[i]})
 		}
 	}
-	return len(rids), nil
+	return &ResultSet{Affected: len(rids)}, nil
 }

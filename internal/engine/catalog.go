@@ -113,10 +113,8 @@ func (c *Catalog) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// AddTable registers a table.
-func (c *Catalog) AddTable(t *Table) error { return c.AddTableLogged(t, nil) }
-
-// AddTableLogged registers a table, running log (when non-nil) inside the
+// AddTableLogged registers a table together with the indexes already attached
+// to it (the implicit primary key), running log (when non-nil) inside the
 // catalog's critical section after the uniqueness check and before the table
 // becomes visible. Primaries log the creating RecDDL there: a concurrent
 // session can only reach the table after the catalog lock is released, so its
@@ -129,6 +127,11 @@ func (c *Catalog) AddTableLogged(t *Table, log func()) error {
 	if _, ok := c.tables[key]; ok {
 		return fmt.Errorf("%w: table %s", ErrExists, t.Name)
 	}
+	for _, idx := range t.Indexes {
+		if _, ok := c.indexes[strings.ToLower(idx.Name)]; ok {
+			return fmt.Errorf("%w: index %s", ErrExists, idx.Name)
+		}
+	}
 	t.colIdx = make(map[string]int, len(t.Cols))
 	for i := range t.Cols {
 		t.Cols[i].Pos = i
@@ -138,6 +141,9 @@ func (c *Catalog) AddTableLogged(t *Table, log func()) error {
 		log()
 	}
 	c.tables[key] = t
+	for _, idx := range t.Indexes {
+		c.indexes[strings.ToLower(idx.Name)] = idx
+	}
 	return nil
 }
 

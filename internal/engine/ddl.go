@@ -36,37 +36,41 @@ func (e *Engine) createTable(st CreateTableStmt, firstPage storage.PageID, logDD
 			pkCols = append(pkCols, i)
 		}
 	}
-	var heap *storage.Heap
-	var err error
-	if firstPage == storage.InvalidPageID {
-		heap, err = storage.NewHeap(e.pool)
-	} else {
-		heap, err = storage.NewHeapAt(e.pool, firstPage)
-	}
-	if err != nil {
-		return storage.InvalidPageID, err
-	}
-	tbl := &Table{Name: st.Name, Cols: cols, Heap: heap}
-	var log func()
-	if logDDL != nil {
-		first := heap.FirstPage()
-		log = func() { logDDL(first) }
-	}
-	if err := e.catalog.AddTableLogged(tbl, log); err != nil {
-		return storage.InvalidPageID, err
-	}
+	tbl := &Table{Name: st.Name, Cols: cols}
 	if len(pkCols) > 0 {
 		names := make([]string, len(pkCols))
 		for i, pos := range pkCols {
 			names[i] = cols[pos].Name
 		}
-		// The table's RecDDL covers the implicit PK index; no separate record.
-		if err := e.addIndex(tbl, "pk_"+st.Name, pkCols, names, true, true, false, nil); err != nil {
+		// The implicit PK index is published with the table, in the same
+		// catalog critical section: a session that can see the table can see
+		// its primary key, so no row is ever inserted past it. The table's
+		// RecDDL covers the index; no separate record.
+		idx, err := e.newIndex(tbl, "pk_"+st.Name, pkCols, names, true, true)
+		if err != nil {
 			return storage.InvalidPageID, err
 		}
+		tbl.Indexes = []*Index{idx}
+	}
+	var err error
+	if firstPage == storage.InvalidPageID {
+		tbl.Heap, err = storage.NewHeap(e.pool)
+	} else {
+		tbl.Heap, err = storage.NewHeapAt(e.pool, firstPage)
+	}
+	if err != nil {
+		return storage.InvalidPageID, err
+	}
+	var log func()
+	if logDDL != nil {
+		first := tbl.Heap.FirstPage()
+		log = func() { logDDL(first) }
+	}
+	if err := e.catalog.AddTableLogged(tbl, log); err != nil {
+		return storage.InvalidPageID, err
 	}
 	e.InvalidatePlans()
-	return heap.FirstPage(), nil
+	return tbl.Heap.FirstPage(), nil
 }
 
 // executeCreateIndex builds an index, populating it from existing rows.
@@ -95,7 +99,7 @@ func (e *Engine) executeCreateIndex(st CreateIndexStmt, logDDL func()) error {
 	if st.Clustered && anyEncrypted {
 		return errors.New("engine: clustered indexes on encrypted columns are not supported (§4.5)")
 	}
-	if err := e.addIndex(tbl, st.Name, pos, names, st.Unique, false, st.Clustered, logDDL); err != nil {
+	if err := e.addIndex(tbl, st.Name, pos, names, st.Unique, logDDL); err != nil {
 		return err
 	}
 	e.InvalidatePlans()
@@ -105,15 +109,10 @@ func (e *Engine) executeCreateIndex(st CreateIndexStmt, logDDL func()) error {
 // addIndex creates, registers and backfills an index. Building an index on
 // an encrypted range column sorts the data via enclave comparisons — the
 // index-build ordering leakage of Figure 5.
-func (e *Engine) addIndex(tbl *Table, name string, pos []int, names []string, unique, primary, clustered bool, logDDL func()) error {
-	tree, rangeCapable, ceks, err := e.buildIndexTree(tbl, pos, unique)
+func (e *Engine) addIndex(tbl *Table, name string, pos []int, names []string, unique bool, logDDL func()) error {
+	idx, err := e.newIndex(tbl, name, pos, names, unique, false)
 	if err != nil {
 		return err
-	}
-	idx := &Index{
-		Name: name, Table: tbl.Name, ColPos: pos, ColNames: names,
-		Unique: unique, IsPrimary: primary, Tree: tree,
-		RangeCapable: rangeCapable, CEKs: ceks,
 	}
 	// Backfill from the heap.
 	err = tbl.Heap.Scan(func(rid storage.RowID, rec []byte) (bool, error) {
@@ -121,7 +120,7 @@ func (e *Engine) addIndex(tbl *Table, name string, pos []int, names []string, un
 		if err != nil {
 			return false, err
 		}
-		if err := tree.Insert(copyKey(idx.indexKeyFor(cells)), rid); err != nil {
+		if err := idx.Tree.Insert(copyKey(idx.indexKeyFor(cells)), rid); err != nil {
 			return false, err
 		}
 		return true, nil
@@ -130,6 +129,19 @@ func (e *Engine) addIndex(tbl *Table, name string, pos []int, names []string, un
 		return err
 	}
 	return e.catalog.AddIndexLogged(idx, logDDL)
+}
+
+// newIndex builds an empty, unregistered index over tbl's columns at pos.
+func (e *Engine) newIndex(tbl *Table, name string, pos []int, names []string, unique, primary bool) (*Index, error) {
+	tree, rangeCapable, ceks, err := e.buildIndexTree(tbl, pos, unique)
+	if err != nil {
+		return nil, err
+	}
+	return &Index{
+		Name: name, Table: tbl.Name, ColPos: pos, ColNames: names,
+		Unique: unique, IsPrimary: primary, Tree: tree,
+		RangeCapable: rangeCapable, CEKs: ceks,
+	}, nil
 }
 
 // executeCreateCMK stores column master key metadata. The signature is
@@ -261,7 +273,7 @@ func (s *Session) executeAlterColumn(st AlterColumnStmt) error {
 			}
 			r.cells[col.Pos] = out[i]
 			rec := encodeRow(r.cells)
-			rid2, err := tbl.Heap.Update(r.rid, rec)
+			rid2, err := tbl.Heap.Update(r.rid, rec, nil)
 			if err != nil {
 				return err
 			}
@@ -299,7 +311,7 @@ func (s *Session) executeAlterColumn(st AlterColumnStmt) error {
 			if err != nil {
 				return false, err
 			}
-			if err := tree.Insert(copyKey(idx.indexKeyFor(cells)), rid); err != nil {
+			if err := idx.Tree.Insert(copyKey(idx.indexKeyFor(cells)), rid); err != nil {
 				return false, err
 			}
 			return true, nil
@@ -375,7 +387,7 @@ func (e *Engine) AlterColumnClientSide(table, column string, to sqltypes.EncType
 		}
 		r.cells[col.Pos] = out
 		rec := encodeRow(r.cells)
-		rid2, err := tbl.Heap.Update(r.rid, rec)
+		rid2, err := tbl.Heap.Update(r.rid, rec, nil)
 		if err != nil {
 			return err
 		}

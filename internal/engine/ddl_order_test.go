@@ -49,6 +49,7 @@ func TestDDLLoggedBeforeDependentRecords(t *testing.T) {
 	// Replay the log in LSN order: every heap/index record must name an
 	// object whose creating RecDDL already passed.
 	created := map[string]bool{}
+	checked := map[string]int{}
 	for _, rec := range e.WAL().Records() {
 		switch rec.Type {
 		case storage.RecDDL:
@@ -59,11 +60,22 @@ func TestDDLLoggedBeforeDependentRecords(t *testing.T) {
 				created[strings.ToLower(f[2])] = true
 				created["pk_"+strings.ToLower(f[2])] = true
 			}
-		case storage.RecHeapInsert, storage.RecHeapUpdate, storage.RecHeapDelete,
-			storage.RecIndexInsert, storage.RecIndexDelete:
+		case storage.RecHeapInsert, storage.RecHeapInsertMulti, storage.RecHeapUpdate,
+			storage.RecHeapDelete, storage.RecIndexInsert, storage.RecIndexInsertMulti,
+			storage.RecIndexDelete:
 			if !created[strings.ToLower(rec.Table)] {
 				t.Fatalf("LSN %d: %s record for %q precedes its creating DDL",
 					rec.LSN, rec.Type, rec.Table)
+			}
+			checked[strings.ToLower(rec.Table)]++
+		}
+	}
+	// Every table and every pk index must have had a dependent record pass
+	// the check above, or the scan proved nothing.
+	for i := 0; i < tables; i++ {
+		for _, obj := range []string{fmt.Sprintf("race%d", i), fmt.Sprintf("pk_race%d", i)} {
+			if checked[obj] == 0 {
+				t.Fatalf("no heap/index record for %q was inspected", obj)
 			}
 		}
 	}

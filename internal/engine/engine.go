@@ -42,22 +42,13 @@ type Config struct {
 	// crossings, WAL waits). nil disables tracing: every trace call site
 	// degrades to a nil-receiver no-op.
 	Tracer *trace.Tracer
-	// DisableGroupCommit makes every committer append its own commit record
-	// (the pre-group-commit behaviour, kept for the write benchmark's
-	// baseline arm). Default off: commits coalesce through the WAL's
-	// leader protocol.
-	DisableGroupCommit bool
-	// CommitWindow stretches the group-commit leader's collection window.
-	// Zero (the default) coalesces only what queues naturally behind the
-	// previous append round, adding no latency.
-	CommitWindow time.Duration
 	// LockTimeout overrides the lock manager's wait bound (tests drive
 	// write-write conflicts with short timeouts); zero keeps the default.
 	LockTimeout time.Duration
 	// LogSyncDelay models the stable-media flush the commit path must wait
 	// out (storage.WAL.SyncDelay). Zero — the default — keeps the in-memory
-	// log free; the write benchmark sets it so the group-commit ablation
-	// has a real per-round cost to amortize.
+	// log free; the write benchmark sets it so commit batching has a real
+	// per-round cost to amortize.
 	LogSyncDelay time.Duration
 }
 
@@ -97,10 +88,6 @@ type Engine struct {
 
 	// batch is the normalized Config.BatchSize.
 	batch int
-
-	// Group-commit settings (from Config).
-	groupCommit  bool
-	commitWindow time.Duration
 
 	// tracer mints per-statement traces; nil when tracing is disabled.
 	tracer *trace.Tracer
@@ -149,10 +136,8 @@ func New(cfg Config) *Engine {
 		spanBind:  reg.Histogram("engine.stmt.bind_ns"),
 		spanPlan:  reg.Histogram("engine.stmt.plan_ns"),
 		spanExec:  reg.Histogram("engine.stmt.exec_ns"),
-		batch:        cfg.BatchSize,
-		groupCommit:  !cfg.DisableGroupCommit,
-		commitWindow: cfg.CommitWindow,
-		tracer:       cfg.Tracer,
+		batch:     cfg.BatchSize,
+		tracer:    cfg.Tracer,
 	}
 }
 
@@ -318,13 +303,10 @@ func (e *Engine) beginTxn(act *trace.Active) *Txn {
 func (e *Engine) commitTxn(t *Txn) error {
 	t.releaseSnapshot()
 	sp := t.act.StartSpan("wal.commit")
-	rec := storage.Record{Txn: t.id, Type: storage.RecCommit, Trace: t.act.ID()}
-	if e.groupCommit {
-		e.wal.AppendCommitGroup(rec, e.commitWindow)
-	} else {
-		// Ablation path: this committer alone pays the flush round.
-		e.wal.AppendSync(rec)
-	}
+	// Every commit goes through the group-commit protocol with no added
+	// window: a lone committer is its own leader and pays one flush, and
+	// concurrent ones coalesce into whatever queued behind the previous round.
+	e.wal.AppendCommitGroup(storage.Record{Txn: t.id, Type: storage.RecCommit, Trace: t.act.ID()}, 0)
 	sp.End()
 	// Stamping the versions IS the commit point for snapshot readers: a
 	// snapshot acquired before this sees the pre-images, one acquired after
@@ -419,7 +401,7 @@ func (e *Engine) undoOne(txn uint64, op *txnOp) error {
 				Table: op.table, Row: op.row, New: op.old, CLR: true})
 			return nil
 		}
-		rid2, err := tbl.Heap.Update(op.row, op.old)
+		rid2, err := tbl.Heap.Update(op.row, op.old, nil)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrRollbackFailed, err)
 		}
@@ -453,66 +435,30 @@ func (e *Engine) undoOne(txn uint64, op *txnOp) error {
 	}
 }
 
-// log appends a WAL record and mirrors it into the transaction's undo list.
-// Callers logging heap records must hold the table mutex so log order and
-// page mutation order agree.
-func (t *Txn) log(op txnOp) {
+// logRecord appends rec to the WAL on the transaction's behalf, under the
+// current statement's wal.append span and trace ID. Callers logging heap
+// records must hold the table mutex so log order and page mutation order
+// agree.
+func (t *Txn) logRecord(rec storage.Record) {
 	sp := t.act.StartSpan("wal.append")
-	t.engine.wal.Append(storage.Record{
-		Txn: t.id, Type: op.typ, Table: op.table,
-		Row: op.row, NewRow: op.newRow, Key: op.key, Old: op.old, New: op.new,
-		Trace: t.act.ID(),
-	})
+	rec.Txn, rec.Trace = t.id, t.act.ID()
+	t.engine.wal.Append(rec)
 	sp.End()
+}
+
+// log appends one operation's WAL record and mirrors it into the
+// transaction's undo list.
+func (t *Txn) log(op txnOp) {
+	t.logRecord(storage.Record{
+		Type: op.typ, Table: op.table,
+		Row: op.row, NewRow: op.newRow, Key: op.key, Old: op.old, New: op.new,
+	})
 	t.ops = append(t.ops, op)
 }
 
-// insertRow inserts cells into a table under the transaction, maintaining
-// all indexes. On a uniqueness violation the partial work is undone.
-func (e *Engine) insertRow(t *Txn, tbl *Table, cells [][]byte) (storage.RowID, error) {
-	for i := range tbl.Cols {
-		if tbl.Cols[i].NotNull && (i >= len(cells) || len(cells[i]) == 0) {
-			return 0, fmt.Errorf("%w: %s.%s", ErrNotNull, tbl.Name, tbl.Cols[i].Name)
-		}
-	}
-	rec := encodeRow(cells)
-	opStart := len(t.ops)
-	tbl.mu.Lock()
-	// Register the version chain under the page latch, before the row is
-	// reachable by any scan: a nil pre-image marks "invisible before this
-	// txn", so concurrent snapshots never see the uncommitted insert.
-	rid, err := tbl.Heap.InsertObserved(rec, func(r storage.RowID) {
-		e.versions.Record(t.id, tbl.Name, r, nil)
-	})
-	if err != nil {
-		tbl.mu.Unlock()
-		return 0, err
-	}
-	// Log under the table mutex: WAL order must match page mutation order
-	// for physical replay on replicas.
-	t.log(txnOp{typ: storage.RecHeapInsert, table: tbl.Name, row: rid, new: rec})
-	tbl.mu.Unlock()
-	if err := e.locks.Lock(t.id, tbl.Name, rid); err != nil {
-		// Undo the insert through the normal path so a CLR is logged.
-		e.undoOps(t.id, t.ops[opStart:])
-		t.ops = t.ops[:opStart]
-		return 0, err
-	}
-	for _, idx := range tbl.Indexes {
-		key := copyKey(idx.indexKeyFor(cells))
-		if err := idx.Tree.Insert(key, rid); err != nil {
-			// Undo what this statement did so far (statement atomicity).
-			e.undoOps(t.id, t.ops[opStart:])
-			t.ops = t.ops[:opStart]
-			return 0, err
-		}
-		t.log(txnOp{typ: storage.RecIndexInsert, table: idx.Name, row: rid, key: key})
-	}
-	return rid, nil
-}
-
 // updateRow rewrites a row under the transaction, fixing up index entries
-// whose key columns changed.
+// whose key columns changed. A failure leaves the work done so far in the
+// undo list; withTxn undoes the whole statement.
 func (e *Engine) updateRow(t *Txn, tbl *Table, rid storage.RowID, oldCells, newCells [][]byte) (storage.RowID, error) {
 	for i := range tbl.Cols {
 		if tbl.Cols[i].NotNull && (i >= len(newCells) || len(newCells[i]) == 0) {
@@ -526,12 +472,11 @@ func (e *Engine) updateRow(t *Txn, tbl *Table, rid storage.RowID, oldCells, newC
 	newRec := encodeRow(newCells)
 	e.versions.Record(t.id, tbl.Name, rid, oldRec)
 
-	opStart := len(t.ops)
 	tbl.mu.Lock()
 	// If the update relocates the row, the new slot gets a nil pre-image
 	// chain under the page latch (invisible to concurrent snapshots until
 	// commit), matching the insert path.
-	newRID, err := tbl.Heap.UpdateObserved(rid, newRec, func(r storage.RowID) {
+	newRID, err := tbl.Heap.Update(rid, newRec, func(r storage.RowID) {
 		e.versions.Record(t.id, tbl.Name, r, nil)
 	})
 	if err != nil {
@@ -552,14 +497,10 @@ func (e *Engine) updateRow(t *Txn, tbl *Table, rid storage.RowID, oldCells, newC
 		ok := copyKey(oldKey)
 		nk := copyKey(newKey)
 		if _, err := idx.Tree.Delete(ok, rid); err != nil {
-			e.undoOps(t.id, t.ops[opStart:])
-			t.ops = t.ops[:opStart]
 			return 0, err
 		}
 		t.log(txnOp{typ: storage.RecIndexDelete, table: idx.Name, row: rid, key: ok})
 		if err := idx.Tree.Insert(nk, newRID); err != nil {
-			e.undoOps(t.id, t.ops[opStart:])
-			t.ops = t.ops[:opStart]
 			return 0, err
 		}
 		t.log(txnOp{typ: storage.RecIndexInsert, table: idx.Name, row: newRID, key: nk})
@@ -567,34 +508,27 @@ func (e *Engine) updateRow(t *Txn, tbl *Table, rid storage.RowID, oldCells, newC
 	return newRID, nil
 }
 
-// deleteRow removes a row under the transaction.
+// deleteRow removes a row under the transaction; failures are undone by
+// withTxn, as for updateRow.
 func (e *Engine) deleteRow(t *Txn, tbl *Table, rid storage.RowID, cells [][]byte) error {
 	if err := e.locks.Lock(t.id, tbl.Name, rid); err != nil {
 		return err
 	}
 	rec := encodeRow(cells)
 	e.versions.Record(t.id, tbl.Name, rid, rec)
-	opStart := len(t.ops)
 	for _, idx := range tbl.Indexes {
 		key := copyKey(idx.indexKeyFor(cells))
 		if _, err := idx.Tree.Delete(key, rid); err != nil {
-			e.undoOps(t.id, t.ops[opStart:])
-			t.ops = t.ops[:opStart]
 			return err
 		}
 		t.log(txnOp{typ: storage.RecIndexDelete, table: idx.Name, row: rid, key: key})
 	}
 	tbl.mu.Lock()
-	err := tbl.Heap.Delete(rid)
-	if err == nil {
-		t.log(txnOp{typ: storage.RecHeapDelete, table: tbl.Name, row: rid, old: rec})
-	}
-	tbl.mu.Unlock()
-	if err != nil {
-		e.undoOps(t.id, t.ops[opStart:])
-		t.ops = t.ops[:opStart]
+	defer tbl.mu.Unlock()
+	if err := tbl.Heap.Delete(rid); err != nil {
 		return err
 	}
+	t.log(txnOp{typ: storage.RecHeapDelete, table: tbl.Name, row: rid, old: rec})
 	return nil
 }
 

@@ -32,24 +32,70 @@ type ResultSet struct {
 // ones. The server never sees plaintext for encrypted parameters.
 type Params map[string][]byte
 
-// Execute runs one statement on the session. It owns the statement's trace
-// lifecycle: the trace starts here (under the client's trace context, if
-// the TDS layer installed one), every lifecycle phase and crossing records
-// spans against it, and Finish applies the sampling keep policy.
+// Execute runs one SQL statement on the session.
 func (s *Session) Execute(query string, params Params) (*ResultSet, error) {
-	act := s.engine.tracer.Start(s.traceID, trace.KindUnknown)
+	return s.statement(trace.KindUnknown, func(act *trace.Active) (*ResultSet, error) {
+		sp := act.StartSpan("plan")
+		plan, err := s.engine.getPlan(query, act)
+		sp.End()
+		if err != nil {
+			return nil, err
+		}
+		act.SetKind(stmtKind(plan.stmt))
+		_, isSelect := plan.stmt.(SelectStmt)
+		end, err := s.beginExec(act, isSelect)
+		if err != nil {
+			return nil, err
+		}
+		defer end()
+		return s.execute(act, plan, query, params)
+	})
+}
+
+// statement is the lifecycle every client statement runs under, SQL text and
+// bulk batch alike. It owns the statement's trace: the trace starts here
+// (under the client's trace context, if the TDS layer installed one), every
+// lifecycle phase and crossing records spans against it, and Finish applies
+// the sampling keep policy.
+func (s *Session) statement(kind trace.Kind, body func(*trace.Active) (*ResultSet, error)) (*ResultSet, error) {
+	act := s.engine.tracer.Start(s.traceID, kind)
 	s.traceID = trace.ID{}
 	s.act = act
 	if s.txn != nil {
 		s.txn.act = act // explicit txn: records log under this statement's trace
 	}
-	rs, err := s.execute(act, query, params)
+	s.engine.execs.Inc()
+	rs, err := body(act)
 	if s.txn != nil {
 		s.txn.act = nil
 	}
 	s.act = nil
 	act.Finish(err)
 	return rs, err
+}
+
+// beginExec admits a statement to execution and opens its "exec" span; the
+// caller defers the returned end. A replica admits reads only: any mutation
+// (including BEGIN, whose log record would fork the replica's mirrored log
+// from the primary's) is rejected until promotion.
+func (s *Session) beginExec(act *trace.Active, readOnly bool) (end func(), err error) {
+	e := s.engine
+	if !readOnly && e.ReadOnly() {
+		return nil, ErrReadOnly
+	}
+	hsp := e.spanExec.StartSpan()
+	execSp := act.StartSpan("exec")
+	stall0 := e.pool.MissStallNS()
+	return func() {
+		// Buffer-pool miss stalls are attributed by cumulative delta: exact
+		// for a single session, an upper bound when statements overlap (see
+		// BufferPool.MissStallNS).
+		if d := e.pool.MissStallNS() - stall0; d > 0 {
+			execSp.Attr("bufpool.miss_stall_ns", d)
+		}
+		execSp.End()
+		hsp.End()
+	}, nil
 }
 
 // stmtKind classifies a parsed statement for the trace's closed kind enum —
@@ -75,37 +121,9 @@ func stmtKind(st Stmt) trace.Kind {
 	}
 }
 
-func (s *Session) execute(act *trace.Active, query string, params Params) (*ResultSet, error) {
+// execute dispatches a planned statement.
+func (s *Session) execute(act *trace.Active, plan *Plan, query string, params Params) (*ResultSet, error) {
 	e := s.engine
-	e.execs.Inc()
-	planSp := act.StartSpan("plan")
-	plan, err := e.getPlan(query, act)
-	planSp.End()
-	if err != nil {
-		return nil, err
-	}
-	act.SetKind(stmtKind(plan.stmt))
-	if e.ReadOnly() {
-		// A replica admits reads only: any mutation (including BEGIN, whose
-		// log record would fork the replica's mirrored log from the
-		// primary's) is rejected until promotion.
-		if _, ok := plan.stmt.(SelectStmt); !ok {
-			return nil, ErrReadOnly
-		}
-	}
-	hsp := e.spanExec.StartSpan()
-	defer hsp.End()
-	execSp := act.StartSpan("exec")
-	stall0 := e.pool.MissStallNS()
-	defer func() {
-		// Buffer-pool miss stalls are attributed by cumulative delta: exact
-		// for a single session, an upper bound when statements overlap (see
-		// BufferPool.MissStallNS).
-		if d := e.pool.MissStallNS() - stall0; d > 0 {
-			execSp.Attr("bufpool.miss_stall_ns", d)
-		}
-		execSp.End()
-	}()
 	switch st := plan.stmt.(type) {
 	case BeginStmt:
 		return &ResultSet{}, s.Begin()
@@ -167,20 +185,34 @@ func (s *Session) execute(act *trace.Active, query string, params Params) (*Resu
 	}
 }
 
-// withTxn runs fn in the session's transaction, or an autocommit one.
+// withTxn runs a mutating statement's body in the session's transaction, or
+// an autocommit one, and makes the statement atomic: if fn fails, everything
+// it logged is undone (with CLRs) before the error returns. The row
+// primitives below therefore never clean up after themselves.
 func (s *Session) withTxn(fn func(t *Txn) (*ResultSet, error)) (*ResultSet, error) {
-	if s.txn != nil {
-		return fn(s.txn)
+	e := s.engine
+	if t := s.txn; t != nil {
+		opStart := len(t.ops)
+		rs, err := fn(t)
+		if err != nil {
+			uerr := e.undoOps(t.id, t.ops[opStart:])
+			t.ops = t.ops[:opStart]
+			if uerr != nil {
+				return nil, fmt.Errorf("%w (statement undo also failed: %v)", err, uerr)
+			}
+			return nil, err
+		}
+		return rs, nil
 	}
-	t := s.engine.beginTxn(s.act)
+	t := e.beginTxn(s.act)
 	rs, err := fn(t)
 	if err != nil {
-		if rbErr := s.engine.rollbackTxn(t); rbErr != nil {
+		if rbErr := e.rollbackTxn(t); rbErr != nil {
 			return nil, fmt.Errorf("%w (rollback also failed: %v)", err, rbErr)
 		}
 		return nil, err
 	}
-	if err := s.engine.commitTxn(t); err != nil {
+	if err := e.commitTxn(t); err != nil {
 		return nil, err
 	}
 	return rs, nil
@@ -835,10 +867,10 @@ func validateEncryptedCells(tbl *Table, cells [][]byte) error {
 	return nil
 }
 
-// executeInsert inserts one row.
+// executeInsert binds the statement's one row and inserts it — a batch of
+// one through the same primitive as a bulk batch.
 func (e *Engine) executeInsert(t *Txn, plan *Plan, params Params) (*ResultSet, error) {
-	tbl := plan.table
-	cells := make([][]byte, len(tbl.Cols))
+	cells := make([][]byte, len(plan.table.Cols))
 	for _, bind := range plan.insertTo {
 		b, err := resolveValue(bind.expr, params)
 		if err != nil {
@@ -846,13 +878,7 @@ func (e *Engine) executeInsert(t *Txn, plan *Plan, params Params) (*ResultSet, e
 		}
 		cells[bind.colPos] = b
 	}
-	if err := validateEncryptedCells(tbl, cells); err != nil {
-		return nil, err
-	}
-	if _, err := e.insertRow(t, tbl, cells); err != nil {
-		return nil, err
-	}
-	return &ResultSet{Affected: 1}, nil
+	return e.insertBatch(t, plan.table, [][][]byte{cells})
 }
 
 // executeUpdate applies SET clauses to every matching row. Targets are

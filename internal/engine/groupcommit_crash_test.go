@@ -33,16 +33,17 @@ func promoteFromWAL(t *testing.T, recs []storage.Record) *Engine {
 	return rep
 }
 
-// TestGroupCommitCrashDurability kills the primary mid group-commit window:
-// concurrent committers run with a non-zero commit window, and at two cut
-// points a consistent WAL prefix is captured while commit rounds are still
-// in flight. Promoting a replica from each prefix must show every
+// TestGroupCommitCrashDurability kills the primary mid group-commit round:
+// concurrent committers run against a modelled 2 ms log flush — a round's
+// records are appended, then the leader waits out the flush before anyone is
+// acknowledged — and at two cut points a consistent WAL prefix is captured
+// while commit rounds are still in flight. Promoting a replica from each prefix must show every
 // acknowledged transaction (ack happens strictly after the batched append)
 // and none of the unacknowledged ones — group commit batches the log write,
 // not the durability promise.
 func TestGroupCommitCrashDurability(t *testing.T) {
 	env := newTestEnv(t, true)
-	env.engine.commitWindow = 2 * time.Millisecond
+	env.engine.WAL().SyncDelay = 2 * time.Millisecond
 	env.mustExec("CREATE TABLE gc (id int PRIMARY KEY, v int)", nil)
 	baseCommits := countCommits(env.engine.WAL().Records())
 
@@ -153,10 +154,10 @@ func TestGroupCommitCrashDurability(t *testing.T) {
 	}
 }
 
-// TestBulkRedoByteIdentical: a bulk-loaded primary, a row-at-a-time-loaded
-// primary and a replica replaying the bulk primary's multi-row WAL records
-// must all hold byte-identical pages — the fast path changes log shape and
-// lock traffic, never bytes on disk.
+// TestBulkRedoByteIdentical: a bulk-loaded primary, a primary loaded by one
+// INSERT statement per row, and key-less replicas replaying either log must
+// all hold byte-identical pages. A row INSERT is a bulk insert of one: its
+// log carries the same record types, just n of them with one row each.
 func TestBulkRedoByteIdentical(t *testing.T) {
 	const n = 300
 	ddl := func(env *testEnv) {
@@ -182,27 +183,43 @@ func TestBulkRedoByteIdentical(t *testing.T) {
 			Params{"i": intParam(int64(i)), "n": strParam(name(i))})
 	}
 
-	// The two primaries took different WAL paths (one multi-row record per
-	// structure vs n per-row records) but must agree on every page byte.
-	comparePages(t, storePages(t, bulkEnv.engine, bulkEnv.store),
-		storePages(t, rowEnv.engine, rowEnv.store), "bulk vs row-at-a-time")
+	// One statement of n rows or n statements of one: every page byte agrees.
+	bulkPages := storePages(t, bulkEnv.engine, bulkEnv.store)
+	comparePages(t, bulkPages, storePages(t, rowEnv.engine, rowEnv.store), "bulk vs row-at-a-time")
 
-	// A key-less replica replays the bulk primary's log — including the
-	// RecHeapInsertMulti / RecIndexInsertMulti records — to identical pages.
-	recs := bulkEnv.engine.WAL().Records()
-	multi := 0
-	for _, rec := range recs {
-		if rec.Type == storage.RecHeapInsertMulti || rec.Type == storage.RecIndexInsertMulti {
-			multi++
+	// Both logs are made of the same records: forward inserts appear only as
+	// RecHeapInsertMulti / RecIndexInsertMulti (one per structure per
+	// statement), never as a single-row heap or index insert.
+	countMulti := func(label string, recs []storage.Record) int {
+		multi := 0
+		for _, rec := range recs {
+			switch rec.Type {
+			case storage.RecHeapInsertMulti, storage.RecIndexInsertMulti:
+				multi++
+			case storage.RecHeapInsert, storage.RecIndexInsert:
+				if !rec.CLR {
+					t.Fatalf("%s: forward single-row %s at LSN %d", label, rec.Type, rec.LSN)
+				}
+			}
 		}
+		return multi
 	}
-	if multi == 0 {
-		t.Fatal("bulk load produced no multi-row WAL records")
+	bulkRecs, rowRecs := bulkEnv.engine.WAL().Records(), rowEnv.engine.WAL().Records()
+	// Heap + primary key index + ix_name: three records per statement.
+	if got := countMulti("bulk log", bulkRecs); got != 3 {
+		t.Fatalf("bulk load logged %d multi-row records, want 3", got)
 	}
+	if got := countMulti("row log", rowRecs); got != 3*n {
+		t.Fatalf("row-at-a-time load logged %d multi-row records, want %d", got, 3*n)
+	}
+
+	// A key-less replica replays either log to the same pages.
 	rep, repStore := newReplicaEngine(t)
-	applyAll(t, rep, NewRedoApplier(rep), recs)
-	comparePages(t, storePages(t, bulkEnv.engine, bulkEnv.store),
-		storePages(t, rep, repStore), "bulk primary vs replica redo")
+	applyAll(t, rep, NewRedoApplier(rep), bulkRecs)
+	comparePages(t, bulkPages, storePages(t, rep, repStore), "bulk primary vs replica redo")
+	rowRep, rowRepStore := newReplicaEngine(t)
+	applyAll(t, rowRep, NewRedoApplier(rowRep), rowRecs)
+	comparePages(t, bulkPages, storePages(t, rowRep, rowRepStore), "bulk primary vs replica redo of the row log")
 
 	// The replica's logical view works through the replayed index too.
 	sess := rep.NewSession()

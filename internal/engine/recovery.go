@@ -144,7 +144,7 @@ func (e *Engine) undoTxnForRecovery(t *Txn, rep *RecoveryReport) bool {
 		// released: heap undo is physical and already succeeded (tryUndo is
 		// best-effort); only the logical index undos remain for the version
 		// cleaner to retry.
-		e.versions.MarkCommitted(t.id)
+		e.versions.Commit(t.id)
 		e.versions.Drop(t.id)
 		e.locks.ReleaseAll(t.id)
 	}

@@ -148,16 +148,17 @@ func (ra *RedoApplier) applyHeap(rec *storage.Record) error {
 	if err != nil {
 		return err
 	}
+	// Only undo logs single-row inserts: the CLR compensating a delete puts
+	// the row back into its exact original slot, not the heap tail. Forward
+	// inserts arrive as RecHeapInsertMulti; one shaped like this comes from
+	// an older build's log or a corrupt stream.
+	if rec.Type == storage.RecHeapInsert && !rec.CLR {
+		return fmt.Errorf("%w: forward RecHeapInsert at LSN %d", ErrRedoDiverged, rec.LSN)
+	}
 	tbl.mu.Lock()
 	switch rec.Type {
 	case storage.RecHeapInsert:
-		if rec.CLR {
-			// A CLR insert compensates a delete: the row goes back into its
-			// exact original slot, not the heap tail.
-			err = tbl.Heap.RestoreAt(rec.Row, rec.New)
-		} else {
-			err = tbl.Heap.ApplyInsert(rec.Row, rec.New)
-		}
+		err = tbl.Heap.RestoreAt(rec.Row, rec.New)
 	case storage.RecHeapDelete:
 		err = tbl.Heap.Delete(rec.Row)
 	case storage.RecHeapUpdate:
@@ -176,10 +177,10 @@ func (ra *RedoApplier) applyHeap(rec *storage.Record) error {
 	return nil
 }
 
-// applyHeapMulti performs physical redo of a multi-row bulk insert: every row
-// lands at the exact slot the primary allocated, and the owning transaction's
-// undo list mirrors per-row inserts — rollback and promotion never need to
-// know the rows arrived in one record.
+// applyHeapMulti performs physical redo of an insert statement's rows: every
+// row lands at the exact slot the primary allocated, and the owning
+// transaction's undo list mirrors per-row inserts — rollback and promotion
+// never need to know the rows arrived in one record.
 func (ra *RedoApplier) applyHeapMulti(rec *storage.Record) error {
 	e := ra.e
 	tbl, err := e.catalog.Table(rec.Table)
@@ -215,9 +216,9 @@ func (ra *RedoApplier) applyIndex(rec *storage.Record) error {
 	return ra.applyIndexOp(rec.Txn, op)
 }
 
-// applyIndexMulti unpacks a bulk-insert index record and replays each entry
-// through the same path as a single-row record, so per-index deferral and
-// invalidation behave identically however the primary batched.
+// applyIndexMulti unpacks an insert statement's index record and replays each
+// entry through the same path as a single-entry record, so per-index deferral
+// and invalidation behave identically however the primary batched.
 func (ra *RedoApplier) applyIndexMulti(rec *storage.Record) error {
 	keys, rids, err := storage.DecodeIndexEntries(rec.New)
 	if err != nil {

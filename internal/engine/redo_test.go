@@ -187,6 +187,22 @@ func TestRedoPhysicalByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRedoRejectsForwardSingleInsert: forward inserts are only ever logged as
+// RecHeapInsertMulti, so a non-CLR RecHeapInsert (an older build's log, a
+// corrupt stream) is divergence — not an exact-slot restore.
+func TestRedoRejectsForwardSingleInsert(t *testing.T) {
+	rep, _ := newReplicaEngine(t)
+	ra := NewRedoApplier(rep)
+	applyAll(t, rep, ra, []storage.Record{
+		{LSN: 1, Type: storage.RecDDL, DDL: "CREATE TABLE old (id int PRIMARY KEY)", Row: storage.NewRowID(1, 0)},
+	})
+	rec := storage.Record{LSN: 2, Type: storage.RecHeapInsert, Table: "old",
+		Row: storage.NewRowID(1, 0), New: encodeRow([][]byte{intParam(1)})}
+	if err := ra.Apply(&rec); !errors.Is(err, ErrRedoDiverged) {
+		t.Fatalf("forward RecHeapInsert: err = %v, want ErrRedoDiverged", err)
+	}
+}
+
 // TestRedoCrashMidApplyRestart kills the replica at several points mid-redo
 // and restarts it: the restarted replica replays its local WAL from scratch,
 // resumes the stream, and still converges to byte-identical pages.

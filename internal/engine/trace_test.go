@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"testing"
 
 	"alwaysencrypted/internal/aecrypto"
@@ -72,6 +73,51 @@ func TestTraceLifecycleSpans(t *testing.T) {
 			t.Fatalf("duplicate or zero trace ID %s", x.ID)
 		}
 		seen[x.ID] = true
+	}
+
+	// A bulk batch is a statement like any other: counted in engine.execs,
+	// with an exec span that contains its WAL appends.
+	execs := env.engine.execs.Value()
+	batch := [][][]byte{{intParam(2), intParam(20)}, {intParam(3), intParam(30)}}
+	if n, err := env.session.BulkInsert("t", []string{"id", "v"}, batch); err != nil || n != 2 {
+		t.Fatalf("BulkInsert = %d, %v", n, err)
+	}
+	if got := env.engine.execs.Value(); got != execs+1 {
+		t.Fatalf("engine.execs after a bulk batch = %d, want %d", got, execs+1)
+	}
+	bulk := findTrace(tr.Store().Drain(), trace.KindInsert)
+	if bulk == nil {
+		t.Fatal("no trace for the bulk batch")
+	}
+	var exec *trace.Span
+	for i := range bulk.Spans {
+		if bulk.Spans[i].Name == "exec" {
+			exec = &bulk.Spans[i]
+		}
+	}
+	if exec == nil {
+		t.Fatalf("bulk trace has no exec span (have %v)", spanNames(bulk))
+	}
+	appends := 0
+	for _, sp := range bulk.Spans {
+		if sp.Name != "wal.append" {
+			continue
+		}
+		appends++
+		if sp.Start < exec.Start || sp.Start+sp.Dur > exec.Start+exec.Dur {
+			t.Fatalf("wal.append span [%v,+%v] outside exec span [%v,+%v]", sp.Start, sp.Dur, exec.Start, exec.Dur)
+		}
+	}
+	// BEGIN, the heap record and the primary-key index record.
+	if appends != 3 || spanNames(bulk)["wal.commit"] != 1 {
+		t.Fatalf("bulk trace spans = %v, want 3 wal.append and 1 wal.commit", spanNames(bulk))
+	}
+
+	// A read-only engine (a replica) rejects the batch before it looks
+	// anything up: the table does not even exist.
+	env.engine.SetReadOnly(true)
+	if _, err := env.session.BulkInsert("no_such_table", []string{"id"}, batch); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("bulk insert on a read-only engine: %v, want ErrReadOnly", err)
 	}
 }
 

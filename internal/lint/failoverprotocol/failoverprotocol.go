@@ -7,10 +7,12 @@
 //     and the describe cache. Each reset is a separate obligation, so
 //     a refactor that drops one is a distinct finding.
 //   - A failover must be followed on every non-error path by either a
-//     retry (execOnce) or the ErrIndeterminate verdict — a swallowed
-//     failover would silently lose a statement outcome.
-//   - execOnce has a per-path budget of two executions (first try plus
-//     one retry): a third execution on a single path is a transparent
+//     rerun of the request — the once callback of Conn.retry, the one
+//     wrapper Exec and BulkInsert share, or execOnce called directly — or
+//     the ErrIndeterminate verdict: a swallowed failover would silently
+//     lose a statement outcome.
+//   - A request has a per-path budget of two executions (first try plus
+//     one rerun): a third execution on a single path is a transparent
 //     resend loop, exactly what exactly-once forbids.
 package failoverprotocol
 
@@ -49,6 +51,11 @@ var spec = &typestate.Spec{
 				Max:  2,
 				Desc: "statement executed",
 			},
+			{
+				Call: typestate.CallPat{Pkg: "driver", Name: "once"},
+				Max:  2,
+				Desc: "request run",
+			},
 		},
 	},
 	Resources: []typestate.Resource{
@@ -82,13 +89,14 @@ var spec = &typestate.Spec{
 			AcquirePending: true,
 			Release: []typestate.CallPat{
 				{Pkg: "driver", Recv: "Conn", Name: "execOnce"},
+				{Pkg: "driver", Name: "once"},
 			},
 			ReleaseKey: typestate.IdentSingleton,
 			ReleaseUse: []typestate.IdentPat{
 				{Pkg: "driver", Name: "ErrIndeterminate"},
 			},
-			// Two execOnce calls without an intervening failover (the
-			// stale-describe retry path) are not a protocol violation —
+			// Two runs without an intervening failover (the stale-describe
+			// rerun) are not a protocol violation —
 			// this resource only guards that a failover is followed by an
 			// outcome; the Max budget above separately bounds retries.
 			Idempotent: true,

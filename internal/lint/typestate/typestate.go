@@ -67,7 +67,10 @@ const (
 // (empty for plain functions) and function name. With Field set the
 // pattern is the syntactic base.Field.Name() form — used for methods of
 // an embedded or struct-field value such as fr.Latch.Lock(), where Recv
-// names the type of base, not of the field.
+// names the type of base, not of the field. A pattern with neither Recv nor
+// Field also matches a call through a func-typed variable of that name
+// declared in the package — a callback parameter such as the once of
+// retry(once func() ...), which has no declared callee to resolve.
 type CallPat struct {
 	Pkg   string
 	Recv  string
@@ -293,7 +296,15 @@ func (c *checker) matchCall(pat *CallPat, call *ast.CallExpr) (base ast.Expr, ok
 		return inner.X, true
 	}
 	fn := taint.CalleeFunc(c.info, call)
-	if fn == nil || fn.Name() != pat.Name {
+	if fn == nil {
+		id, isIdent := call.Fun.(*ast.Ident)
+		if !isIdent || pat.Recv != "" || id.Name != pat.Name {
+			return nil, false
+		}
+		v, isVar := c.info.Uses[id].(*types.Var)
+		return nil, isVar && analysis.PackagePathIs(v.Pkg(), pat.Pkg)
+	}
+	if fn.Name() != pat.Name {
 		return nil, false
 	}
 	if taint.RecvTypeName(fn) != pat.Recv {

@@ -6,11 +6,13 @@ import (
 	"fmt"
 )
 
-// Multi-row record payloads. A bulk insert logs one RecHeapInsertMulti per
-// table batch and one RecIndexInsertMulti per index, instead of N records
-// each. The payloads pack into the Record.New byte field, so Serialize /
-// LoadWAL and the replication wire format need no changes — an old log
-// simply never contains the new types.
+// Multi-row record payloads. An insert statement — one row or a bulk batch —
+// logs one RecHeapInsertMulti for the table and one RecIndexInsertMulti per
+// index. The payloads pack into the Record.New byte field, so Serialize /
+// LoadWAL and the replication wire format carry them as opaque bytes. The
+// decoders sit on the redo path of every insert and read bytes that crossed
+// a wire: a count field never sizes an allocation beyond what the payload
+// itself could hold.
 
 // ErrBadBulkPayload reports a corrupt multi-row payload.
 var ErrBadBulkPayload = errors.New("storage: malformed multi-row record payload")
@@ -39,6 +41,9 @@ func DecodeHeapRows(payload []byte) ([]RowID, [][]byte, error) {
 	}
 	n := binary.BigEndian.Uint32(payload)
 	payload = payload[4:]
+	if uint64(n)*12 > uint64(len(payload)) {
+		return nil, nil, ErrBadBulkPayload
+	}
 	rids := make([]RowID, 0, n)
 	recs := make([][]byte, 0, n)
 	for i := uint32(0); i < n; i++ {
@@ -91,6 +96,9 @@ func DecodeIndexEntries(payload []byte) ([][][]byte, []RowID, error) {
 	}
 	n := binary.BigEndian.Uint32(payload)
 	payload = payload[4:]
+	if uint64(n)*12 > uint64(len(payload)) {
+		return nil, nil, ErrBadBulkPayload
+	}
 	keys := make([][][]byte, 0, n)
 	rids := make([]RowID, 0, n)
 	for i := uint32(0); i < n; i++ {
@@ -100,7 +108,7 @@ func DecodeIndexEntries(payload []byte) ([][][]byte, []RowID, error) {
 		rid := RowID(binary.BigEndian.Uint64(payload))
 		nc := binary.BigEndian.Uint32(payload[8:])
 		payload = payload[12:]
-		if nc > 64 {
+		if nc > 64 || int(nc)*4 > len(payload) {
 			return nil, nil, ErrBadBulkPayload
 		}
 		key := make([][]byte, 0, nc)

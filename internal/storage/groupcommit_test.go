@@ -71,9 +71,10 @@ func TestGroupCommitAckAfterAppend(t *testing.T) {
 	}
 }
 
-// TestSyncDelayCharged: AppendSync pays at least the configured flush
-// latency per call, on both the spin (<1ms) and sleep (>=1ms) paths. Only
-// lower bounds are asserted — upper bounds flake on loaded machines.
+// TestSyncDelayCharged: a sequential committer is its own group-commit
+// leader and pays at least the configured flush latency per call, on both
+// the spin (<1ms) and sleep (>=1ms) paths. Only lower bounds are asserted —
+// upper bounds flake on loaded machines.
 func TestSyncDelayCharged(t *testing.T) {
 	for _, delay := range []time.Duration{200 * time.Microsecond, time.Millisecond} {
 		w := NewWAL()
@@ -81,10 +82,10 @@ func TestSyncDelayCharged(t *testing.T) {
 		const n = 4
 		start := time.Now()
 		for i := 0; i < n; i++ {
-			w.AppendSync(Record{Txn: uint64(i + 1), Type: RecCommit})
+			w.AppendCommitGroup(Record{Txn: uint64(i + 1), Type: RecCommit}, 0)
 		}
 		if elapsed := time.Since(start); elapsed < n*delay {
-			t.Fatalf("delay %v: %d synced appends took %v, want >= %v", delay, n, elapsed, n*delay)
+			t.Fatalf("delay %v: %d sequential commits took %v, want >= %v", delay, n, elapsed, n*delay)
 		}
 		if got := len(w.Records()); got != n {
 			t.Fatalf("delay %v: %d records, want %d", delay, got, n)

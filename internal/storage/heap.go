@@ -81,85 +81,24 @@ func (h *Heap) Rows() int64 {
 // given the sequence of operations, which recovery relies on when replaying
 // the log onto a fresh heap.
 func (h *Heap) Insert(rec []byte) (RowID, error) {
-	return h.InsertObserved(rec, nil)
-}
-
-// InsertObserved appends a record, invoking observe with the assigned RowID
-// *before* the row becomes reachable by concurrent scans (while the page
-// write latch — or, for a freshly grown page, the unlinked page — is still
-// held). Snapshot readers rely on this: the engine registers the row's
-// version-store entry in the observer, so no scan can ever see the new slot
-// without its visibility chain already in place. observe must not block and
-// may only take locks ranked above Frame.Latch (VersionStore.mu).
-func (h *Heap) InsertObserved(rec []byte, observe func(RowID)) (RowID, error) {
 	if len(rec) > MaxRecordSize {
 		return 0, ErrRecordSize
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.insertLocked(rec, observe)
+	return h.place(rec, 0, nil)
 }
 
-// insertLocked is the Insert body, factored out so batch inserts pay for
-// the heap mutex once.
-func (h *Heap) insertLocked(rec []byte, observe func(RowID)) (RowID, error) {
-	f, err := h.pool.Fetch(h.last)
-	if err != nil {
-		return 0, err
-	}
-	f.Latch.Lock()
-	slot, err := f.Page().Insert(rec)
-	if err == nil {
-		rid := NewRowID(h.last, slot)
-		if observe != nil {
-			observe(rid)
-		}
-		f.Latch.Unlock()
-		h.pool.Unpin(f, true)
-		h.rows++
-		return rid, nil
-	}
-	f.Latch.Unlock()
-	h.pool.Unpin(f, false)
-	if !errors.Is(err, ErrPageFull) {
-		return 0, err
-	}
-	// Grow the chain.
-	nf, err := h.pool.NewPage(PageTypeHeap)
-	if err != nil {
-		return 0, err
-	}
-	newID := nf.Page().ID()
-	nf.Latch.Lock()
-	slot, err = nf.Page().Insert(rec)
-	if err == nil && observe != nil {
-		// The page is not linked into the chain yet, but the observer runs
-		// before that happens all the same.
-		observe(NewRowID(newID, slot))
-	}
-	nf.Latch.Unlock()
-	h.pool.Unpin(nf, true)
-	if err != nil {
-		return 0, err
-	}
-	// Link the old tail to the new page.
-	of, err := h.pool.Fetch(h.last)
-	if err != nil {
-		return 0, err
-	}
-	of.Latch.Lock()
-	of.Page().SetNext(newID)
-	of.Latch.Unlock()
-	h.pool.Unpin(of, true)
-	h.last = newID
-	h.rows++
-	return NewRowID(newID, slot), nil
-}
-
-// InsertBatch appends records under one heap-mutex acquisition — the bulk
-// insert fast path. observe is invoked per row exactly as in
-// InsertObserved. On a mid-batch failure the rows already placed are
-// removed again and the error returned; the heap is unchanged.
+// InsertBatch appends records under one heap-mutex acquisition — the insert
+// path of every statement, one row or thousands. observe, when non-nil, is
+// invoked with each assigned RowID *before* the row becomes reachable by
+// concurrent scans (while the page write latch — or, for a freshly grown
+// page, the unlinked page — is still held). Snapshot readers rely on this:
+// the engine registers the row's version-store entry in the observer, so no
+// scan can ever see the new slot without its visibility chain already in
+// place. observe must not block and may only take locks ranked above
+// Frame.Latch (VersionStore.mu). On a mid-batch failure the rows already
+// placed are removed again and the error returned; the heap is unchanged.
 func (h *Heap) InsertBatch(recs [][]byte, observe func(RowID)) ([]RowID, error) {
 	for _, rec := range recs {
 		if len(rec) > MaxRecordSize {
@@ -170,7 +109,7 @@ func (h *Heap) InsertBatch(recs [][]byte, observe func(RowID)) ([]RowID, error) 
 	defer h.mu.Unlock()
 	rids := make([]RowID, 0, len(recs))
 	for _, rec := range recs {
-		rid, err := h.insertLocked(rec, observe)
+		rid, err := h.place(rec, 0, observe)
 		if err != nil {
 			for _, placed := range rids {
 				h.deleteLocked(placed)
@@ -187,100 +126,144 @@ func (h *Heap) InsertBatch(recs [][]byte, observe func(RowID)) ([]RowID, error) 
 // longer mirror the primary's and it must re-seed.
 var ErrRedoDiverged = errors.New("storage: redo diverged from logged row placement")
 
-// ApplyInsert re-executes the Insert algorithm during log replay, verifying
-// that the row lands at the logged RowID. When the primary grew the chain the
-// replica materializes the same page id (NewPageAt) instead of allocating, so
-// page images stay byte-identical — including the tail-page compaction that a
-// failed insert attempt leaves behind.
+// ApplyInsert re-executes an insert during log replay, verifying that the
+// row lands at the logged RowID.
 func (h *Heap) ApplyInsert(rid RowID, rec []byte) error {
 	if len(rec) > MaxRecordSize {
 		return ErrRecordSize
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	_, err := h.place(rec, rid, nil)
+	return err
+}
+
+// place is the one heap placement routine; the caller holds h.mu. It puts
+// rec on the tail page, growing the chain when the tail is full, and runs
+// observe under the page latch. at == 0 is forward execution: the row takes
+// whatever RowID the algorithm assigns and a grown page gets a fresh id.
+// at != 0 is redo: the same algorithm must land the row exactly at `at`, and
+// a grown page is materialized under at.Page() (NewPageAt) instead of
+// allocated, so page images stay byte-identical to the primary's —
+// including the tail-page compaction a failed insert attempt leaves behind.
+func (h *Heap) place(rec []byte, at RowID, observe func(RowID)) (RowID, error) {
 	f, err := h.pool.Fetch(h.last)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	f.Latch.Lock()
 	slot, err := f.Page().Insert(rec)
 	if err == nil {
-		got := NewRowID(h.last, slot)
+		rid := NewRowID(h.last, slot)
+		if observe != nil {
+			observe(rid)
+		}
 		f.Latch.Unlock()
 		h.pool.Unpin(f, true)
-		if got != rid {
-			return fmt.Errorf("%w: inserted at %v, log says %v", ErrRedoDiverged, got, rid)
+		if at != 0 && rid != at {
+			return 0, fmt.Errorf("%w: inserted at %v, log says %v", ErrRedoDiverged, rid, at)
 		}
 		h.rows++
-		return nil
+		return rid, nil
 	}
 	f.Latch.Unlock()
 	h.pool.Unpin(f, false)
 	if !errors.Is(err, ErrPageFull) {
-		return err
+		return 0, err
 	}
-	if rid.Page() == h.last {
-		return fmt.Errorf("%w: tail page %d full but log places row there", ErrRedoDiverged, h.last)
+	// Grow the chain.
+	var nf *Frame
+	switch {
+	case at == 0:
+		nf, err = h.pool.NewPage(PageTypeHeap)
+	case at.Page() == h.last:
+		return 0, fmt.Errorf("%w: tail page %d full but log places row there", ErrRedoDiverged, h.last)
+	default:
+		nf, err = h.pool.NewPageAt(at.Page(), PageTypeHeap)
 	}
-	nf, err := h.pool.NewPageAt(rid.Page(), PageTypeHeap)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	newID := nf.Page().ID()
 	nf.Latch.Lock()
 	slot, err = nf.Page().Insert(rec)
+	rid := NewRowID(newID, slot)
+	if err == nil && observe != nil {
+		// The page is not linked into the chain yet, but the observer runs
+		// before that happens all the same.
+		observe(rid)
+	}
 	nf.Latch.Unlock()
 	h.pool.Unpin(nf, true)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if slot != rid.Slot() {
-		return fmt.Errorf("%w: fresh page slot %d, log says %d", ErrRedoDiverged, slot, rid.Slot())
+	if at != 0 && rid != at {
+		return 0, fmt.Errorf("%w: fresh page slot %d, log says %d", ErrRedoDiverged, slot, at.Slot())
 	}
+	// Link the old tail to the new page.
 	of, err := h.pool.Fetch(h.last)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	of.Latch.Lock()
-	of.Page().SetNext(rid.Page())
+	of.Page().SetNext(newID)
 	of.Latch.Unlock()
 	h.pool.Unpin(of, true)
-	h.last = rid.Page()
+	h.last = newID
 	h.rows++
-	return nil
+	return rid, nil
+}
+
+// Update rewrites the record at rid. If the record no longer fits in its
+// page it is deleted and placed elsewhere; the returned RowID is the
+// (possibly new) location, and observe fires with it before the new slot
+// becomes scannable (see InsertBatch). In-place updates never invoke
+// observe — the caller has already versioned the pre-image under rid.
+func (h *Heap) Update(rid RowID, rec []byte, observe func(RowID)) (RowID, error) {
+	return h.update(rid, 0, rec, observe)
 }
 
 // ApplyUpdate re-executes an Update during log replay. An in-place update
 // (rid == newRID) must succeed in place; a relocating one re-runs the failed
 // in-place attempt first — mirroring the compaction it performs on the
-// primary — then deletes and reinserts at the logged destination.
+// primary — then deletes and places the row at the logged destination.
 func (h *Heap) ApplyUpdate(rid, newRID RowID, rec []byte) error {
+	_, err := h.update(rid, newRID, rec, nil)
+	return err
+}
+
+// update is Update for at == 0 and ApplyUpdate for at != 0 (the logged
+// destination, which the outcome must match).
+func (h *Heap) update(rid, at RowID, rec []byte, observe func(RowID)) (RowID, error) {
 	if len(rec) > MaxRecordSize {
-		return ErrRecordSize
+		return 0, ErrRecordSize
 	}
 	f, err := h.pool.Fetch(rid.Page())
 	if err != nil {
-		return fmt.Errorf("%w: %s", ErrRowNotFound, rid)
+		return 0, fmt.Errorf("%w: %s", ErrRowNotFound, rid)
 	}
 	f.Latch.Lock()
-	uerr := f.Page().Update(rid.Slot(), rec)
+	err = f.Page().Update(rid.Slot(), rec)
 	f.Latch.Unlock()
-	h.pool.Unpin(f, uerr == nil)
-	if rid == newRID {
-		if uerr != nil {
-			return fmt.Errorf("%w: in-place update failed (%v), log says it fit", ErrRedoDiverged, uerr)
+	h.pool.Unpin(f, err == nil)
+	switch {
+	case err == nil:
+		if at != 0 && at != rid {
+			return 0, fmt.Errorf("%w: update fit in place, log says it relocated to %v", ErrRedoDiverged, at)
 		}
-		return nil
-	}
-	if uerr == nil {
-		return fmt.Errorf("%w: update fit in place, log says it relocated to %v", ErrRedoDiverged, newRID)
-	}
-	if !errors.Is(uerr, ErrPageFull) {
-		return fmt.Errorf("%w: %s", ErrRowNotFound, rid)
+		return rid, nil
+	case !errors.Is(err, ErrPageFull):
+		return 0, fmt.Errorf("%w: %s", ErrRowNotFound, rid)
+	case at == rid:
+		return 0, fmt.Errorf("%w: in-place update failed (%v), log says it fit", ErrRedoDiverged, err)
 	}
 	if err := h.Delete(rid); err != nil {
-		return err
+		return 0, err
 	}
-	return h.ApplyInsert(newRID, rec)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.place(rec, at, observe)
 }
 
 // RestoreAt puts a record back into the exact RowID it occupied before a
@@ -323,44 +306,6 @@ func (h *Heap) Get(rid RowID) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrRowNotFound, rid)
 	}
 	return out, nil
-}
-
-// Update rewrites the record at rid. If the record no longer fits in its
-// page, it is deleted and reinserted elsewhere; the returned RowID is the
-// (possibly new) location.
-func (h *Heap) Update(rid RowID, rec []byte) (RowID, error) {
-	return h.UpdateObserved(rid, rec, nil)
-}
-
-// UpdateObserved is Update with an insert observer: when the row relocates,
-// observe fires with the new RowID before the new slot becomes scannable
-// (see InsertObserved). In-place updates never invoke it — the caller has
-// already versioned the pre-image under the old RowID.
-func (h *Heap) UpdateObserved(rid RowID, rec []byte, observe func(RowID)) (RowID, error) {
-	if len(rec) > MaxRecordSize {
-		return 0, ErrRecordSize
-	}
-	f, err := h.pool.Fetch(rid.Page())
-	if err != nil {
-		return 0, fmt.Errorf("%w: %s", ErrRowNotFound, rid)
-	}
-	f.Latch.Lock()
-	err = f.Page().Update(rid.Slot(), rec)
-	f.Latch.Unlock()
-	switch {
-	case err == nil:
-		h.pool.Unpin(f, true)
-		return rid, nil
-	case errors.Is(err, ErrPageFull):
-		h.pool.Unpin(f, false)
-		if derr := h.Delete(rid); derr != nil {
-			return 0, derr
-		}
-		return h.InsertObserved(rec, observe)
-	default:
-		h.pool.Unpin(f, false)
-		return 0, fmt.Errorf("%w: %s", ErrRowNotFound, rid)
-	}
 }
 
 // Delete removes the record at rid.

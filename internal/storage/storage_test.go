@@ -302,7 +302,7 @@ func TestHeapCRUDAndScan(t *testing.T) {
 	}
 	// Update with growth forcing relocation.
 	big := bytes.Repeat([]byte{'B'}, 500)
-	newRID, err := heap.Update(rids[0], big)
+	newRID, err := heap.Update(rids[0], big, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestVersionStoreCTRSemantics(t *testing.T) {
 		t.Fatalf("pending = %v", txns)
 	}
 	// After commit the version is cleanable and readers use the heap image.
-	vs.MarkCommitted(7)
+	vs.Commit(7)
 	if _, ok := vs.CommittedImage("Account", row); ok {
 		t.Fatal("committed txn still pending")
 	}
@@ -522,5 +522,118 @@ func BenchmarkBufferPoolFetchHit(b *testing.B) {
 			b.Fatal(err)
 		}
 		pool.Unpin(f, false)
+	}
+}
+
+// heapImage flushes the pool and returns every page of the store by id.
+func heapImage(t *testing.T, pool *BufferPool, store *MemStore) map[PageID][]byte {
+	t.Helper()
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[PageID][]byte)
+	for id := PageID(1); int(id) <= store.PageCount(); id++ {
+		buf := make([]byte, PageSize)
+		if err := store.ReadPage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		out[id] = buf
+	}
+	return out
+}
+
+// TestHeapOnePlacementPath: Insert×N, one InsertBatch(N) and ApplyInsert×N at
+// the logged row ids are the same placement routine — across several
+// page-grow boundaries they leave byte-identical pages — and a batch that
+// fails part-way leaves the heap as it found it.
+func TestHeapOnePlacementPath(t *testing.T) {
+	const n = 400 // ~25 KiB of records: the chain grows several times
+	recs := make([][]byte, n)
+	for i := range recs {
+		recs[i] = bytes.Repeat([]byte{byte('a' + i%26)}, 40+i%50)
+	}
+	newHeap := func(at PageID) (*Heap, *BufferPool, *MemStore) {
+		store := NewMemStore()
+		pool := NewBufferPool(store, 64)
+		var h *Heap
+		var err error
+		if at == InvalidPageID {
+			h, err = NewHeap(pool)
+		} else {
+			h, err = NewHeapAt(pool, at)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h, pool, store
+	}
+
+	one, onePool, oneStore := newHeap(InvalidPageID)
+	rids := make([]RowID, n)
+	for i, rec := range recs {
+		rid, err := one.Insert(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids[i] = rid
+	}
+	if rids[n-1].Page() == rids[0].Page() {
+		t.Fatal("workload never grew the chain")
+	}
+
+	batch, batchPool, batchStore := newHeap(InvalidPageID)
+	var observed []RowID
+	batchRids, err := batch.InsertBatch(recs, func(rid RowID) { observed = append(observed, rid) })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	redo, redoPool, redoStore := newHeap(one.FirstPage())
+	for i, rec := range recs {
+		if err := redo.ApplyInsert(rids[i], rec); err != nil {
+			t.Fatalf("ApplyInsert row %d: %v", i, err)
+		}
+	}
+
+	for i := range rids {
+		if batchRids[i] != rids[i] || observed[i] != rids[i] {
+			t.Fatalf("row %d: Insert placed %v, InsertBatch %v (observer saw %v)", i, rids[i], batchRids[i], observed[i])
+		}
+	}
+	want := heapImage(t, onePool, oneStore)
+	for label, got := range map[string]map[PageID][]byte{
+		"InsertBatch": heapImage(t, batchPool, batchStore),
+		"ApplyInsert": heapImage(t, redoPool, redoStore),
+	} {
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d pages, Insert made %d", label, len(got), len(want))
+		}
+		for id, page := range want {
+			if !bytes.Equal(got[id], page) {
+				t.Fatalf("%s: page %d differs from the one Insert built", label, id)
+			}
+		}
+	}
+	if one.Rows() != n || batch.Rows() != n || redo.Rows() != n {
+		t.Fatalf("rows = %d / %d / %d, want %d", one.Rows(), batch.Rows(), redo.Rows(), n)
+	}
+
+	// An oversized record in the middle of a batch: nothing is placed. A
+	// redo that disagrees with the log is refused, too.
+	bad := [][]byte{recs[0], make([]byte, MaxRecordSize+1), recs[1]}
+	if _, err := batch.InsertBatch(bad, nil); !errors.Is(err, ErrRecordSize) {
+		t.Fatalf("oversized record mid-batch: %v, want ErrRecordSize", err)
+	}
+	if batch.Rows() != n {
+		t.Fatalf("rows after failed batch = %d, want %d", batch.Rows(), n)
+	}
+	after := heapImage(t, batchPool, batchStore)
+	for id, page := range want {
+		if !bytes.Equal(after[id], page) {
+			t.Fatalf("failed batch changed page %d", id)
+		}
+	}
+	if err := redo.ApplyInsert(rids[0], recs[0]); !errors.Is(err, ErrRedoDiverged) {
+		t.Fatalf("ApplyInsert at an occupied row id: %v, want ErrRedoDiverged", err)
 	}
 }

@@ -139,10 +139,6 @@ func (vs *VersionStore) Commit(txn uint64) uint64 {
 	return ts
 }
 
-// MarkCommitted is the pre-snapshot name for Commit, kept for the CTR
-// recovery paths (which stamp and then Drop explicitly).
-func (vs *VersionStore) MarkCommitted(txn uint64) { vs.Commit(txn) }
-
 // watermarkLocked returns the highest commit timestamp every reader has
 // moved past: the oldest active snapshot's timestamp, or the current clock
 // when no snapshot is active.

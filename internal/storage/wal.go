@@ -24,7 +24,7 @@ const (
 	RecBegin RecType = iota + 1
 	RecCommit
 	RecAbort
-	RecHeapInsert  // Table, Row, New
+	RecHeapInsert  // Table, Row, New; CLR only: an exact-slot restore
 	RecHeapDelete  // Table, Row, Old
 	RecHeapUpdate  // Table, Row, Old, New (Row may move: NewRow set)
 	RecIndexInsert // Index (in Table field), Key, Row
@@ -32,8 +32,8 @@ const (
 	RecCheckpoint
 	RecDDL      // DDL statement text; Row carries the first heap page for CREATE TABLE
 	RecAlterEnc // encryption-scheme change for one column (Table, DDL = encoded spec)
-	// Bulk-insert fast path: one record carries N rows. The packed payload
-	// rides in the New field, so the serialized format is unchanged.
+	// Forward inserts: one record carries the N >= 1 rows of a statement. The
+	// packed payload rides in the New field.
 	RecHeapInsertMulti  // Table, Row = first RowID, New = EncodeHeapRows payload
 	RecIndexInsertMulti // Index (in Table field), New = EncodeIndexEntries payload
 )
@@ -179,16 +179,6 @@ func (w *WAL) sync() {
 		time.Sleep(w.SyncDelay)
 	}
 	w.syncMu.Unlock()
-}
-
-// AppendSync appends a record and forces the log to stable media before
-// returning — the ablation commit path, where every committer pays its own
-// flush round. DML records go through plain Append: they live in the log
-// buffer and are made durable by the commit flush, as in ARIES.
-func (w *WAL) AppendSync(rec Record) uint64 {
-	lsn := w.Append(rec)
-	w.sync()
-	return lsn
 }
 
 // AppendAt mirrors a record that already carries an LSN assigned elsewhere —

@@ -3,7 +3,6 @@ package tpcc
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"alwaysencrypted/internal/driver"
@@ -11,16 +10,11 @@ import (
 )
 
 // loader buffers generated rows for one table and flushes them through the
-// driver's bulk-insert fast path. With the world's RowAtATimeLoad option it
-// degrades to one INSERT statement per row — the pre-bulk behaviour, kept as
-// the write benchmark's baseline arm. Both paths consume the generator's
-// random draws in exactly the same order, so they load identical worlds.
+// driver's bulk insert.
 type loader struct {
 	conn   *driver.Conn
-	bulk   bool
 	table  string
 	cols   []string
-	query  string
 	rows   [][]sqltypes.Value
 	loaded *int64 // world-wide row count, for load-rate reporting
 }
@@ -29,29 +23,13 @@ type loader struct {
 // large world never materializes a whole table in memory.
 const loadFlushRows = 4096
 
-func newLoader(conn *driver.Conn, bulk bool, table string, cols ...string) *loader {
-	ps := make([]string, len(cols))
-	for i := range cols {
-		ps[i] = fmt.Sprintf("@p%d", i+1)
-	}
-	return &loader{
-		conn: conn, bulk: bulk, table: table, cols: cols,
-		query: fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)",
-			table, strings.Join(cols, ", "), strings.Join(ps, ", ")),
-	}
+func newLoader(conn *driver.Conn, table string, cols ...string) *loader {
+	return &loader{conn: conn, table: table, cols: cols}
 }
 
 func (l *loader) add(vals ...sqltypes.Value) error {
 	if l.loaded != nil {
 		*l.loaded++
-	}
-	if !l.bulk {
-		params := make(map[string]sqltypes.Value, len(vals))
-		for i, v := range vals {
-			params[fmt.Sprintf("p%d", i+1)] = v
-		}
-		_, err := l.conn.Exec(l.query, params)
-		return err
 	}
 	l.rows = append(l.rows, vals)
 	if len(l.rows) >= loadFlushRows {
@@ -105,18 +83,17 @@ func (w *World) Load() error {
 	rng := rand.New(rand.NewSource(7))
 	now := time.Now().UnixMicro()
 	s := w.Scale
-	bulk := !w.rowLoad
 	ld := &loaders{
-		item:      newLoader(conn, bulk, "item", "i_id", "i_im_id", "i_name", "i_price", "i_data"),
-		warehouse: newLoader(conn, bulk, "warehouse", "w_id", "w_name", "w_street_1", "w_city", "w_state", "w_zip", "w_tax", "w_ytd"),
-		stock:     newLoader(conn, bulk, "stock", "s_w_id", "s_i_id", "s_quantity", "s_ytd", "s_order_cnt", "s_remote_cnt", "s_data"),
-		district:  newLoader(conn, bulk, "district", "d_w_id", "d_id", "d_name", "d_street_1", "d_city", "d_state", "d_zip", "d_tax", "d_ytd", "d_next_o_id"),
-		customer: newLoader(conn, bulk, "customer", "c_w_id", "c_d_id", "c_id", "c_first", "c_middle", "c_last",
+		item:      newLoader(conn, "item", "i_id", "i_im_id", "i_name", "i_price", "i_data"),
+		warehouse: newLoader(conn, "warehouse", "w_id", "w_name", "w_street_1", "w_city", "w_state", "w_zip", "w_tax", "w_ytd"),
+		stock:     newLoader(conn, "stock", "s_w_id", "s_i_id", "s_quantity", "s_ytd", "s_order_cnt", "s_remote_cnt", "s_data"),
+		district:  newLoader(conn, "district", "d_w_id", "d_id", "d_name", "d_street_1", "d_city", "d_state", "d_zip", "d_tax", "d_ytd", "d_next_o_id"),
+		customer: newLoader(conn, "customer", "c_w_id", "c_d_id", "c_id", "c_first", "c_middle", "c_last",
 			"c_street_1", "c_street_2", "c_city", "c_state", "c_zip", "c_phone", "c_since", "c_credit",
 			"c_credit_lim", "c_discount", "c_balance", "c_ytd_payment", "c_payment_cnt", "c_delivery_cnt", "c_data"),
-		orders:    newLoader(conn, bulk, "orders", "o_w_id", "o_d_id", "o_id", "o_c_id", "o_entry_d", "o_carrier_id", "o_ol_cnt", "o_all_local"),
-		neworder:  newLoader(conn, bulk, "neworder", "no_w_id", "no_d_id", "no_o_id"),
-		orderline: newLoader(conn, bulk, "orderline", "ol_w_id", "ol_d_id", "ol_o_id", "ol_number", "ol_i_id",
+		orders:   newLoader(conn, "orders", "o_w_id", "o_d_id", "o_id", "o_c_id", "o_entry_d", "o_carrier_id", "o_ol_cnt", "o_all_local"),
+		neworder: newLoader(conn, "neworder", "no_w_id", "no_d_id", "no_o_id"),
+		orderline: newLoader(conn, "orderline", "ol_w_id", "ol_d_id", "ol_o_id", "ol_number", "ol_i_id",
 			"ol_supply_w_id", "ol_delivery_d", "ol_quantity", "ol_amount", "ol_dist_info"),
 	}
 	w.rowsLoaded = 0

@@ -2,7 +2,9 @@ package tpcc
 
 import "testing"
 
-func benchLoad(b *testing.B, rowAtATime bool) {
+// BenchmarkWorldLoadBulk measures the world load end to end (driver encode →
+// TDS multi-row message → one WAL record per structure).
+func BenchmarkWorldLoadBulk(b *testing.B) {
 	scale := DefaultScale()
 	scale.Warehouses = 4
 	b.ReportAllocs()
@@ -10,10 +12,7 @@ func benchLoad(b *testing.B, rowAtATime bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		w, err := NewWorld(WorldOptions{
-			Mode: ModePlaintext, Scale: scale, EnclaveThreads: 1, CTR: true,
-			RowAtATimeLoad: rowAtATime,
-		})
+		w, err := NewWorld(WorldOptions{Mode: ModePlaintext, Scale: scale, EnclaveThreads: 1, CTR: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -28,10 +27,3 @@ func benchLoad(b *testing.B, rowAtATime bool) {
 	}
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
-
-// BenchmarkWorldLoadBulk measures the bulk-insert load path end to end
-// (driver encode → TDS multi-row message → one WAL record per structure).
-func BenchmarkWorldLoadBulk(b *testing.B) { benchLoad(b, false) }
-
-// BenchmarkWorldLoadRow is the row-at-a-time baseline arm.
-func BenchmarkWorldLoadRow(b *testing.B) { benchLoad(b, true) }

@@ -40,7 +40,6 @@ type World struct {
 	Vault    *keys.MemoryVault
 
 	listener   net.Listener
-	rowLoad    bool
 	rowsLoaded int64
 }
 
@@ -66,16 +65,6 @@ type WorldOptions struct {
 	// the world untraced. The trace experiment (-experiment trace) uses it
 	// for both the overhead comparison and the attribution capture.
 	Trace *trace.Policy
-	// RowAtATimeLoad makes Load insert one row per statement instead of
-	// batching through the driver's bulk path — the pre-bulk behaviour, kept
-	// as the write benchmark's world-load baseline.
-	RowAtATimeLoad bool
-	// DisableGroupCommit makes every committer append its own WAL commit
-	// record (the write benchmark's baseline arm).
-	DisableGroupCommit bool
-	// CommitWindow stretches the group-commit leader's collection window;
-	// zero coalesces only what queues naturally.
-	CommitWindow time.Duration
 	// LogSyncDelay models the commit path's stable-media flush latency; the
 	// write benchmark sets it so commit batching has a real cost to
 	// amortize. Zero keeps the in-memory log free.
@@ -96,7 +85,7 @@ func NewWorld(opt WorldOptions) (*World, error) {
 	if opt.EnclaveThreads == 0 {
 		opt.EnclaveThreads = 4
 	}
-	w := &World{Mode: opt.Mode, Scale: opt.Scale, Obs: obs.New("tpcc"), rowLoad: opt.RowAtATimeLoad}
+	w := &World{Mode: opt.Mode, Scale: opt.Scale, Obs: obs.New("tpcc")}
 	for i, name := range TxTypeNames {
 		w.latHists[i] = w.Obs.Histogram("tpcc.latency." + name)
 	}
@@ -142,9 +131,7 @@ func NewWorld(opt WorldOptions) (*World, error) {
 		tracer = trace.NewTracer(*opt.Trace)
 	}
 	w.Engine = engine.New(engine.Config{Enclave: w.Encl, Host: host, HGS: hgs, CTR: opt.CTR, Obs: w.Obs,
-		BatchSize: opt.BatchSize, Tracer: tracer,
-		DisableGroupCommit: opt.DisableGroupCommit, CommitWindow: opt.CommitWindow,
-		LogSyncDelay: opt.LogSyncDelay})
+		BatchSize: opt.BatchSize, Tracer: tracer, LogSyncDelay: opt.LogSyncDelay})
 	w.Server = tds.NewServer(w.Engine)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

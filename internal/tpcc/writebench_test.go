@@ -12,12 +12,11 @@ import (
 func TestWriteBenchReportRoundTrip(t *testing.T) {
 	rep := NewWriteBenchReport(
 		[]WriteTpsPoint{
-			{Threads: 1, Warehouses: 16, GroupCommit: true, SyncDelayUS: 2000, Committed: 400, Throughput: 200},
-			{Threads: 8, Warehouses: 16, GroupCommit: false, SyncDelayUS: 2000, Committed: 480, Throughput: 240},
+			{Threads: 1, Warehouses: 16, SyncDelayUS: 2000, Committed: 400, Throughput: 200},
+			{Threads: 8, Warehouses: 16, SyncDelayUS: 2000, Committed: 480, Throughput: 240},
 		},
 		[]WriteLoadArm{
 			{Path: "bulk", Warehouses: 64, SyncDelayUS: 200, Rows: 83154, DurationMs: 900, RowsPerSecond: 92000},
-			{Path: "row_at_a_time", Warehouses: 64, SyncDelayUS: 200, Rows: 83154, DurationMs: 21000, RowsPerSecond: 3950},
 		},
 	)
 	path := filepath.Join(t.TempDir(), "BENCH_write.json")
@@ -32,7 +31,7 @@ func TestWriteBenchReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Throughput) != 2 || len(got.Load) != 2 {
+	if len(got.Throughput) != 2 || len(got.Load) != 1 {
 		t.Fatalf("round trip lost points: %+v", got)
 	}
 	if got.Load[0].SyncDelayUS != 200 || got.Throughput[0].Warehouses != 16 {
@@ -43,20 +42,17 @@ func TestWriteBenchReportRoundTrip(t *testing.T) {
 // TestWriteBenchReportRejects: the validator must refuse artifacts missing
 // the invariants the acceptance tooling keys on.
 func TestWriteBenchReportRejects(t *testing.T) {
-	bulkOnly := NewWriteBenchReport(
-		[]WriteTpsPoint{{Threads: 8, Throughput: 100}},
-		[]WriteLoadArm{{Path: "bulk", Rows: 10, RowsPerSecond: 1}},
-	)
+	noLoad := NewWriteBenchReport([]WriteTpsPoint{{Threads: 8, Throughput: 100}}, nil)
 	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := bulkOnly.WriteFile(path); err != nil {
+	if err := noLoad.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ValidateWriteBenchReport(b); err == nil || !strings.Contains(err.Error(), "row_at_a_time") {
-		t.Fatalf("missing-arm report validated: %v", err)
+	if _, err := ValidateWriteBenchReport(b); err == nil || !strings.Contains(err.Error(), "no load measurement") {
+		t.Fatalf("report without a load measurement validated: %v", err)
 	}
 	if _, err := ValidateWriteBenchReport([]byte(`{"schema":"wrong"}`)); err == nil {
 		t.Fatal("wrong-schema report validated")
