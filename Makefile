@@ -36,14 +36,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Ten seconds of coverage-guided fuzzing per byte-level decoder on the redo
-# path (go test accepts one -fuzz target per run). A crasher is written to
-# internal/storage/testdata/fuzz and fails the build.
-FUZZ_TARGETS = FuzzDecodeHeapRows FuzzDecodeIndexEntries FuzzLoadWAL
+# Ten seconds of coverage-guided fuzzing per byte-level decoder on the read
+# and redo paths, as package:target pairs (go test accepts one package and
+# one -fuzz target per run). A crasher is written to the package's
+# testdata/fuzz and fails the build.
+FUZZ_TARGETS = internal/storage:FuzzDecodeHeapRows internal/storage:FuzzDecodeIndexEntries \
+	internal/storage:FuzzLoadWAL internal/engine:FuzzDecodeRow
 
 fuzz-smoke:
-	for f in $(FUZZ_TARGETS); do \
-		$(GO) test ./internal/storage -run '^$$' -fuzz "^$$f$$" -fuzztime 10s || exit 1; \
+	for t in $(FUZZ_TARGETS); do \
+		$(GO) test ./$${t%%:*} -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime 10s || exit 1; \
 	done
 
 # Benchmark artifacts: per-transaction-type latency percentiles and enclave

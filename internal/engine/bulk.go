@@ -95,11 +95,14 @@ func (e *Engine) insertBatch(t *Txn, tbl *Table, cellRows [][][]byte) (*ResultSe
 		}
 		recs[r] = encodeRow(cells)
 	}
+	tbl.mu.Lock()
+	// The index list is taken in the same critical section that places the
+	// rows: CREATE INDEX backfills and publishes under tbl.mu too, so a new
+	// index either saw these rows in the heap or is in this list.
+	indexes := tbl.Indexes
 	// The undo list grows by one op per row per structure; reserving that in
 	// one step keeps the appends below from re-copying it.
-	t.ops = slices.Grow(t.ops, len(recs)*(1+len(tbl.Indexes)))
-
-	tbl.mu.Lock()
+	t.ops = slices.Grow(t.ops, len(recs)*(1+len(indexes)))
 	// Version chains register under the page write latch, before any row is
 	// scannable: a nil pre-image marks "invisible before this txn", so
 	// concurrent snapshots never see the uncommitted rows.
@@ -133,7 +136,7 @@ func (e *Engine) insertBatch(t *Txn, tbl *Table, cellRows [][][]byte) (*ResultSe
 		return nil, err
 	}
 
-	for _, idx := range tbl.Indexes {
+	for _, idx := range indexes {
 		// The tree retains every key forever, so keys must not alias the
 		// request payload (a small key pinning a whole batch buffer). All key
 		// bytes of the statement go into a single exactly-sized arena: append

@@ -147,11 +147,9 @@ func (c *Catalog) AddTableLogged(t *Table, log func()) error {
 	return nil
 }
 
-// AddIndex registers an index and attaches it to its table.
-func (c *Catalog) AddIndex(idx *Index) error { return c.AddIndexLogged(idx, nil) }
-
-// AddIndexLogged registers an index, running log (when non-nil) before the
-// index becomes visible — same ordering guarantee as AddTableLogged.
+// AddIndexLogged registers an index and attaches it to its table, running log
+// (when non-nil) before the index becomes visible — same ordering guarantee
+// as AddTableLogged. The caller holds the table's mutex (executeCreateIndex).
 func (c *Catalog) AddIndexLogged(idx *Index, log func()) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -329,6 +327,11 @@ func decodeRow(rec []byte) ([][]byte, error) {
 		return nil, errors.New("engine: short row record")
 	}
 	n := int(binary.LittleEndian.Uint16(rec))
+	// Every cell takes at least its length word: a count the record cannot
+	// hold is rejected before it sizes an allocation.
+	if n > (len(rec)-2)/4 {
+		return nil, errors.New("engine: truncated row record")
+	}
 	cells := make([][]byte, n)
 	r := 2
 	for i := 0; i < n; i++ {

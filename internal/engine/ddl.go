@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"alwaysencrypted/internal/attestation"
 	"alwaysencrypted/internal/enclave"
@@ -46,8 +47,8 @@ func (e *Engine) createTable(st CreateTableStmt, firstPage storage.PageID, logDD
 		// catalog critical section: a session that can see the table can see
 		// its primary key, so no row is ever inserted past it. The table's
 		// RecDDL covers the index; no separate record.
-		idx, err := e.newIndex(tbl, "pk_"+st.Name, pkCols, names, true, true)
-		if err != nil {
+		idx := &Index{Name: "pk_" + st.Name, Table: tbl.Name, ColPos: pkCols, ColNames: names, Unique: true, IsPrimary: true}
+		if _, err := e.buildIndex(tbl, idx, fillNone); err != nil {
 			return storage.InvalidPageID, err
 		}
 		tbl.Indexes = []*Index{idx}
@@ -76,72 +77,101 @@ func (e *Engine) createTable(st CreateTableStmt, firstPage storage.PageID, logDD
 // executeCreateIndex builds an index, populating it from existing rows.
 // Clustered indexes on encrypted columns are refused: invalidating one would
 // lose data (§4.5). logDDL (nil on replicas) appends the creating RecDDL
-// before the index becomes visible in the catalog.
-func (e *Engine) executeCreateIndex(st CreateIndexStmt, logDDL func()) error {
+// before the index becomes visible in the catalog. fill and the invalidated
+// result are buildIndex's.
+func (e *Engine) executeCreateIndex(st CreateIndexStmt, fill indexFill, logDDL func()) (invalidated bool, err error) {
 	tbl, err := e.catalog.Table(st.Table)
 	if err != nil {
-		return err
+		return false, err
 	}
-	pos := make([]int, len(st.Cols))
-	names := make([]string, len(st.Cols))
+	idx := &Index{
+		Name: st.Name, Table: tbl.Name, Unique: st.Unique,
+		ColPos: make([]int, len(st.Cols)), ColNames: make([]string, len(st.Cols)),
+	}
 	anyEncrypted := false
 	for i, name := range st.Cols {
 		col, err := tbl.Col(name)
 		if err != nil {
-			return err
+			return false, err
 		}
-		pos[i] = col.Pos
-		names[i] = col.Name
+		idx.ColPos[i] = col.Pos
+		idx.ColNames[i] = col.Name
 		if !col.Enc.IsPlaintext() {
 			anyEncrypted = true
 		}
 	}
 	if st.Clustered && anyEncrypted {
-		return errors.New("engine: clustered indexes on encrypted columns are not supported (§4.5)")
+		return false, errors.New("engine: clustered indexes on encrypted columns are not supported (§4.5)")
 	}
-	if err := e.addIndex(tbl, st.Name, pos, names, st.Unique, logDDL); err != nil {
-		return err
+	// Backfill and publish are one tbl.mu critical section, and writers take
+	// their index list inside theirs: a row is either already in the heap when
+	// the backfill scans it, or its writer sees the new index and maintains
+	// it — never neither.
+	tbl.mu.Lock()
+	invalidated, err = e.buildIndex(tbl, idx, fill)
+	if err == nil {
+		err = e.catalog.AddIndexLogged(idx, logDDL)
+	}
+	tbl.mu.Unlock()
+	if err != nil {
+		return false, err
 	}
 	e.InvalidatePlans()
-	return nil
+	return invalidated, nil
 }
 
-// addIndex creates, registers and backfills an index. Building an index on
-// an encrypted range column sorts the data via enclave comparisons — the
-// index-build ordering leakage of Figure 5.
-func (e *Engine) addIndex(tbl *Table, name string, pos []int, names []string, unique bool, logDDL func()) error {
-	idx, err := e.newIndex(tbl, name, pos, names, unique, false)
-	if err != nil {
-		return err
-	}
-	// Backfill from the heap.
-	err = tbl.Heap.Scan(func(rid storage.RowID, rec []byte) (bool, error) {
-		cells, err := decodeRow(rec)
-		if err != nil {
-			return false, err
-		}
-		if err := idx.Tree.Insert(copyKey(idx.indexKeyFor(cells)), rid); err != nil {
-			return false, err
-		}
-		return true, nil
-	})
-	if err != nil {
-		return err
-	}
-	return e.catalog.AddIndexLogged(idx, logDDL)
-}
+// indexFill says how buildIndex populates the tree it constructs.
+type indexFill int
 
-// newIndex builds an empty, unregistered index over tbl's columns at pos.
-func (e *Engine) newIndex(tbl *Table, name string, pos []int, names []string, unique, primary bool) (*Index, error) {
-	tree, rangeCapable, ceks, err := e.buildIndexTree(tbl, pos, unique)
+const (
+	// fillNone leaves the tree empty: the table is being created and has no
+	// heap yet.
+	fillNone indexFill = iota
+	// fillFromHeap inserts every heap row; any failure fails the build and
+	// leaves the index as it was.
+	fillFromHeap
+	// fillOrInvalidate is fillFromHeap for replica redo: ordering encrypted
+	// keys takes enclave comparisons and a replica's enclave holds no CEKs, so
+	// a missing key installs the tree invalidated instead of failing —
+	// promotion plus RebuildIndex restores it from the heap, which physical
+	// redo keeps complete.
+	fillOrInvalidate
+)
+
+// buildIndex is the engine's one index build: it constructs the tree idx's
+// columns call for under their current encryption types, fills it from the
+// heap as fill directs, and installs it (with RangeCapable and CEKs) on idx.
+// CREATE TABLE, CREATE INDEX, both ALTER COLUMN paths, their replica redo and
+// RebuildIndex all build through it. Filling an index over an encrypted range
+// column sorts the data via enclave comparisons — the index-build ordering
+// leakage of Figure 5.
+//
+// The caller holds tbl.mu, except for a table not yet published: rows are
+// placed in the heap under tbl.mu, so none can slip in behind the scan.
+func (e *Engine) buildIndex(tbl *Table, idx *Index, fill indexFill) (invalidated bool, err error) {
+	tree, rangeCapable, ceks, err := e.buildIndexTree(tbl, idx.ColPos, idx.Unique)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	return &Index{
-		Name: name, Table: tbl.Name, ColPos: pos, ColNames: names,
-		Unique: unique, IsPrimary: primary, Tree: tree,
-		RangeCapable: rangeCapable, CEKs: ceks,
-	}, nil
+	if fill != fillNone {
+		err := tbl.Heap.Scan(func(rid storage.RowID, rec []byte) (bool, error) {
+			cells, err := decodeRow(rec)
+			if err != nil {
+				return false, err
+			}
+			return true, tree.Insert(copyKey(idx.indexKeyFor(cells)), rid)
+		})
+		switch {
+		case err == nil:
+		case fill == fillOrInvalidate && IsKeyMissing(err):
+			tree.Invalidate()
+			invalidated = true
+		default:
+			return false, fmt.Errorf("engine: building index %s: %w", idx.Name, err)
+		}
+	}
+	idx.Tree, idx.RangeCapable, idx.CEKs = tree, rangeCapable, ceks
+	return invalidated, nil
 }
 
 // executeCreateCMK stores column master key metadata. The signature is
@@ -217,114 +247,13 @@ func (s *Session) executeAlterColumn(st AlterColumnStmt) error {
 			ToScheme: to.Scheme,
 		},
 	}
-
-	// Serialize with other structural changes on the table; clients keep
-	// reading throughout (reads only take page latches).
-	tbl.mu.Lock()
-	defer tbl.mu.Unlock()
-
-	// Collect cells, convert in enclave batches, rewrite rows.
-	type rowRef struct {
-		rid   storage.RowID
-		cells [][]byte
-	}
-	var rows []rowRef
-	err = tbl.Heap.Scan(func(rid storage.RowID, rec []byte) (bool, error) {
-		cells, err := decodeRow(rec)
+	return e.rewriteColumn(tbl, col, to, func(cells [][]byte) ([][]byte, error) {
+		out, err := e.cfg.Enclave.ConvertCells(s.EnclaveSID, proof, from, to, cells)
 		if err != nil {
-			return false, err
+			return nil, fmt.Errorf("engine: enclave conversion: %w", err)
 		}
-		cp := make([][]byte, len(cells))
-		for i, c := range cells {
-			if c != nil {
-				cp[i] = append([]byte(nil), c...)
-			}
-		}
-		rows = append(rows, rowRef{rid: rid, cells: cp})
-		return true, nil
+		return out, nil
 	})
-	if err != nil {
-		return err
-	}
-
-	// One enclave crossing converts a whole batch of cells; the batch size
-	// is the same knob the executor's filter pipeline amortizes over.
-	for lo := 0; lo < len(rows); lo += e.batch {
-		hi := lo + e.batch
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		in := make([][]byte, 0, hi-lo)
-		for _, r := range rows[lo:hi] {
-			var cell []byte
-			if col.Pos < len(r.cells) {
-				cell = r.cells[col.Pos]
-			}
-			in = append(in, cell)
-		}
-		out, err := e.cfg.Enclave.ConvertCells(s.EnclaveSID, proof, from, to, in)
-		if err != nil {
-			return fmt.Errorf("engine: enclave conversion: %w", err)
-		}
-		for i := range out {
-			r := &rows[lo+i]
-			for len(r.cells) <= col.Pos {
-				r.cells = append(r.cells, nil)
-			}
-			r.cells[col.Pos] = out[i]
-			rec := encodeRow(r.cells)
-			rid2, err := tbl.Heap.Update(r.rid, rec, nil)
-			if err != nil {
-				return err
-			}
-			// Redo-only rewrite (Txn 0): replicas re-encrypt nothing — they
-			// apply the ciphertext rewrite physically.
-			e.wal.Append(storage.Record{
-				Type: storage.RecHeapUpdate, Table: tbl.Name,
-				Row: r.rid, NewRow: rid2, New: rec,
-			})
-		}
-	}
-
-	// Update the catalog type and rebuild indexes containing the column.
-	col.Enc = to
-	e.wal.Append(storage.Record{
-		Type: storage.RecAlterEnc, Table: tbl.Name, DDL: encodeAlterEnc(col.Name, to),
-	})
-	for _, idx := range tbl.Indexes {
-		contains := false
-		for _, pos := range idx.ColPos {
-			if pos == col.Pos {
-				contains = true
-				break
-			}
-		}
-		if !contains {
-			continue
-		}
-		tree, rangeCapable, ceks, err := e.buildIndexTree(tbl, idx.ColPos, idx.Unique)
-		if err != nil {
-			return err
-		}
-		err = tbl.Heap.Scan(func(rid storage.RowID, rec []byte) (bool, error) {
-			cells, err := decodeRow(rec)
-			if err != nil {
-				return false, err
-			}
-			if err := idx.Tree.Insert(copyKey(idx.indexKeyFor(cells)), rid); err != nil {
-				return false, err
-			}
-			return true, nil
-		})
-		if err != nil {
-			return err
-		}
-		idx.Tree = tree
-		idx.RangeCapable = rangeCapable
-		idx.CEKs = ceks
-	}
-	e.InvalidatePlans()
-	return nil
 }
 
 // AlterColumnClientSide is the server-side half of the client-side initial
@@ -343,7 +272,34 @@ func (e *Engine) AlterColumnClientSide(table, column string, to sqltypes.EncType
 	if err != nil {
 		return err
 	}
+	return e.rewriteColumn(tbl, col, to, func(cells [][]byte) ([][]byte, error) {
+		out := make([][]byte, len(cells))
+		for i, cell := range cells {
+			var err error
+			if out[i], err = convert(cell); err != nil {
+				return nil, fmt.Errorf("engine: client-side conversion: %w", err)
+			}
+		}
+		return out, nil
+	})
+}
 
+// rewriteColumn re-encodes every cell of col under the encryption type to —
+// the body both ALTER COLUMN paths share. convert maps a chunk of the
+// column's current cells to their new encodings: one enclave crossing per
+// chunk on the enclave path, so chunks are e.batch cells, the same knob the
+// executor's filter pipeline amortizes over. NULL cells are not converted:
+// NULLs are stored unencrypted as absent values.
+//
+// Rows are rewritten in place and logged as redo-only (Txn 0) heap updates —
+// replicas re-encrypt nothing, they apply the ciphertext rewrite physically —
+// followed by one RecAlterEnc carrying the catalog change; every index over
+// the column is then rebuilt, since its entries hold the old encodings and
+// its comparator the old key.
+func (e *Engine) rewriteColumn(tbl *Table, col *Column, to sqltypes.EncType,
+	convert func(cells [][]byte) ([][]byte, error)) error {
+	// Serialize with other structural changes on the table; clients keep
+	// reading throughout (reads only take page latches).
 	tbl.mu.Lock()
 	defer tbl.mu.Unlock()
 
@@ -352,49 +308,44 @@ func (e *Engine) AlterColumnClientSide(table, column string, to sqltypes.EncType
 		cells [][]byte
 	}
 	var rows []rowRef
-	err = tbl.Heap.Scan(func(rid storage.RowID, rec []byte) (bool, error) {
-		cells, err := decodeRow(rec)
+	err := tbl.Heap.Scan(func(rid storage.RowID, rec []byte) (bool, error) {
+		// The record aliases page memory, which the rewrite below mutates.
+		cells, err := decodeRow(append([]byte(nil), rec...))
 		if err != nil {
 			return false, err
 		}
-		cp := make([][]byte, len(cells))
-		for i, c := range cells {
-			if c != nil {
-				cp[i] = append([]byte(nil), c...)
-			}
+		if col.Pos < len(cells) && len(cells[col.Pos]) > 0 {
+			rows = append(rows, rowRef{rid: rid, cells: cells})
 		}
-		rows = append(rows, rowRef{rid: rid, cells: cp})
 		return true, nil
 	})
 	if err != nil {
 		return err
 	}
-	for i := range rows {
-		r := &rows[i]
-		var cell []byte
-		if col.Pos < len(r.cells) {
-			cell = r.cells[col.Pos]
+
+	for len(rows) > 0 {
+		chunk := rows[:min(e.batch, len(rows))]
+		rows = rows[len(chunk):]
+		in := make([][]byte, len(chunk))
+		for i := range chunk {
+			in[i] = chunk[i].cells[col.Pos]
 		}
-		if len(cell) == 0 {
-			continue // NULLs stay unencrypted
-		}
-		out, err := convert(cell)
-		if err != nil {
-			return fmt.Errorf("engine: client-side conversion: %w", err)
-		}
-		for len(r.cells) <= col.Pos {
-			r.cells = append(r.cells, nil)
-		}
-		r.cells[col.Pos] = out
-		rec := encodeRow(r.cells)
-		rid2, err := tbl.Heap.Update(r.rid, rec, nil)
+		out, err := convert(in)
 		if err != nil {
 			return err
 		}
-		e.wal.Append(storage.Record{
-			Type: storage.RecHeapUpdate, Table: tbl.Name,
-			Row: r.rid, NewRow: rid2, New: rec,
-		})
+		for i, r := range chunk {
+			r.cells[col.Pos] = out[i]
+			rec := encodeRow(r.cells)
+			rid2, err := tbl.Heap.Update(r.rid, rec, nil)
+			if err != nil {
+				return err
+			}
+			e.wal.Append(storage.Record{
+				Type: storage.RecHeapUpdate, Table: tbl.Name,
+				Row: r.rid, NewRow: rid2, New: rec,
+			})
+		}
 	}
 
 	col.Enc = to
@@ -402,33 +353,12 @@ func (e *Engine) AlterColumnClientSide(table, column string, to sqltypes.EncType
 		Type: storage.RecAlterEnc, Table: tbl.Name, DDL: encodeAlterEnc(col.Name, to),
 	})
 	for _, idx := range tbl.Indexes {
-		contains := false
-		for _, pos := range idx.ColPos {
-			if pos == col.Pos {
-				contains = true
-				break
-			}
-		}
-		if !contains {
+		if !slices.Contains(idx.ColPos, col.Pos) {
 			continue
 		}
-		tree, rangeCapable, ceks, err := e.buildIndexTree(tbl, idx.ColPos, idx.Unique)
-		if err != nil {
+		if _, err := e.buildIndex(tbl, idx, fillFromHeap); err != nil {
 			return err
 		}
-		err = tbl.Heap.Scan(func(rid storage.RowID, rec []byte) (bool, error) {
-			cells, err := decodeRow(rec)
-			if err != nil {
-				return false, err
-			}
-			return true, tree.Insert(copyKey(idx.indexKeyFor(cells)), rid)
-		})
-		if err != nil {
-			return err
-		}
-		idx.Tree = tree
-		idx.RangeCapable = rangeCapable
-		idx.CEKs = ceks
 	}
 	e.InvalidatePlans()
 	return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"alwaysencrypted/internal/aecrypto"
+	"alwaysencrypted/internal/btree"
 	"alwaysencrypted/internal/exprsvc"
 	"alwaysencrypted/internal/obs/trace"
 	"alwaysencrypted/internal/sqltypes"
@@ -160,7 +161,7 @@ func (s *Session) execute(act *trace.Active, plan *Plan, query string, params Pa
 		return &ResultSet{}, nil
 	case CreateIndexStmt:
 		logDDL := func() { e.wal.Append(storage.Record{Type: storage.RecDDL, DDL: query}) }
-		if err := e.executeCreateIndex(st, logDDL); err != nil {
+		if _, err := e.executeCreateIndex(st, fillFromHeap, logDDL); err != nil {
 			return nil, err
 		}
 		return &ResultSet{}, nil
@@ -273,40 +274,6 @@ type matchedRow struct {
 	slots [][]byte // combined slot row (join: outer+inner)
 }
 
-// visibleCells resolves a row's cells under a snapshot, given the outcome of
-// the heap read. rec is the raw heap record, or nil when the heap did not
-// surface the row (deleted). The snapshot chain is consulted strictly AFTER
-// the heap bytes were read — writers record pre-images before mutating the
-// page, so heap-then-chain reads can never observe an uncommitted mutation
-// without also finding its pre-image. A nil snapshot reads the heap as-is.
-//
-// The second return reports visibility: false means the row does not exist
-// in this snapshot (uncommitted insert, or deleted before the snapshot).
-func visibleCells(snap *storage.Snapshot, table string, rid storage.RowID, rec []byte) ([][]byte, bool, error) {
-	if snap != nil {
-		if img, overridden := snap.RowImage(table, rid); overridden {
-			if img == nil {
-				return nil, false, nil
-			}
-			// Version images are stable copies owned by the version store;
-			// no arena copy is needed.
-			cells, err := decodeRow(img)
-			if err != nil {
-				return nil, false, err
-			}
-			return cells, true, nil
-		}
-	}
-	if rec == nil {
-		return nil, false, nil
-	}
-	cells, err := decodeRow(rec)
-	if err != nil {
-		return nil, false, err
-	}
-	return cells, true, nil
-}
-
 // iterateOuter streams outer-table rows through the access path and the
 // batched residual filter: candidate rows accumulate in a rowBatcher and the
 // filter program runs once per batch (one enclave crossing per batch for
@@ -314,13 +281,8 @@ func visibleCells(snap *storage.Snapshot, table string, rid storage.RowID, rec [
 // call per joined pair — in the same order row-at-a-time execution would
 // produce.
 //
-// snap, when non-nil, makes the iteration a snapshot read: every row image is
-// resolved through the version store's visibility rules, and rows the access
-// path no longer surfaces (deleted, or index keys moved by post-snapshot
-// commits) are recovered from the snapshot's ghost pass. Ghost rows run
-// through the same residual filter as live rows — the filter program carries
-// every predicate plus the join equality conjunct, so a ghost that no longer
-// matches is rejected exactly like a live non-match.
+// Every read is a snapshot read: rows come from visibleRows, for the outer
+// table here and for the inner table in probeJoin.
 func (e *Engine) iterateOuter(act *trace.Active, plan *Plan, params Params, snap *storage.Snapshot, fn func(m *matchedRow) (bool, error)) error {
 	ev, err := plan.evaluator()
 	if err != nil {
@@ -338,135 +300,38 @@ func (e *Engine) iterateOuter(act *trace.Active, plan *Plan, params Params, snap
 	b := &rowBatcher{plan: plan, ev: ev, fn: fn, size: e.batch}
 
 	probe := func(rid storage.RowID, cells [][]byte) error {
-		if plan.join == nil {
-			slots, err := plan.buildSlots(cells, nil, params)
-			if err != nil {
-				return err
-			}
-			return b.add(rid, slots)
-		}
-		return e.probeJoin(plan, b, rid, cells, params, snap)
-	}
-
-	// seen tracks which row ids the access path already resolved, so the
-	// ghost pass emits only rows the path missed. It is maintained whenever
-	// a snapshot is active — version chains can appear mid-scan, so there is
-	// no safe "table untouched" fast path for the scan as a whole.
-	var seen map[storage.RowID]bool
-	if snap != nil {
-		seen = make(map[storage.RowID]bool)
-	}
-	seenFn := func(r storage.RowID) bool { return seen[r] }
-
-	ghostPass := func() error {
-		if snap == nil {
-			return nil
-		}
-		for _, g := range snap.Ghosts(plan.table.Name, seenFn) {
-			cells, err := decodeRow(g.Data)
-			if err != nil {
-				return err
-			}
-			if err := probe(g.Row, cells); err != nil {
-				return err
-			}
-			if b.stopped {
-				return nil
-			}
-		}
-		return nil
-	}
-
-	if plan.access.index != nil {
-		entries, err := e.indexEntries(plan, params)
+		slots, err := plan.buildSlots(cells, nil, params)
 		if err != nil {
 			return err
 		}
-		e.seeks.Add(1)
-		for _, ent := range entries {
-			rec, err := plan.table.Heap.Get(ent.Row)
-			if err != nil {
-				// The index may briefly point at rows deleted by concurrent
-				// transactions; the snapshot chain (consulted below) decides
-				// whether a pre-image is still visible.
-				rec = nil
-			}
-			if seen != nil {
-				seen[ent.Row] = true
-			}
-			cells, vis, err := visibleCells(snap, plan.table.Name, ent.Row, rec)
+		return b.add(rid, slots)
+	}
+	if j := plan.join; j != nil {
+		// The join's current outer row. addInner is built once per statement
+		// and reads it, so probing allocates no closure per outer row.
+		var outerRID storage.RowID
+		var outerCells [][]byte
+		addInner := func(_ storage.RowID, inner [][]byte) error {
+			slots, err := plan.buildSlots(outerCells, inner, params)
 			if err != nil {
 				return err
 			}
-			if !vis {
-				continue
-			}
-			if err := probe(ent.Row, cells); err != nil {
-				return err
-			}
-			if b.stopped {
-				return nil
-			}
+			return b.add(outerRID, slots)
 		}
-		if err := ghostPass(); err != nil {
-			return err
+		probe = func(rid storage.RowID, cells [][]byte) error {
+			outerRID, outerCells = rid, cells
+			return e.probeJoin(j, b, cells, snap, addInner)
 		}
-		if b.stopped {
-			return nil
-		}
-		return b.flush()
 	}
 
-	e.scans.Add(1)
-	stop := errors.New("stop")
-	err = plan.table.Heap.Scan(func(rid storage.RowID, rec []byte) (bool, error) {
-		var cells [][]byte
-		if snap != nil {
-			seen[rid] = true
-			// Single RowImage consult, after the heap bytes are in hand (the
-			// scan callback runs under the page read latch).
-			if img, overridden := snap.RowImage(plan.table.Name, rid); overridden {
-				if img == nil {
-					return true, nil // row not visible in this snapshot
-				}
-				c, err := decodeRow(img)
-				if err != nil {
-					return false, err
-				}
-				cells = c // version-store image: stable memory, no arena copy
-			} else {
-				c, err := decodeRow(rec)
-				if err != nil {
-					return false, err
-				}
-				cells = b.arena.copyRow(c)
-			}
-		} else {
-			var err error
-			cells, err = decodeRow(rec)
-			if err != nil {
-				return false, err
-			}
-			// Heap scan cells alias page memory: copy into the batch arena,
-			// reclaimed wholesale once the batch drains instead of one heap
-			// allocation per cell whether or not the row survives the filter.
-			cells = b.arena.copyRow(cells)
-		}
-		if err := probe(rid, cells); err != nil {
-			return false, err
-		}
-		if b.stopped {
-			return false, stop
-		}
-		return true, nil
-	})
-	if err != nil && !errors.Is(err, stop) {
-		return err
-	}
-	if !b.stopped {
-		if err := ghostPass(); err != nil {
+	var entries []btree.Entry
+	if plan.access.index != nil {
+		if entries, err = e.indexEntries(plan, params); err != nil {
 			return err
 		}
+	}
+	if err := e.visibleRows(plan.table, entries, plan.access.index != nil, snap, b, probe); err != nil {
+		return err
 	}
 	if b.stopped {
 		return nil
@@ -479,16 +344,12 @@ func (e *Engine) iterateOuter(act *trace.Active, plan *Plan, params Params, snap
 // batch would hold only the handful of pairs one outer row produces and
 // amortize nothing.
 //
-// Under a snapshot, inner rows resolve through the same visibility rules as
-// the outer side, and inner rows the probe missed (deleted, or index key
-// moved by a post-snapshot commit) are recovered from the snapshot's ghost
-// pass. Ghosts are not pre-filtered by join key bytes — for enclave-ordered
+// Inner ghosts are not pre-filtered by join key bytes — for enclave-ordered
 // encrypted columns byte equality is not value equality — so every unseen
 // ghost goes through the filter program, which carries the join equality
 // conjunct and evaluates it correctly for every scheme.
-func (e *Engine) probeJoin(plan *Plan, b *rowBatcher, rid storage.RowID, outer [][]byte,
-	params Params, snap *storage.Snapshot) error {
-	j := plan.join
+func (e *Engine) probeJoin(j *joinPlan, b *rowBatcher, outer [][]byte, snap *storage.Snapshot,
+	addInner func(storage.RowID, [][]byte) error) error {
 	// The outer row's cells (arena-backed on the heap-scan path) are shared
 	// by every pair this probe adds; pin the arena so an intermediate flush
 	// cannot reclaim them while more pairs are coming.
@@ -498,124 +359,121 @@ func (e *Engine) probeJoin(plan *Plan, b *rowBatcher, rid storage.RowID, outer [
 		b.maybeReset()
 	}()
 
-	add := func(inner [][]byte) error {
-		slots, err := plan.buildSlots(outer, inner, params)
-		if err != nil {
-			return err
-		}
-		return b.add(rid, slots)
-	}
-
-	var seen map[storage.RowID]bool
-	if snap != nil {
-		seen = make(map[storage.RowID]bool)
-	}
-	ghostPass := func() error {
-		if snap == nil {
-			return nil
-		}
-		for _, g := range snap.Ghosts(j.table.Name, func(r storage.RowID) bool { return seen[r] }) {
-			cells, err := decodeRow(g.Data)
-			if err != nil {
-				return err
-			}
-			if err := add(cells); err != nil {
-				return err
-			}
-			if b.stopped {
-				return nil
-			}
-		}
-		return nil
-	}
-
+	// Without an inner index the join equality is left to the filter program.
+	var entries []btree.Entry
 	if j.innerIndex != nil {
-		joinKey := [][]byte{nil}
-		if j.outerCol < len(outer) {
-			joinKey[0] = outer[j.outerCol]
-		}
-		if len(joinKey[0]) == 0 {
+		if j.outerCol >= len(outer) || len(outer[j.outerCol]) == 0 {
 			return nil // NULL joins nothing
 		}
-		entries, err := j.innerIndex.Tree.SeekExact(joinKey, 0)
+		var err error
+		entries, err = j.innerIndex.Tree.SeekExact([][]byte{outer[j.outerCol]}, 0)
 		if err != nil {
 			return err
 		}
+	}
+	return e.visibleRows(j.table, entries, j.innerIndex != nil, snap, b, addInner)
+}
+
+// visibleRows is the engine's one row source: it passes emit every row of tbl
+// that snap can see, with its cells. With indexed set the candidates are the
+// heap rows entries point at (an index seek's result, possibly empty);
+// otherwise the whole heap is scanned. SELECT's outer and join-inner sides
+// read through it, and so does UPDATE/DELETE target discovery.
+//
+// What callers may rely on:
+//
+//   - Heap before chain. The version chain is consulted strictly AFTER the
+//     heap bytes were read (the scan callback runs under the page read latch).
+//     Writers record pre-images before mutating the page, so a heap-then-chain
+//     read can never observe an uncommitted mutation without also finding its
+//     pre-image.
+//   - Ghosts. Rows the access path no longer surfaces (deleted, or index keys
+//     moved by post-snapshot commits) are recovered from the snapshot after
+//     the live rows and emitted like them, so they run through the same
+//     residual filter program — it carries every predicate, and a ghost that
+//     no longer matches is rejected exactly like a live non-match.
+//   - Cell lifetime. Scan cells alias page memory and are copied into b's
+//     arena: they stay valid until the batch holding them drains (or, for a
+//     join's outer row, until its probe unpins the arena) — one bump
+//     allocation per batch instead of one heap allocation per cell whether or
+//     not the row survives the filter. Index-path cells (Heap.Get copies) and
+//     version-store images are stable memory and are passed through.
+//
+// Iteration ends early, without error, once b's consumer has stopped.
+func (e *Engine) visibleRows(tbl *Table, entries []btree.Entry, indexed bool, snap *storage.Snapshot,
+	b *rowBatcher, emit func(storage.RowID, [][]byte) error) error {
+	// seen tracks which row ids the access path already resolved, so the
+	// ghost pass emits only rows the path missed. Version chains can appear
+	// mid-scan, so there is no safe "table untouched" fast path.
+	seen := make(map[storage.RowID]bool)
+	// visit resolves one candidate: rec is the raw heap record, or nil when
+	// the heap no longer surfaces the row.
+	visit := func(rid storage.RowID, rec []byte, aliased bool) error {
+		seen[rid] = true
+		img, overridden := snap.RowImage(tbl.Name, rid)
+		if !overridden {
+			img = rec
+		}
+		if img == nil {
+			return nil // uncommitted insert, or deleted before the snapshot
+		}
+		cells, err := decodeRow(img)
+		if err != nil {
+			return err
+		}
+		if aliased && !overridden {
+			cells = b.arena.copyRow(cells)
+		}
+		return emit(rid, cells)
+	}
+
+	if indexed {
 		e.seeks.Add(1)
 		for _, ent := range entries {
-			rec, err := j.table.Heap.Get(ent.Row)
+			// The index may briefly point at rows deleted by concurrent
+			// transactions; the snapshot chain decides whether a pre-image
+			// is still visible.
+			rec, err := tbl.Heap.Get(ent.Row)
 			if err != nil {
 				rec = nil
 			}
-			if seen != nil {
-				seen[ent.Row] = true
-			}
-			cells, vis, err := visibleCells(snap, j.table.Name, ent.Row, rec)
-			if err != nil {
-				return err
-			}
-			if !vis {
-				continue
-			}
-			if err := add(cells); err != nil {
+			if err := visit(ent.Row, rec, false); err != nil {
 				return err
 			}
 			if b.stopped {
 				return nil
 			}
 		}
-		return ghostPass()
-	}
-
-	// Inner scan: the join equality is part of the filter program.
-	e.scans.Add(1)
-	stop := errors.New("stop")
-	err := j.table.Heap.Scan(func(irid storage.RowID, rec []byte) (bool, error) {
-		var cells [][]byte
-		if snap != nil {
-			seen[irid] = true
-			if img, overridden := snap.RowImage(j.table.Name, irid); overridden {
-				if img == nil {
-					return true, nil
-				}
-				c, err := decodeRow(img)
-				if err != nil {
-					return false, err
-				}
-				cells = c // stable version-store memory
-			} else {
-				c, err := decodeRow(rec)
-				if err != nil {
-					return false, err
-				}
-				cells = b.arena.copyRow(c)
-			}
-		} else {
-			c, err := decodeRow(rec)
-			if err != nil {
+	} else {
+		e.scans.Add(1)
+		err := tbl.Heap.Scan(func(rid storage.RowID, rec []byte) (bool, error) {
+			if err := visit(rid, rec, true); err != nil {
 				return false, err
 			}
-			cells = b.arena.copyRow(c)
+			return !b.stopped, nil
+		})
+		if err != nil || b.stopped {
+			return err
 		}
-		if err := add(cells); err != nil {
-			return false, err
+	}
+
+	for _, g := range snap.Ghosts(tbl.Name, func(r storage.RowID) bool { return seen[r] }) {
+		cells, err := decodeRow(g.Data)
+		if err != nil {
+			return err
+		}
+		if err := emit(g.Row, cells); err != nil {
+			return err
 		}
 		if b.stopped {
-			return false, stop
+			return nil
 		}
-		return true, nil
-	})
-	if err != nil && !errors.Is(err, stop) {
-		return err
 	}
-	if b.stopped {
-		return nil
-	}
-	return ghostPass()
+	return nil
 }
 
 // indexEntries executes the plan's index access path.
-func (e *Engine) indexEntries(plan *Plan, params Params) ([]indexEntry, error) {
+func (e *Engine) indexEntries(plan *Plan, params Params) ([]btree.Entry, error) {
 	a := &plan.access
 	prefix := make([][]byte, 0, len(a.eqVals)+1)
 	for _, v := range a.eqVals {
@@ -665,19 +523,7 @@ func (e *Engine) indexEntries(plan *Plan, params Params) ([]indexEntry, error) {
 	if len(hi) == 0 {
 		hi = nil
 	}
-	entries, err := a.index.Tree.ScanRange(lo, hi, loInc, hiInc, 0)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]indexEntry, len(entries))
-	for i, ent := range entries {
-		out[i] = indexEntry{Row: ent.Row}
-	}
-	return out, nil
-}
-
-type indexEntry struct {
-	Row storage.RowID
+	return a.index.Tree.ScanRange(lo, hi, loInc, hiInc, 0)
 }
 
 // executeSelect runs a SELECT and materializes the result set.

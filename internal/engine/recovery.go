@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -367,23 +366,12 @@ func (e *Engine) RebuildIndex(name string) error {
 	if err != nil {
 		return err
 	}
-	tree, rangeCapable, ceks, err := e.buildIndexTree(tbl, idx.ColPos, idx.Unique)
+	tbl.mu.Lock()
+	_, err = e.buildIndex(tbl, idx, fillFromHeap)
+	tbl.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	err = tbl.Heap.Scan(func(rid storage.RowID, rec []byte) (bool, error) {
-		cells, err := decodeRow(rec)
-		if err != nil {
-			return false, err
-		}
-		return true, tree.Insert(copyKey(idx.indexKeyFor(cells)), rid)
-	})
-	if err != nil {
-		return fmt.Errorf("engine: rebuilding %s: %w", name, err)
-	}
-	idx.Tree = tree
-	idx.RangeCapable = rangeCapable
-	idx.CEKs = ceks
 	e.InvalidatePlans()
 	return nil
 }

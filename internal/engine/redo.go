@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -289,46 +290,13 @@ func (ra *RedoApplier) applyDDL(rec *storage.Record) error {
 
 // applyCreateIndex replays CREATE INDEX. Backfilling an encrypted range index
 // requires enclave comparisons the replica cannot make; such an index is
-// registered invalidated — promotion plus RebuildIndex restores it from the
-// heap, which physical redo keeps complete.
+// registered invalidated (buildIndex's fillOrInvalidate).
 func (ra *RedoApplier) applyCreateIndex(st CreateIndexStmt) error {
-	e := ra.e
-	err := e.executeCreateIndex(st, nil)
-	if err == nil {
-		return nil
+	invalidated, err := ra.e.executeCreateIndex(st, fillOrInvalidate, nil)
+	if invalidated {
+		ra.invalidIdx[st.Name] = true
 	}
-	if !IsKeyMissing(err) {
-		return err
-	}
-	tbl, terr := e.catalog.Table(st.Table)
-	if terr != nil {
-		return terr
-	}
-	pos := make([]int, len(st.Cols))
-	names := make([]string, len(st.Cols))
-	for i, name := range st.Cols {
-		col, cerr := tbl.Col(name)
-		if cerr != nil {
-			return cerr
-		}
-		pos[i] = col.Pos
-		names[i] = col.Name
-	}
-	tree, rangeCapable, ceks, berr := e.buildIndexTree(tbl, pos, st.Unique)
-	if berr != nil {
-		return berr
-	}
-	tree.Invalidate()
-	ra.invalidIdx[st.Name] = true
-	idx := &Index{
-		Name: st.Name, Table: st.Table, ColPos: pos, ColNames: names,
-		Unique: st.Unique, Tree: tree, RangeCapable: rangeCapable, CEKs: ceks,
-	}
-	if aerr := e.catalog.AddIndex(idx); aerr != nil {
-		return aerr
-	}
-	e.InvalidatePlans()
-	return nil
+	return err
 }
 
 // applyAlterEnc replays the catalog half of ALTER COLUMN encryption: the
@@ -353,39 +321,18 @@ func (ra *RedoApplier) applyAlterEnc(rec *storage.Record) error {
 	defer tbl.mu.Unlock()
 	col.Enc = to
 	for _, idx := range tbl.Indexes {
-		contains := false
-		for _, pos := range idx.ColPos {
-			if pos == col.Pos {
-				contains = true
-				break
-			}
-		}
-		if !contains {
+		if !slices.Contains(idx.ColPos, col.Pos) {
 			continue
 		}
-		tree, rangeCapable, ceks, berr := e.buildIndexTree(tbl, idx.ColPos, idx.Unique)
-		if berr != nil {
-			return berr
+		invalidated, err := e.buildIndex(tbl, idx, fillOrInvalidate)
+		if err != nil {
+			return err
 		}
-		scanErr := tbl.Heap.Scan(func(rid storage.RowID, r []byte) (bool, error) {
-			cells, derr := decodeRow(r)
-			if derr != nil {
-				return false, derr
-			}
-			return true, tree.Insert(copyKey(idx.indexKeyFor(cells)), rid)
-		})
-		if scanErr != nil {
-			if !IsKeyMissing(scanErr) {
-				return scanErr
-			}
-			tree.Invalidate()
+		if invalidated {
 			ra.invalidIdx[idx.Name] = true
 		} else {
 			delete(ra.invalidIdx, idx.Name)
 		}
-		idx.Tree = tree
-		idx.RangeCapable = rangeCapable
-		idx.CEKs = ceks
 	}
 	e.InvalidatePlans()
 	return nil
