@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet lint test race fuzz-smoke bench microbench
+.PHONY: verify build vet lint test race fuzz-smoke ladder bench microbench
 
 verify: build vet lint test
 
@@ -47,6 +47,14 @@ fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \
 		$(GO) test ./$${t%%:*} -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime 10s || exit 1; \
 	done
+
+# The benchmark's per-layer ladder (bench/ladder.go): one ns/op + allocs/op
+# rung per exported entry point of every layer, at full size. It drives
+# Enclave.Compare and both enclave-ordered tree rungs through the real
+# enclave, so a change to the API surface bench/ compiles against, or a
+# nested enclave submit that only deadlocks at scale, breaks here first.
+ladder:
+	$(GO) run ./bench -ladder
 
 # Benchmark artifacts: per-transaction-type latency percentiles and enclave
 # boundary traffic (BENCH_tpcc.json), steady-state replication lag, redo

@@ -156,46 +156,3 @@ func (e *Enclave) ConvertCells(sid uint64, proof *ConversionProof, from, to sqlt
 	e.converts.Add(uint64(len(cells)))
 	return out, nil
 }
-
-// Compare decrypts two ciphertexts under the named CEK and returns their
-// three-way plaintext ordering — the primitive routed to the enclave by
-// range-index maintenance and lookups (§3.1.2, Figure 4). The comparison
-// result returns to the host in the clear; that ordering disclosure is
-// exactly the Figure 5 leakage for RND comparisons.
-func (e *Enclave) Compare(cekName string, a, b []byte) (int, error) {
-	if e.closed.Load() {
-		return 0, ErrClosed
-	}
-	ring := (*enclaveKeyRing)(e)
-	key, err := ring.CellKey(cekName)
-	if err != nil {
-		return 0, err
-	}
-	var res int
-	cmp := func() error {
-		pa, err := key.Decrypt(a)
-		if err != nil {
-			return err
-		}
-		pb, err := key.Decrypt(b)
-		if err != nil {
-			return err
-		}
-		va, err := sqltypes.Decode(pa)
-		if err != nil {
-			return err
-		}
-		vb, err := sqltypes.Decode(pb)
-		if err != nil {
-			return err
-		}
-		res, err = sqltypes.Compare(va, vb)
-		return err
-	}
-	e.enter(func() { err = cmp() })
-	if err != nil {
-		return 0, err
-	}
-	e.evals.Add(1)
-	return res, nil
-}

@@ -8,8 +8,14 @@
 // The substitution for real VBS: protection comes from the package boundary
 // and information-flow discipline rather than a hypervisor, so the code
 // paths, the leakage profile and the cost structure (boundary transitions,
-// queue+worker threading, per-comparison decryption) are preserved even
-// though the memory isolation is by construction rather than hardware.
+// queue+worker threading, decryption of every operand the enclave orders)
+// are preserved even though the memory isolation is by construction rather
+// than hardware.
+//
+// Two entry points carry query processing across the boundary, each one
+// work-queue submit per call: EvalExpressionBatch (a registered expression
+// over a batch of rows) and EqualRange (one B-tree node search of a range
+// index, §3.1.2). Neither keeps a decrypted value past the call.
 package enclave
 
 import (
@@ -190,6 +196,9 @@ type Enclave struct {
 	evalCall  *obs.Histogram // host-observed EvalExpression latency
 	evalBatch *obs.Histogram // input slots per evaluated row
 	evalRows  *obs.Histogram // rows amortized over one boundary crossing
+	// indexCells is the size of the node run one EqualRange call was handed
+	// (a size the host chose and already knows, not the cells opened).
+	indexCells *obs.Histogram
 }
 
 // session is per-shared-secret enclave state.
@@ -273,6 +282,7 @@ func Load(image *Image, hostVersion int, opts Options) (*Enclave, error) {
 		evalCall:    reg.Histogram("enclave.eval.call_ns"),
 		evalBatch:   reg.Histogram("enclave.eval.batch"),
 		evalRows:    reg.Histogram("enclave.eval.rows_per_crossing"),
+		indexCells:  reg.Histogram("enclave.index.cells_per_call"),
 	}
 	// Live object counts surface as gauge callbacks: the session/CEK/expr
 	// tables stay the single authority and snapshots read them on demand.
@@ -545,42 +555,25 @@ func (e *Enclave) RegisterExpression(serialized []byte) (uint64, error) {
 }
 
 // EvalExpression evaluates a registered expression over the given input
-// slots — the Eval(expr, inputs, outputs) interface of §4.4.1. In the
-// default configuration the call is submitted to the enclave work queue and
-// executed by a dedicated enclave worker (§4.6); in Synchronous mode it pays
-// two boundary transitions inline.
+// slots — the Eval(expr, inputs, outputs) interface of §4.4.1: a batch of
+// one row.
 func (e *Enclave) EvalExpression(handle uint64, inputs [][]byte) ([][]byte, error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
+	outs, errs, err := e.EvalExpressionBatch(handle, [][][]byte{inputs})
+	if err != nil {
+		return nil, err
 	}
-	e.mu.RLock()
-	re, ok := e.exprs[handle]
-	e.mu.RUnlock()
-	if !ok {
-		return nil, ErrNoHandle
-	}
-	sp := e.evalCall.StartSpan()
-	e.evalBatch.Observe(int64(len(inputs)))
-	e.evalRows.Observe(1)
-	var outs [][]byte
-	var err error
-	run := func() {
-		e.evalSleep(1)
-		outs, err = e.evalLocked(re, inputs)
-	}
-	e.enter(run)
-	sp.End()
-	return outs, err
+	return outs[0], errs[0]
 }
 
 // EvalExpressionBatch evaluates a registered expression over N rows of
-// input slots with ONE enclave transition for the whole batch: a single
-// work-queue submit whose worker loops over the rows inside the enclave
-// (§4.6 batching — "the cost of enclave transitions ... amortized over
-// larger units of work"). The boundary contract is EvalExpression's,
-// row-wise: ciphertext in, per-row outputs/errors out, nothing else. A
-// non-nil top-level error (closed enclave, unknown handle) loses the
-// whole batch.
+// input slots with ONE enclave transition for the whole batch: in the
+// default configuration a single work-queue submit whose dedicated enclave
+// worker loops over the rows inside the enclave (§4.6 batching — "the cost
+// of enclave transitions ... amortized over larger units of work"); in
+// Synchronous mode two boundary transitions paid inline. The boundary
+// contract is row-wise: ciphertext in, per-row outputs/errors out, nothing
+// else. A non-nil top-level error (closed enclave, unknown handle) loses
+// the whole batch.
 func (e *Enclave) EvalExpressionBatch(handle uint64, rows [][][]byte) ([][][]byte, []error, error) {
 	if e.closed.Load() {
 		return nil, nil, ErrClosed
@@ -600,9 +593,7 @@ func (e *Enclave) EvalExpressionBatch(handle uint64, rows [][][]byte) ([][][]byt
 	errs := make([]error, len(rows))
 	e.enter(func() {
 		e.evalSleep(len(rows))
-		for i, row := range rows {
-			outs[i], errs[i] = e.evalLocked(re, row)
-		}
+		e.evalLocked(re, rows, outs, errs)
 	})
 	sp.End()
 	return outs, errs, nil
@@ -633,34 +624,67 @@ func (e *Enclave) enter(fn func()) {
 	spinFor(e.opts.CrossingCost) // exit
 }
 
-// evalLocked runs inside an enclave thread. Panics are converted into the
-// coarse ErrFault, mirroring structured exception handling: no plaintext
-// detail escapes the boundary.
-func (e *Enclave) evalLocked(re *registeredExpr, inputs [][]byte) (outs [][]byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
+// evalLocked runs inside an enclave thread: ONE evaluator, checked out of
+// the expression's pool once, serves the whole batch, and the evaluation and
+// per-opcode counters are bumped once with the number of rows that evaluated.
+// A row that panics gets the coarse ErrFault, mirroring structured exception
+// handling — no plaintext detail escapes the boundary — and takes its
+// evaluator with it: a faulted evaluator is never pooled, the rows after it
+// run on a fresh one.
+func (e *Enclave) evalLocked(re *registeredExpr, rows, outs [][][]byte, errs []error) {
+	ev := re.pool.Get().(*exprsvc.Evaluator)
+	for done := 0; done < len(rows); {
+		n, faulted := evalRun(ev, rows[done:], outs[done:], errs[done:])
+		done += n
+		if faulted {
 			e.faults.Inc()
-			outs, err = nil, ErrFault
+			errs[done] = ErrFault
+			done++
+			ev = re.pool.New().(*exprsvc.Evaluator)
+		}
+	}
+	re.pool.Put(ev)
+	var evaluated uint64
+	for _, err := range errs {
+		if err == nil {
+			evaluated++
+		}
+	}
+	e.evals.Add(evaluated)
+	for _, t := range re.opTally {
+		t.counter.Add(t.n * evaluated)
+	}
+}
+
+// evalRun evaluates rows in order on ev as one boundary crossing's worth of
+// work, so a ciphertext repeated down a slot is decrypted once. It returns
+// how many rows it finished; faulted reports that the next one panicked.
+// Whatever the evaluator remembered is forgotten before evalRun returns, on
+// every path.
+func evalRun(ev *exprsvc.Evaluator, rows, outs [][][]byte, errs []error) (n int, faulted bool) {
+	defer func() {
+		ev.EndCrossing()
+		if r := recover(); r != nil {
+			faulted = true
 		}
 	}()
-	ev := re.pool.Get().(*exprsvc.Evaluator)
-	defer re.pool.Put(ev)
-	res, err := ev.Eval(inputs)
-	if err != nil {
-		return nil, err
-	}
-	// Copy: the evaluator reuses its output buffers across calls.
-	outs = make([][]byte, len(res))
-	for i, b := range res {
-		if b != nil {
-			outs[i] = append([]byte(nil), b...)
+	ev.BeginCrossing()
+	for ; n < len(rows); n++ {
+		res, err := ev.Eval(rows[n])
+		if err != nil {
+			errs[n] = err
+			continue
 		}
+		// Copy: the evaluator reuses its output buffers across calls.
+		out := make([][]byte, len(res))
+		for i, b := range res {
+			if b != nil {
+				out[i] = append([]byte(nil), b...)
+			}
+		}
+		outs[n] = out
 	}
-	e.evals.Inc()
-	for _, t := range re.opTally {
-		t.counter.Add(t.n)
-	}
-	return outs, nil
+	return n, false
 }
 
 // Stats is the host-visible operational state of the enclave. It contains

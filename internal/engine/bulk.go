@@ -164,8 +164,10 @@ func (e *Engine) insertBatch(t *Txn, tbl *Table, cellRows [][][]byte) (*ResultSe
 			}
 			keys[i] = key
 		}
+		sp := idx.crossingSpan(t.act, len(rids))
 		for i := range rids {
 			if err := idx.Tree.Insert(keys[i], rids[i]); err != nil {
+				sp.End()
 				// Mirror what the tree already holds, so the statement undo
 				// removes exactly the applied prefix.
 				for j := 0; j < i; j++ {
@@ -174,6 +176,7 @@ func (e *Engine) insertBatch(t *Txn, tbl *Table, cellRows [][][]byte) (*ResultSe
 				return nil, err
 			}
 		}
+		sp.End()
 		t.logRecord(storage.Record{
 			Type: storage.RecIndexInsertMulti, Table: idx.Name,
 			Row: rids[0], New: storage.EncodeIndexEntries(keys, rids),

@@ -9,6 +9,7 @@ import (
 
 	"alwaysencrypted/internal/btree"
 	"alwaysencrypted/internal/keys"
+	"alwaysencrypted/internal/obs/trace"
 	"alwaysencrypted/internal/sqltypes"
 	"alwaysencrypted/internal/storage"
 )
@@ -71,6 +72,35 @@ type Index struct {
 	RangeCapable []bool
 	// CEKs lists enclave keys the index needs for comparisons.
 	CEKs []string
+}
+
+// crossingSpan opens an "enclave.crossing" span on the statement's trace
+// around a tree operation that puts rows keys to idx, when idx has an
+// enclave-ordered component; for every other index it costs one length test.
+// The span brackets the whole tree operation: the enclave calls (one per
+// node searched) plus the tree-latch wait and the host walk between them.
+func (idx *Index) crossingSpan(act *trace.Active, rows int) trace.SpanRef {
+	if len(idx.CEKs) == 0 {
+		return trace.SpanRef{}
+	}
+	sp := act.StartSpan("enclave.crossing")
+	sp.Attr("rows", int64(rows))
+	return sp
+}
+
+// insertKey adds one entry to the index's tree under crossingSpan.
+func (idx *Index) insertKey(act *trace.Active, key [][]byte, row storage.RowID) error {
+	sp := idx.crossingSpan(act, 1)
+	defer sp.End()
+	return idx.Tree.Insert(key, row)
+}
+
+// deleteKey removes one entry from the index's tree under crossingSpan.
+func (idx *Index) deleteKey(act *trace.Active, key [][]byte, row storage.RowID) error {
+	sp := idx.crossingSpan(act, 1)
+	defer sp.End()
+	_, err := idx.Tree.Delete(key, row)
+	return err
 }
 
 // Catalog holds schema and key metadata — the system tables. Key metadata

@@ -325,7 +325,7 @@ func (e *Engine) commitTxn(t *Txn) error {
 // physically via before-images.
 func (e *Engine) rollbackTxn(t *Txn) error {
 	t.releaseSnapshot()
-	err := e.undoOps(t.id, t.ops)
+	err := e.undoOps(t.act, t.id, t.ops)
 	e.wal.Append(storage.Record{Txn: t.id, Type: storage.RecAbort, Trace: t.act.ID()})
 	e.versions.Drop(t.id)
 	e.locks.ReleaseAll(t.id)
@@ -339,9 +339,9 @@ func (e *Engine) rollbackTxn(t *Txn) error {
 // is logged as a compensation log record (CLR) attributed to txn, so a
 // replica replaying the log applies undo physically — it never has to
 // re-derive it, which for encrypted indexes it could not do without keys.
-func (e *Engine) undoOps(txn uint64, ops []txnOp) error {
+func (e *Engine) undoOps(act *trace.Active, txn uint64, ops []txnOp) error {
 	for i := len(ops) - 1; i >= 0; i-- {
-		if err := e.undoOne(txn, &ops[i]); err != nil {
+		if err := e.undoOne(act, txn, &ops[i]); err != nil {
 			return err
 		}
 	}
@@ -351,7 +351,8 @@ func (e *Engine) undoOps(txn uint64, ops []txnOp) error {
 // undoOne reverses a single operation and logs the CLR. Heap undo holds the
 // table mutex across the heap change and the WAL append so the log order
 // matches the page mutation order — the invariant physical replay relies on.
-func (e *Engine) undoOne(txn uint64, op *txnOp) error {
+// act is the trace of the statement being undone (nil in recovery).
+func (e *Engine) undoOne(act *trace.Active, txn uint64, op *txnOp) error {
 	switch op.typ {
 	case storage.RecHeapInsert:
 		tbl, err := e.catalog.Table(op.table)
@@ -413,7 +414,7 @@ func (e *Engine) undoOne(txn uint64, op *txnOp) error {
 		if err != nil {
 			return err
 		}
-		if _, err := idx.Tree.Delete(op.key, op.row); err != nil { // logical undo (§4.5)
+		if err := idx.deleteKey(act, op.key, op.row); err != nil { // logical undo (§4.5)
 			return err
 		}
 		e.wal.Append(storage.Record{Txn: txn, Type: storage.RecIndexDelete,
@@ -424,7 +425,7 @@ func (e *Engine) undoOne(txn uint64, op *txnOp) error {
 		if err != nil {
 			return err
 		}
-		if err := idx.Tree.Insert(op.key, op.row); err != nil {
+		if err := idx.insertKey(act, op.key, op.row); err != nil {
 			return err
 		}
 		e.wal.Append(storage.Record{Txn: txn, Type: storage.RecIndexInsert,
@@ -496,11 +497,11 @@ func (e *Engine) updateRow(t *Txn, tbl *Table, rid storage.RowID, oldCells, newC
 		}
 		ok := copyKey(oldKey)
 		nk := copyKey(newKey)
-		if _, err := idx.Tree.Delete(ok, rid); err != nil {
+		if err := idx.deleteKey(t.act, ok, rid); err != nil {
 			return 0, err
 		}
 		t.log(txnOp{typ: storage.RecIndexDelete, table: idx.Name, row: rid, key: ok})
-		if err := idx.Tree.Insert(nk, newRID); err != nil {
+		if err := idx.insertKey(t.act, nk, newRID); err != nil {
 			return 0, err
 		}
 		t.log(txnOp{typ: storage.RecIndexInsert, table: idx.Name, row: newRID, key: nk})
@@ -518,7 +519,7 @@ func (e *Engine) deleteRow(t *Txn, tbl *Table, rid storage.RowID, cells [][]byte
 	e.versions.Record(t.id, tbl.Name, rid, rec)
 	for _, idx := range tbl.Indexes {
 		key := copyKey(idx.indexKeyFor(cells))
-		if _, err := idx.Tree.Delete(key, rid); err != nil {
+		if err := idx.deleteKey(t.act, key, rid); err != nil {
 			return err
 		}
 		t.log(txnOp{typ: storage.RecIndexDelete, table: idx.Name, row: rid, key: key})

@@ -196,7 +196,7 @@ func (s *Session) withTxn(fn func(t *Txn) (*ResultSet, error)) (*ResultSet, erro
 		opStart := len(t.ops)
 		rs, err := fn(t)
 		if err != nil {
-			uerr := e.undoOps(t.id, t.ops[opStart:])
+			uerr := e.undoOps(t.act, t.id, t.ops[opStart:])
 			t.ops = t.ops[:opStart]
 			if uerr != nil {
 				return nil, fmt.Errorf("%w (statement undo also failed: %v)", err, uerr)
@@ -320,13 +320,13 @@ func (e *Engine) iterateOuter(act *trace.Active, plan *Plan, params Params, snap
 		}
 		probe = func(rid storage.RowID, cells [][]byte) error {
 			outerRID, outerCells = rid, cells
-			return e.probeJoin(j, b, cells, snap, addInner)
+			return e.probeJoin(act, j, b, cells, snap, addInner)
 		}
 	}
 
 	var entries []btree.Entry
 	if plan.access.index != nil {
-		if entries, err = e.indexEntries(plan, params); err != nil {
+		if entries, err = e.indexEntries(act, plan, params); err != nil {
 			return err
 		}
 	}
@@ -348,7 +348,7 @@ func (e *Engine) iterateOuter(act *trace.Active, plan *Plan, params Params, snap
 // encrypted columns byte equality is not value equality — so every unseen
 // ghost goes through the filter program, which carries the join equality
 // conjunct and evaluates it correctly for every scheme.
-func (e *Engine) probeJoin(j *joinPlan, b *rowBatcher, outer [][]byte, snap *storage.Snapshot,
+func (e *Engine) probeJoin(act *trace.Active, j *joinPlan, b *rowBatcher, outer [][]byte, snap *storage.Snapshot,
 	addInner func(storage.RowID, [][]byte) error) error {
 	// The outer row's cells (arena-backed on the heap-scan path) are shared
 	// by every pair this probe adds; pin the arena so an intermediate flush
@@ -366,7 +366,9 @@ func (e *Engine) probeJoin(j *joinPlan, b *rowBatcher, outer [][]byte, snap *sto
 			return nil // NULL joins nothing
 		}
 		var err error
+		sp := j.innerIndex.crossingSpan(act, 1)
 		entries, err = j.innerIndex.Tree.SeekExact([][]byte{outer[j.outerCol]}, 0)
+		sp.End()
 		if err != nil {
 			return err
 		}
@@ -473,7 +475,7 @@ func (e *Engine) visibleRows(tbl *Table, entries []btree.Entry, indexed bool, sn
 }
 
 // indexEntries executes the plan's index access path.
-func (e *Engine) indexEntries(plan *Plan, params Params) ([]btree.Entry, error) {
+func (e *Engine) indexEntries(act *trace.Active, plan *Plan, params Params) ([]btree.Entry, error) {
 	a := &plan.access
 	prefix := make([][]byte, 0, len(a.eqVals)+1)
 	for _, v := range a.eqVals {
@@ -487,35 +489,41 @@ func (e *Engine) indexEntries(plan *Plan, params Params) ([]btree.Entry, error) 
 		prefix = append(prefix, b)
 	}
 
+	if a.rangeOn < 0 {
+		// Equality on every bound component: a point scan, which the tree
+		// answers with one search per node.
+		sp := a.index.crossingSpan(act, 1)
+		defer sp.End()
+		return a.index.Tree.SeekExact(prefix, 0)
+	}
+
 	lo, hi := prefix, prefix
 	loInc, hiInc := true, true
-	if a.rangeOn >= 0 {
-		var loB, hiB []byte
-		var err error
-		if a.rangeLo != nil {
-			if loB, err = resolveValue(a.rangeLo, params); err != nil {
-				return nil, err
-			}
-			if len(loB) == 0 {
-				return nil, nil
-			}
+	var loB, hiB []byte
+	var err error
+	if a.rangeLo != nil {
+		if loB, err = resolveValue(a.rangeLo, params); err != nil {
+			return nil, err
 		}
-		if a.rangeHi != nil {
-			if hiB, err = resolveValue(a.rangeHi, params); err != nil {
-				return nil, err
-			}
-			if len(hiB) == 0 {
-				return nil, nil
-			}
+		if len(loB) == 0 {
+			return nil, nil
 		}
-		if loB != nil {
-			lo = append(append([][]byte{}, prefix...), loB)
-			loInc = a.rangeOp != PredGT
+	}
+	if a.rangeHi != nil {
+		if hiB, err = resolveValue(a.rangeHi, params); err != nil {
+			return nil, err
 		}
-		if hiB != nil {
-			hi = append(append([][]byte{}, prefix...), hiB)
-			hiInc = a.rangeOp != PredLT
+		if len(hiB) == 0 {
+			return nil, nil
 		}
+	}
+	if loB != nil {
+		lo = append(append([][]byte{}, prefix...), loB)
+		loInc = a.rangeOp != PredGT
+	}
+	if hiB != nil {
+		hi = append(append([][]byte{}, prefix...), hiB)
+		hiInc = a.rangeOp != PredLT
 	}
 	if len(lo) == 0 {
 		lo = nil
@@ -523,6 +531,8 @@ func (e *Engine) indexEntries(plan *Plan, params Params) ([]btree.Entry, error) 
 	if len(hi) == 0 {
 		hi = nil
 	}
+	sp := a.index.crossingSpan(act, 1)
+	defer sp.End()
 	return a.index.Tree.ScanRange(lo, hi, loInc, hiInc, 0)
 }
 

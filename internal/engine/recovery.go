@@ -162,7 +162,7 @@ func (e *Engine) tryUndo(txn uint64, ops []txnOp) ([]txnOp, error) {
 	var failed []txnOp
 	var firstErr error
 	for i := len(ops) - 1; i >= 0; i-- {
-		if err := e.undoOne(txn, &ops[i]); err != nil {
+		if err := e.undoOne(nil, txn, &ops[i]); err != nil {
 			failed = append(failed, ops[i])
 			if firstErr == nil {
 				firstErr = err
@@ -179,7 +179,7 @@ func (e *Engine) tryUndo(txn uint64, ops []txnOp) ([]txnOp, error) {
 // failure and returning everything not yet undone (oldest first).
 func (e *Engine) undoStrict(txn uint64, ops []txnOp) ([]txnOp, error) {
 	for i := len(ops) - 1; i >= 0; i-- {
-		if err := e.undoOne(txn, &ops[i]); err != nil {
+		if err := e.undoOne(nil, txn, &ops[i]); err != nil {
 			return append([]txnOp(nil), ops[:i+1]...), err
 		}
 	}

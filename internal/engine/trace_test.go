@@ -193,6 +193,77 @@ func TestEnclaveCrossingSpans(t *testing.T) {
 	}
 }
 
+// Tree operations on an index with an enclave-ordered component are recorded
+// under enclave.crossing spans opened by the engine — one per index per
+// statement for inserts, rows = keys put to the index — so the index's
+// enclave time no longer hides in the executor's self time. Plaintext
+// indexes (every PK) open none.
+func TestEncryptedIndexCrossingSpans(t *testing.T) {
+	env := setupRNDTable(t, false)
+	tr := withTracer(env)
+	env.mustExec("CREATE INDEX ix_val ON T (value)", nil)
+	val := func(v int64) []byte { return env.enc("CEK1", sqltypes.Int(v), aecrypto.Randomized) }
+	crossings := func(kind trace.Kind) (n int, rows int64) {
+		t.Helper()
+		x := findTrace(tr.Store().Drain(), kind)
+		if x == nil {
+			t.Fatalf("no trace of kind %v", kind)
+		}
+		var exec trace.Span
+		for _, sp := range x.Spans {
+			if sp.Name == "exec" {
+				exec = sp
+			}
+		}
+		for _, sp := range x.Spans {
+			if sp.Name != "enclave.crossing" {
+				continue
+			}
+			n++
+			if sp.Start < exec.Start || sp.Start+sp.Dur > exec.Start+exec.Dur {
+				t.Fatalf("crossing span [%v,+%v] outside exec [%v,+%v]", sp.Start, sp.Dur, exec.Start, exec.Dur)
+			}
+			for _, a := range sp.Attrs {
+				if a.Key != "rows" {
+					t.Fatalf("index crossing span carries attr %q", a.Key)
+				}
+				rows += a.Value
+			}
+		}
+		return n, rows
+	}
+
+	env.mustExec("INSERT INTO T (id, value) VALUES (@id, @v)", Params{"id": intParam(1), "v": val(10)})
+	if n, rows := crossings(trace.KindInsert); n != 1 || rows != 1 {
+		t.Fatalf("row insert: %d crossing spans over %d rows, want 1 over 1 (the PK opens none)", n, rows)
+	}
+	bulk := make([][][]byte, 5)
+	for i := range bulk {
+		bulk[i] = [][]byte{sqltypes.Int(int64(10 + i)).Encode(), val(int64(20 + i))}
+	}
+	if _, err := env.session.BulkInsert("T", []string{"id", "value"}, bulk); err != nil {
+		t.Fatal(err)
+	}
+	if n, rows := crossings(trace.KindInsert); n != 1 || rows != 5 {
+		t.Fatalf("bulk insert: %d crossing spans over %d rows, want 1 over 5", n, rows)
+	}
+	env.mustExec("UPDATE T SET value = @v WHERE id = @id", Params{"v": val(99), "id": intParam(1)})
+	if n, _ := crossings(trace.KindUpdate); n != 2 {
+		t.Fatalf("key-moving update: %d crossing spans, want 2 (index delete + insert)", n)
+	}
+	env.mustExec("DELETE FROM T WHERE id = @id", Params{"id": intParam(10)})
+	if n, _ := crossings(trace.KindDelete); n != 1 {
+		t.Fatalf("delete: %d crossing spans, want 1", n)
+	}
+	env.mustExec("BEGIN TRANSACTION", nil)
+	env.mustExec("INSERT INTO T (id, value) VALUES (@id, @v)", Params{"id": intParam(50), "v": val(50)})
+	tr.Store().Drain()
+	env.mustExec("ROLLBACK", nil)
+	if got := spanNames(tr.Store().Drain()[0])["enclave.crossing"]; got != 1 {
+		t.Fatalf("rollback: %d crossing spans, want 1 (logical undo of the index insert)", got)
+	}
+}
+
 // Errored statements are always kept, even at sample rate 0.
 func TestErrorTraceAlwaysKept(t *testing.T) {
 	env := newTestEnv(t, false)

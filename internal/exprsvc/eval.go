@@ -1,6 +1,7 @@
 package exprsvc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -66,6 +67,11 @@ type Evaluator struct {
 	// keys still live in the owner.
 	//aelint:ignore secretretain reason=aliases owned by the KeyRing; its owner zeroizes them on evict/teardown
 	cellKeys map[string]*aecrypto.CellKey
+	// memo, non-empty only between BeginCrossing and EndCrossing, remembers
+	// per input slot the ciphertext getData last decrypted and the value it
+	// decoded to, so a cell repeated down a batch — a statement's parameter —
+	// is decrypted once per crossing instead of once per row.
+	memo []slotMemo
 	// act, when non-nil, receives one "enclave.crossing" span per
 	// host→enclave boundary crossing. Installed by the engine around each
 	// statement (SetTrace) and cleared before the evaluator returns to its
@@ -75,6 +81,32 @@ type Evaluator struct {
 	// attributes, decoded lazily (only when tracing) and reused for the
 	// evaluator's lifetime — the sub-programs are immutable.
 	subOps [][]trace.Attr
+}
+
+// slotMemo is one input slot's remembered decryption. ct is the evaluator's
+// own copy of the ciphertext it opened — the caller's cell is host memory,
+// which the host may rewrite between rows — and is matched by content.
+type slotMemo struct {
+	ct []byte
+	v  sqltypes.Value
+}
+
+// BeginCrossing tells an enclave-side evaluator that the Eval calls up to
+// EndCrossing serve one boundary crossing, which lets getData reuse what it
+// decrypted for an earlier row of the same crossing. Outputs, per-row errors
+// and NULL semantics are those of unrelated Eval calls.
+func (ev *Evaluator) BeginCrossing() {
+	if cap(ev.memo) == 0 {
+		ev.memo = make([]slotMemo, len(ev.prog.Inputs))
+	}
+	ev.memo = ev.memo[:cap(ev.memo)]
+}
+
+// EndCrossing forgets everything BeginCrossing allowed the evaluator to
+// remember: no decrypted value outlives the crossing that produced it.
+func (ev *Evaluator) EndCrossing() {
+	clear(ev.memo)
+	ev.memo = ev.memo[:0]
 }
 
 // SetTrace installs (act non-nil) or clears (nil) the statement trace that
@@ -327,6 +359,10 @@ func (ev *Evaluator) getData(i int, inputs [][]byte) error {
 		ev.push(entry{v: v, label: sqltypes.PlaintextType})
 		return nil
 	}
+	if i < len(ev.memo) && bytes.Equal(ev.memo[i].ct, raw) {
+		ev.push(entry{v: ev.memo[i].v, label: info.Enc})
+		return nil
+	}
 	key, err := ev.cellKey(info.Enc.CEKName)
 	if err != nil {
 		return err
@@ -338,6 +374,10 @@ func (ev *Evaluator) getData(i int, inputs [][]byte) error {
 	v, err := sqltypes.Decode(pt)
 	if err != nil {
 		return err
+	}
+	if i < len(ev.memo) {
+		m := &ev.memo[i]
+		m.ct, m.v = append(m.ct[:0], raw...), v
 	}
 	ev.push(entry{v: v, label: info.Enc})
 	return nil

@@ -101,35 +101,53 @@ func FrequencyAttackRND(plaintexts []string, key *aecrypto.CellKey) (recovered H
 	return recovered, allOnes && !trueShape.Equal(recovered), nil
 }
 
-// enclaveCmp is a minimal enclave stand-in for index experiments: it
-// performs the comparisons (so the index gets built) while the adversary
-// only observes the resulting structure and the boolean outcomes.
+// enclaveCmp is a minimal enclave stand-in for index experiments: it answers
+// the node searches (so the index gets built) while the adversary observes
+// only the resulting structure and what each call returned in the clear.
 type enclaveCmp struct {
 	key *aecrypto.CellKey
-	// comparisons records every (i, j, result) the adversary observed
-	// crossing the boundary in the clear.
-	observations int
+	// transcript records, per call, what the adversary saw cross the
+	// boundary in the clear: how many cells went in, and (lo, hi) coming out.
+	transcript []searchObs
 }
 
-func (e *enclaveCmp) Compare(_ string, a, b []byte) (int, error) {
-	e.observations++
-	pa, err := e.key.Decrypt(a)
+// searchObs is one boundary observation of a node search.
+type searchObs struct{ cells, lo, hi int }
+
+func (e *enclaveCmp) open(cell []byte) (sqltypes.Value, error) {
+	pt, err := e.key.Decrypt(cell)
 	if err != nil {
-		return 0, err
+		return sqltypes.Value{}, err
 	}
-	pb, err := e.key.Decrypt(b)
+	return sqltypes.Decode(pt)
+}
+
+// EqualRange answers by definition — it orders EVERY cell against the probe
+// — so whatever the real enclave's search skips, its answer can depend on
+// nothing this one's does not.
+func (e *enclaveCmp) EqualRange(_ string, probe []byte, cells [][]byte) (lo, hi int, err error) {
+	pv, err := e.open(probe)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	va, err := sqltypes.Decode(pa)
-	if err != nil {
-		return 0, err
+	for _, cell := range cells {
+		cv, err := e.open(cell)
+		if err != nil {
+			return 0, 0, err
+		}
+		c, err := sqltypes.Compare(cv, pv)
+		if err != nil {
+			return 0, 0, err
+		}
+		if c < 0 {
+			lo++
+		}
+		if c <= 0 {
+			hi++
+		}
 	}
-	vb, err := sqltypes.Decode(pb)
-	if err != nil {
-		return 0, err
-	}
-	return sqltypes.Compare(va, vb)
+	e.transcript = append(e.transcript, searchObs{len(cells), lo, hi})
+	return lo, hi, nil
 }
 
 // OrderRecoveryRND builds a range index over RND ciphertext (comparisons in

@@ -57,6 +57,12 @@ func TestTraceExportCarriesNoPlaintext(t *testing.T) {
 			ALGORITHM = 'AEAD_AES_256_CBC_HMAC_SHA_256'))`, nil); err != nil {
 		t.Fatal(err)
 	}
+	// An enclave-ordered index on a secret column: index maintenance and the
+	// seek below cross into the enclave under enclave.crossing spans opened
+	// by the engine, which must be as mute as the evaluator's.
+	if _, err := db.Exec("CREATE INDEX Tap_balance ON Tap (balance)", nil); err != nil {
+		t.Fatal(err)
+	}
 	for i := int64(1); i <= 8; i++ {
 		if _, err := db.Exec("INSERT INTO Tap (id, ssn, balance) VALUES (@id, @s, @b)",
 			map[string]core.Value{
