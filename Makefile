@@ -41,7 +41,7 @@ race:
 # one -fuzz target per run). A crasher is written to the package's
 # testdata/fuzz and fails the build.
 FUZZ_TARGETS = internal/storage:FuzzDecodeHeapRows internal/storage:FuzzDecodeIndexEntries \
-	internal/storage:FuzzLoadWAL internal/engine:FuzzDecodeRow
+	internal/storage:FuzzLoadWAL internal/engine:FuzzDecodeRow internal/tds:FuzzDecodeCellRows
 
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \

@@ -25,7 +25,6 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:14330", "TCP listen address")
 	enclaveThreads := flag.Int("enclave-threads", 4, "enclave worker threads (§4.6)")
-	syncEnclave := flag.Bool("sync-enclave", false, "call the enclave synchronously (disable the §4.6 queue)")
 	noCTR := flag.Bool("no-ctr", false, "disable constant-time recovery (§4.5)")
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats print interval (0 = off)")
 	metricsAddr := flag.String("metrics", "", "serve the metrics snapshot as JSON on this address (e.g. 127.0.0.1:14331; empty = off)")
@@ -49,12 +48,11 @@ func main() {
 	}
 
 	srv, err := core.StartServer(core.ServerConfig{
-		Listen:             *listen,
-		EnclaveThreads:     *enclaveThreads,
-		SynchronousEnclave: *syncEnclave,
-		DisableCTR:         *noCTR,
-		ReplListen:         *replListen,
-		Trace:              tracePolicy,
+		Listen:         *listen,
+		EnclaveThreads: *enclaveThreads,
+		DisableCTR:     *noCTR,
+		ReplListen:     *replListen,
+		Trace:          tracePolicy,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aedb:", err)

@@ -55,8 +55,6 @@ type ServerConfig struct {
 	// EnclaveEvalLatency opts into the modeled per-row evaluation service
 	// time (enclave.Options.EvalLatency). Zero disables it.
 	EnclaveEvalLatency time.Duration
-	// SynchronousEnclave disables the §4.6 queue optimization.
-	SynchronousEnclave bool
 	// CTR enables constant-time recovery (§4.5). Default on.
 	DisableCTR bool
 	// EnclaveVersion stamps the enclave image (clients can set version
@@ -132,7 +130,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 	}
 	opts := enclave.Options{
 		Threads:      cfg.EnclaveThreads,
-		Synchronous:  cfg.SynchronousEnclave,
 		SpinDuration: spin,
 		CrossingCost: time.Microsecond,
 		EvalLatency:  cfg.EnclaveEvalLatency,

@@ -36,8 +36,22 @@ type Analyzer struct {
 	Name string
 	// Doc is the help text.
 	Doc string
+	// Packages restricts the analyzer to the repo packages with these
+	// short names (see PackagePathIs); empty means every package.
+	// RunAnalyzer skips the others without calling Run.
+	Packages []string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) (any, error)
+}
+
+// appliesTo reports whether a runs on pkg (see Packages).
+func (a *Analyzer) appliesTo(pkg *types.Package) bool {
+	for _, short := range a.Packages {
+		if PackagePathIs(pkg, short) {
+			return true
+		}
+	}
+	return len(a.Packages) == 0
 }
 
 // Diagnostic is one reported finding.
@@ -61,11 +75,53 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
+// FuncDecls calls visit for every function declaration with a body.
+func (p *Pass) FuncDecls(visit func(fd *ast.FuncDecl)) {
+	for _, file := range p.Files {
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				visit(fd)
+			}
+		}
+	}
+}
+
+// FuncBodies calls visit for the body of every function declaration and of
+// every function literal nested in one, each as a scope of its own: a
+// closure has its own return paths.
+func (p *Pass) FuncBodies(visit func(body *ast.BlockStmt)) {
+	p.FuncDecls(func(fd *ast.FuncDecl) {
+		visit(fd.Body)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				visit(lit.Body)
+			}
+			return true
+		})
+	})
+}
+
+// FuncLits returns the outermost function literals under n.
+func FuncLits(n ast.Node) []*ast.FuncLit {
+	var lits []*ast.FuncLit
+	ast.Inspect(n, func(sub ast.Node) bool {
+		if lit, ok := sub.(*ast.FuncLit); ok {
+			lits = append(lits, lit)
+			return false
+		}
+		return true
+	})
+	return lits
+}
+
 // RunAnalyzer applies a to pkg, returning the diagnostics sorted by position
 // with //aelint:ignore-suppressed findings removed. Directives that suppress
 // a diagnostic are marked used, which IgnoreFindings consults after a full
 // run to flag waivers that no longer waive anything.
 func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
+	if !a.appliesTo(pkg.Types) {
+		return nil, nil
+	}
 	var diags []Diagnostic
 	pass := &Pass{
 		Analyzer:  a,
@@ -188,6 +244,31 @@ func PackagePathIs(pkg *types.Package, short string) bool {
 	}
 	p := pkg.Path()
 	return p == short || strings.HasSuffix(p, "/"+short)
+}
+
+// IsError reports whether t is the predeclared error type.
+func IsError(t types.Type) bool {
+	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
+}
+
+// ErrorResults returns the positions of error-typed results in call's
+// result tuple (a single result is position 0).
+func ErrorResults(info *types.Info, call *ast.CallExpr) []int {
+	t := info.TypeOf(call)
+	tuple, ok := t.(*types.Tuple)
+	if !ok {
+		if IsError(t) {
+			return []int{0}
+		}
+		return nil
+	}
+	var out []int
+	for i := 0; i < tuple.Len(); i++ {
+		if IsError(tuple.At(i).Type()) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // WalkStack walks the AST rooted at n, calling fn with each node and the

@@ -10,57 +10,44 @@
 // pass exists for the function-form escape hatch that mixed idioms arrive
 // through.
 //
-// Mechanics: pass one collects every object whose address is taken by a
-// function-form sync/atomic call — package-level variables, and struct
-// fields keyed by their types.Var (field identity is per declaration, so
-// every instance of the struct shares the verdict). Pass two flags every
-// other mention of those objects outside an atomic argument. One exception:
-// accesses whose base is a local the function itself allocated (&T{…},
-// new(T), T{…} value) are constructor initialization — the object is not
-// published yet, so plain writes are the normal idiom.
+// The guarded locations are every object whose address a function-form
+// sync/atomic call takes — package-level variables, and struct fields keyed
+// by their types.Var (field identity is per declaration, so every instance
+// of the struct shares the verdict). Every other mention of them outside an
+// atomic call's address argument is flagged, except on a local the function
+// itself allocated (&T{…}, new(T), T{…} value): that is constructor
+// initialization of an object not yet published. The walk is the
+// guarded-access rule shared with enclavestate.
 package atomicmix
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 
 	"alwaysencrypted/internal/lint/analysis"
+	"alwaysencrypted/internal/lint/guarded"
 )
 
 // Analyzer is the atomicmix pass.
-var Analyzer = &analysis.Analyzer{
-	Name: "atomicmix",
-	Doc:  "a location accessed through sync/atomic must never also be accessed plainly",
-	Run:  run,
-}
+var Analyzer = guarded.NewAnalyzer(&guarded.Rule{
+	Name:      "atomicmix",
+	Doc:       "a location accessed through sync/atomic must never also be accessed plainly",
+	Locations: atomicTargets,
+	Allowed:   isAtomicAddress,
+})
 
-func run(pass *analysis.Pass) (any, error) {
-	targets := collectAtomicTargets(pass)
-	if len(targets) == 0 {
-		return nil, nil
-	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			flagPlainAccesses(pass, fn, targets)
-		}
-	}
-	return nil, nil
-}
-
-// collectAtomicTargets finds every object (package var or struct field)
-// whose address feeds a function-form sync/atomic call, mapped to one
-// representative atomic call position for the diagnostic.
-func collectAtomicTargets(pass *analysis.Pass) map[types.Object]token.Pos {
-	targets := map[types.Object]token.Pos{}
+// atomicTargets finds every object (package var or struct field) whose
+// address feeds a function-form sync/atomic call, naming one
+// representative atomic call in the diagnostic.
+func atomicTargets(pass *analysis.Pass) map[types.Object]string {
+	locs := map[types.Object]string{}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(pass, call) {
+			if !ok || !isAtomicCall(pass.TypesInfo, call) {
 				return true
 			}
 			for _, arg := range call.Args {
@@ -68,176 +55,49 @@ func collectAtomicTargets(pass *analysis.Pass) map[types.Object]token.Pos {
 				if !ok || un.Op != token.AND {
 					continue
 				}
-				if obj := addressedObject(pass, un.X); obj != nil {
-					if _, seen := targets[obj]; !seen {
-						targets[obj] = call.Pos()
-					}
+				if obj := addressedObject(pass.TypesInfo, un.X); obj != nil && locs[obj] == "" {
+					at := pass.Fset.Position(call.Pos())
+					locs[obj] = fmt.Sprintf(
+						"%s is accessed through sync/atomic (%s:%d) but plainly here: mixed access races — use sync/atomic everywhere or a typed atomic",
+						obj.Name(), filepath.Base(at.Filename), at.Line)
 				}
 			}
 			return true
 		})
 	}
-	return targets
+	return locs
 }
 
 // addressedObject resolves &expr's target: a struct field's types.Var or a
 // variable object.
-func addressedObject(pass *analysis.Pass, e ast.Expr) types.Object {
+func addressedObject(info *types.Info, e ast.Expr) types.Object {
 	switch t := e.(type) {
 	case *ast.ParenExpr:
-		return addressedObject(pass, t.X)
+		return addressedObject(info, t.X)
 	case *ast.SelectorExpr:
-		if s := pass.TypesInfo.Selections[t]; s != nil && s.Kind() == types.FieldVal {
+		if s := info.Selections[t]; s != nil && s.Kind() == types.FieldVal {
 			return s.Obj()
 		}
-		return pass.TypesInfo.Uses[t.Sel]
+		return info.Uses[t.Sel]
 	case *ast.Ident:
-		return pass.TypesInfo.Uses[t]
-	case *ast.IndexExpr:
-		// &arr[i]: per-element atomicity is beyond field identity; skip.
-		return nil
+		return info.Uses[t]
 	}
+	// &arr[i]: per-element atomicity is beyond field identity.
 	return nil
 }
 
-func isAtomicCall(pass *analysis.Pass, call *ast.CallExpr) bool {
+func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
 }
 
-// flagPlainAccesses reports mentions of atomic targets outside atomic call
-// arguments, excepting accesses rooted at constructor-fresh locals.
-func flagPlainAccesses(pass *analysis.Pass, fn *ast.FuncDecl, targets map[types.Object]token.Pos) {
-	fresh := freshLocals(pass, fn)
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if isAtomicCall(pass, n) {
-				// The address-taking argument is the atomic access itself;
-				// other arguments (deltas, new values) still get walked.
-				for _, arg := range n.Args {
-					if un, ok := arg.(*ast.UnaryExpr); ok && un.Op == token.AND {
-						continue
-					}
-					ast.Inspect(arg, walk)
-				}
-				return false
-			}
-		case *ast.SelectorExpr:
-			s := pass.TypesInfo.Selections[n]
-			if s == nil || s.Kind() != types.FieldVal {
-				return true
-			}
-			obj := s.Obj()
-			if atomicPos, hit := targets[obj]; hit {
-				if base := rootIdentObject(pass, n.X); base == nil || !fresh[base] {
-					report(pass, n.Sel.Pos(), obj, atomicPos)
-				}
-			}
-			// Consume the Sel ident (the field is judged here, not by the
-			// Ident case) but keep walking the base expression.
-			ast.Inspect(n.X, walk)
-			return false
-		case *ast.Ident:
-			obj := pass.TypesInfo.Uses[n]
-			if obj == nil {
-				return true
-			}
-			if atomicPos, hit := targets[obj]; hit {
-				// Only package-level vars land here (fields go through the
-				// selector case; local vars never collect as targets
-				// without being flagged at their own declaration scope).
-				report(pass, n.Pos(), obj, atomicPos)
-			}
-		}
-		return true
-	}
-	ast.Inspect(fn.Body, walk)
-}
-
-func report(pass *analysis.Pass, pos token.Pos, obj types.Object, atomicPos token.Pos) {
-	at := pass.Fset.Position(atomicPos)
-	pass.Reportf(pos,
-		"%s is accessed through sync/atomic (%s:%d) but plainly here: mixed access races — use sync/atomic everywhere or a typed atomic",
-		obj.Name(), shortFile(at.Filename), at.Line)
-}
-
-func shortFile(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[i+1:]
-		}
-	}
-	return path
-}
-
-// rootIdentObject strips an access chain to its base identifier's object.
-func rootIdentObject(pass *analysis.Pass, e ast.Expr) types.Object {
-	for {
-		switch t := e.(type) {
-		case *ast.ParenExpr:
-			e = t.X
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.SelectorExpr:
-			e = t.X
-		case *ast.Ident:
-			return pass.TypesInfo.Uses[t]
-		default:
-			return nil
-		}
-	}
-}
-
-// freshLocals collects locals the function allocates itself — &T{…}, new(T)
-// or a composite value — which are unpublished during this frame's plain
-// initialization writes.
-func freshLocals(pass *analysis.Pass, fn *ast.FuncDecl) map[types.Object]bool {
-	fresh := map[types.Object]bool{}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		asg, ok := n.(*ast.AssignStmt)
-		if !ok || asg.Tok != token.DEFINE {
-			return true
-		}
-		for i, lhs := range asg.Lhs {
-			if i >= len(asg.Rhs) {
-				break
-			}
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := pass.TypesInfo.Defs[id]
-			if obj == nil || !isFreshAlloc(asg.Rhs[i]) {
-				continue
-			}
-			fresh[obj] = true
-		}
-		return true
-	})
-	return fresh
-}
-
-func isFreshAlloc(e ast.Expr) bool {
-	switch t := e.(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.UnaryExpr:
-		if t.Op != token.AND {
-			return false
-		}
-		_, ok := t.X.(*ast.CompositeLit)
-		return ok
-	case *ast.CallExpr:
-		id, ok := t.Fun.(*ast.Ident)
-		return ok && id.Name == "new"
-	}
-	return false
+// isAtomicAddress sanctions the address argument of an atomic call: it is
+// the atomic access itself.
+func isAtomicAddress(info *types.Info, call *ast.CallExpr, arg ast.Expr) bool {
+	un, ok := arg.(*ast.UnaryExpr)
+	return ok && un.Op == token.AND && isAtomicCall(info, call)
 }

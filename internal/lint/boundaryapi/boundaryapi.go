@@ -26,15 +26,13 @@ import (
 
 // Analyzer is the boundaryapi pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "boundaryapi",
-	Doc:  "exported enclave/tds APIs must carry only ciphertext-shaped types",
-	Run:  run,
+	Name:     "boundaryapi",
+	Doc:      "exported enclave/tds APIs must carry only ciphertext-shaped types",
+	Packages: []string{"enclave", "tds"},
+	Run:      run,
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !analysis.PackagePathIs(pass.Pkg, "enclave") && !analysis.PackagePathIs(pass.Pkg, "tds") {
-		return nil, nil
-	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {

@@ -39,49 +39,18 @@ import (
 	"alwaysencrypted/internal/lint/taint"
 )
 
-// Analyzer is the ctcompare pass.
+// Analyzer is the ctcompare pass: aecrypto, keys, attestation, driver and
+// tds are held to the constant-time comparison discipline.
 var Analyzer = &analysis.Analyzer{
-	Name: "ctcompare",
-	Doc:  "secret-derived data must be compared in constant time (subtle.ConstantTimeCompare, hmac.Equal)",
-	Run:  run,
+	Name:     "ctcompare",
+	Doc:      "secret-derived data must be compared in constant time (subtle.ConstantTimeCompare, hmac.Equal)",
+	Packages: []string{"aecrypto", "keys", "attestation", "driver", "tds"},
+	Run:      run,
 }
-
-// trustedPackages are the short names of the packages held to the
-// constant-time comparison discipline.
-var trustedPackages = []string{"aecrypto", "keys", "attestation", "driver", "tds"}
 
 func run(pass *analysis.Pass) (any, error) {
-	applies := false
-	for _, p := range trustedPackages {
-		if analysis.PackagePathIs(pass.Pkg, p) {
-			applies = true
-			break
-		}
-	}
-	if !applies {
-		return nil, nil
-	}
 	oracle := callgraph.For(pass)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			checkFunc(pass, oracle, fn)
-		}
-	}
-	return nil, nil
-}
-
-func checkFunc(pass *analysis.Pass, oracle taint.Oracle, fn *ast.FuncDecl) {
-	c := taint.NewChecker(taint.Config{
-		Pass:    pass,
-		Sources: taint.SecretSources(pass),
-		Oracle:  oracle,
-	})
-	c.Analyze(fn.Body)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	taint.Walk(pass, taint.SecretSources(pass), oracle, func(c *taint.Checker, n ast.Node) {
 		if desc, operands := taint.CompareSink(pass.TypesInfo, n); desc != "" {
 			for _, op := range operands {
 				if c.ExprTainted(op) {
@@ -100,6 +69,6 @@ func checkFunc(pass *analysis.Pass, oracle taint.Oracle, fn *ast.FuncDecl) {
 					hit.Desc, callee.Name())
 			}
 		}
-		return true
 	})
+	return nil, nil
 }

@@ -12,224 +12,57 @@
 // Any other write — in particular one made directly from an exported host
 // entry point — is flagged. Reads are not checked (readers take mu.RLock,
 // which the race detector polices dynamically); this analyzer guards the
-// mutation funnel that the enclave's security argument leans on.
+// mutation funnel that the enclave's security argument leans on. The walk
+// is the guarded-access rule shared with atomicmix.
 package enclavestate
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 
 	"alwaysencrypted/internal/lint/analysis"
+	"alwaysencrypted/internal/lint/guarded"
 )
-
-// Analyzer is the enclavestate pass.
-var Analyzer = &analysis.Analyzer{
-	Name: "enclavestate",
-	Doc:  "enclave state fields must be mutated via mutate() on the state thread",
-	Run:  run,
-}
 
 // guardedTypes are the enclave-private state carriers.
 var guardedTypes = []string{"Enclave", "session"}
 
-func run(pass *analysis.Pass) (any, error) {
-	if !analysis.PackagePathIs(pass.Pkg, "enclave") {
-		return nil, nil
-	}
-	guarded := make(map[*types.TypeName]bool)
+// Analyzer is the enclavestate pass.
+var Analyzer = guarded.NewAnalyzer(&guarded.Rule{
+	Name:       "enclavestate",
+	Doc:        "enclave state fields must be mutated via mutate() on the state thread",
+	Packages:   []string{"enclave"},
+	Locations:  stateFields,
+	WritesOnly: true,
+	Allowed:    inMutateLiteral,
+})
+
+// stateFields guards every field of the state-carrier types.
+func stateFields(pass *analysis.Pass) map[types.Object]string {
+	locs := map[types.Object]string{}
 	for _, name := range guardedTypes {
-		if tn, ok := pass.Pkg.Scope().Lookup(name).(*types.TypeName); ok {
-			guarded[tn] = true
-		}
-	}
-	if len(guarded) == 0 {
-		return nil, nil
-	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			checkFunc(pass, fn, guarded)
-		}
-	}
-	return nil, nil
-}
-
-func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, guarded map[*types.TypeName]bool) {
-	fresh := freshLocals(pass, fn.Body, guarded)
-	analysis.WalkStack(fn.Body, func(n ast.Node, stack []ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				checkWrite(pass, lhs, stack, guarded, fresh)
-			}
-		case *ast.IncDecStmt:
-			checkWrite(pass, n.X, stack, guarded, fresh)
-		case *ast.CallExpr:
-			// delete(e.m, k) mutates the map field in place.
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" && len(n.Args) == 2 {
-				checkWrite(pass, n.Args[0], stack, guarded, fresh)
-			}
-		}
-		return true
-	})
-}
-
-// checkWrite reports lhs if it denotes a guarded field written outside an
-// allowed context.
-func checkWrite(pass *analysis.Pass, lhs ast.Expr, stack []ast.Node, guarded map[*types.TypeName]bool, fresh map[types.Object]bool) {
-	sel, tn := guardedFieldAccess(pass, lhs, guarded)
-	if sel == nil {
-		return
-	}
-	if root := rootIdent(pass, sel.X); root != nil && fresh[root] {
-		return // freshly constructed, unpublished value
-	}
-	if inMutateLiteral(stack) {
-		return
-	}
-	pass.Reportf(sel.Sel.Pos(),
-		"direct write to %s.%s outside mutate(): enclave state changes must run on the state thread (§4.6)",
-		tn.Name(), sel.Sel.Name)
-}
-
-// guardedFieldAccess strips index/star/paren wrappers from an assignment
-// target and returns the selector if it names a field of a guarded type.
-func guardedFieldAccess(pass *analysis.Pass, e ast.Expr, guarded map[*types.TypeName]bool) (*ast.SelectorExpr, *types.TypeName) {
-	for {
-		switch x := e.(type) {
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			sel, ok := e.(*ast.SelectorExpr)
-			if !ok {
-				return nil, nil
-			}
-			// Must select a struct field, not a method or package member.
-			if obj := pass.TypesInfo.Uses[sel.Sel]; obj == nil {
-				return nil, nil
-			} else if _, isVar := obj.(*types.Var); !isVar {
-				return nil, nil
-			}
-			tn := namedTypeName(pass.TypesInfo.Types[sel.X].Type)
-			if tn == nil || !guarded[tn] {
-				return nil, nil
-			}
-			return sel, tn
-		}
-	}
-}
-
-// namedTypeName returns the defining TypeName of t, looking through
-// pointers.
-func namedTypeName(t types.Type) *types.TypeName {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj()
-	}
-	return nil
-}
-
-// rootIdent walks to the base identifier of a selector/index chain.
-func rootIdent(pass *analysis.Pass, e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.Ident:
-			return pass.TypesInfo.Uses[x]
-		default:
-			return nil
-		}
-	}
-}
-
-// inMutateLiteral reports whether the write sits inside a func literal that
-// is an argument of a call to a method named mutate.
-func inMutateLiteral(stack []ast.Node) bool {
-	for i := len(stack) - 1; i > 0; i-- {
-		lit, ok := stack[i].(*ast.FuncLit)
+		tn, ok := pass.Pkg.Scope().Lookup(name).(*types.TypeName)
 		if !ok {
 			continue
 		}
-		call, ok := stack[i-1].(*ast.CallExpr)
+		st, ok := tn.Type().Underlying().(*types.Struct)
 		if !ok {
 			continue
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "mutate" {
-			continue
-		}
-		for _, arg := range call.Args {
-			if arg == lit {
-				return true
-			}
+		for i := 0; i < st.NumFields(); i++ {
+			locs[st.Field(i)] = fmt.Sprintf(
+				"direct write to %s.%s outside mutate(): enclave state changes must run on the state thread (§4.6)",
+				name, st.Field(i).Name())
 		}
 	}
-	return false
+	return locs
 }
 
-// freshLocals finds local variables bound to newly constructed guarded
-// values (&T{...}, T{...} or new(T)) within body.
-func freshLocals(pass *analysis.Pass, body *ast.BlockStmt, guarded map[*types.TypeName]bool) map[types.Object]bool {
-	fresh := make(map[types.Object]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		assign, ok := n.(*ast.AssignStmt)
-		if !ok || len(assign.Lhs) != len(assign.Rhs) {
-			return true
-		}
-		for i, rhs := range assign.Rhs {
-			if !isFreshConstruction(pass, rhs, guarded) {
-				continue
-			}
-			if id, ok := assign.Lhs[i].(*ast.Ident); ok {
-				if obj := pass.TypesInfo.Defs[id]; obj != nil {
-					fresh[obj] = true
-				} else if obj := pass.TypesInfo.Uses[id]; obj != nil {
-					fresh[obj] = true
-				}
-			}
-		}
-		return true
-	})
-	return fresh
-}
-
-func isFreshConstruction(pass *analysis.Pass, e ast.Expr, guarded map[*types.TypeName]bool) bool {
-	switch x := e.(type) {
-	case *ast.UnaryExpr:
-		if lit, ok := x.X.(*ast.CompositeLit); ok {
-			return guardedLit(pass, lit, guarded)
-		}
-	case *ast.CompositeLit:
-		return guardedLit(pass, x, guarded)
-	case *ast.CallExpr:
-		if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "new" && len(x.Args) == 1 {
-			tn := namedTypeName(pass.TypesInfo.Types[x.Args[0]].Type)
-			return tn != nil && guarded[tn]
-		}
-	}
-	return false
-}
-
-func guardedLit(pass *analysis.Pass, lit *ast.CompositeLit, guarded map[*types.TypeName]bool) bool {
-	tn := namedTypeName(pass.TypesInfo.Types[lit].Type)
-	return tn != nil && guarded[tn]
+// inMutateLiteral sanctions writes inside a func literal passed to a method
+// named mutate.
+func inMutateLiteral(_ *types.Info, call *ast.CallExpr, arg ast.Expr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	_, lit := arg.(*ast.FuncLit)
+	return ok && lit && sel.Sel.Name == "mutate"
 }

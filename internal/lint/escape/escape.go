@@ -47,6 +47,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 
 	"alwaysencrypted/internal/lint/analysis"
 	"alwaysencrypted/internal/lint/cfg"
@@ -196,21 +197,16 @@ func Analyze(cfg_ Config, fn *ast.FuncDecl) []Event {
 }
 
 func sortEvents(evs []Event) {
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && less(evs[j], evs[j-1]); j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
+	sort.Slice(evs, func(i, j int) bool {
+		a, b := evs[i], evs[j]
+		if a.Pos != b.Pos {
+			return a.Pos < b.Pos
 		}
-	}
-}
-
-func less(a, b Event) bool {
-	if a.Pos != b.Pos {
-		return a.Pos < b.Pos
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	return a.RootPos < b.RootPos
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
+		}
+		return a.RootPos < b.RootPos
+	})
 }
 
 type escLattice struct{}
@@ -278,7 +274,7 @@ func (a *analyzer) transfer(st state, n ast.Node) state {
 			a.weak(st, key{b, nil}, a.exprRoots(st, n.Value))
 		}
 	}
-	for _, lit := range funcLits(n) {
+	for _, lit := range analysis.FuncLits(n) {
 		a.closureEffect(st, lit)
 	}
 	return st
@@ -294,9 +290,9 @@ func (a *analyzer) assignStmt(st state, n *ast.AssignStmt) {
 			break
 		}
 		// Whole-object copy y = x aliases every tracked field of x.
-		if rid, ok := unparen(n.Rhs[i]).(*ast.Ident); ok && n.Tok.IsOperator() {
+		if rid, ok := ast.Unparen(n.Rhs[i]).(*ast.Ident); ok && n.Tok.IsOperator() {
 			if robj := a.useObj(rid); robj != nil {
-				if lid, ok := unparen(n.Lhs[i]).(*ast.Ident); ok {
+				if lid, ok := ast.Unparen(n.Lhs[i]).(*ast.Ident); ok {
 					if lobj := a.defOrUseObj(lid); lobj != nil {
 						a.copyObject(st, lobj, robj)
 						continue
@@ -336,7 +332,7 @@ func (a *analyzer) genDecl(st state, gd *ast.GenDecl) {
 // assignMulti handles x, err := <rhs>: source calls root every non-error
 // result, comma-ok forms root only the value.
 func (a *analyzer) assignMulti(st state, lhs []ast.Expr, rhs ast.Expr) {
-	if call, ok := unparen(rhs).(*ast.CallExpr); ok {
+	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
 		roots := a.exprRoots(st, call)
 		for _, l := range lhs {
 			if a.errorTyped(l) {
@@ -362,7 +358,7 @@ func (a *analyzer) assignMulti(st state, lhs []ast.Expr, rhs ast.Expr) {
 // targets with frame-local bases record weakly; non-local bases are the
 // event pass's business.
 func (a *analyzer) assignTo(st state, target ast.Expr, roots rootset, strong bool) {
-	switch t := unparen(target).(type) {
+	switch t := ast.Unparen(target).(type) {
 	case *ast.Ident:
 		obj := a.defOrUseObj(t)
 		if obj == nil || t.Name == "_" {
@@ -500,7 +496,7 @@ func (a *analyzer) closureEffect(st state, lit *ast.FuncLit) {
 // weakTo is assignTo's weak-only variant for closure bodies; reports change.
 func (a *analyzer) weakTo(st state, target ast.Expr, roots rootset) bool {
 	var k key
-	switch t := unparen(target).(type) {
+	switch t := ast.Unparen(target).(type) {
 	case *ast.Ident:
 		obj := a.defOrUseObj(t)
 		if obj == nil || t.Name == "_" {
@@ -590,7 +586,7 @@ func (a *analyzer) callRoots(st state, call *ast.CallExpr) rootset {
 	// Unknown callee: results may alias any argument (append retains, a
 	// wrapper returns its operand). Error-typed single results are
 	// sentinels, as everywhere in the suite.
-	if tv, ok := a.info.Types[call]; ok && tv.Type != nil && tv.Type.String() == "error" {
+	if a.errorTyped(call) {
 		return 0
 	}
 	var r rootset
@@ -659,7 +655,7 @@ func (a *analyzer) eventsFor(st state, n ast.Node) {
 func (a *analyzer) spawnEvents(st state, call *ast.CallExpr, pos token.Pos, kind Kind) {
 	callee := taint.CalleeFunc(a.info, call)
 	for _, arg := range call.Args {
-		if lit, ok := unparen(arg).(*ast.FuncLit); ok {
+		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 			a.emit(st, a.capturedRoots(st, lit), kind, pos, callee, true)
 			continue
 		}
@@ -668,7 +664,7 @@ func (a *analyzer) spawnEvents(st state, call *ast.CallExpr, pos token.Pos, kind
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		a.emit(st, a.exprRoots(st, sel.X), kind, pos, callee, false)
 	}
-	if lit, ok := unparen(call.Fun).(*ast.FuncLit); ok {
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		a.emit(st, a.capturedRoots(st, lit), kind, pos, nil, true)
 	}
 }
@@ -679,7 +675,7 @@ func (a *analyzer) spawnEvents(st state, call *ast.CallExpr, pos token.Pos, kind
 func (a *analyzer) callEvents(st state, call *ast.CallExpr) {
 	callee := taint.CalleeFunc(a.info, call)
 	for _, arg := range call.Args {
-		if lit, ok := unparen(arg).(*ast.FuncLit); ok {
+		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 			a.emit(st, a.capturedRoots(st, lit), KindCall, call.Pos(), callee, true)
 			continue
 		}
@@ -696,7 +692,7 @@ func (a *analyzer) storeEvents(st state, target ast.Expr, roots rootset) {
 	if roots == 0 {
 		return
 	}
-	switch t := unparen(target).(type) {
+	switch t := ast.Unparen(target).(type) {
 	case *ast.Ident:
 		obj := a.defOrUseObj(t)
 		if obj == nil || t.Name == "_" {
@@ -786,16 +782,6 @@ func (a *analyzer) emit(st state, roots rootset, kind Kind, pos token.Pos, calle
 
 // ---- object resolution helpers ----
 
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
 // baseObject resolves the root identifier's object under an lvalue/rvalue
 // chain of parens, stars, indices, slices and selectors.
 func (a *analyzer) baseObject(e ast.Expr) types.Object {
@@ -866,15 +852,7 @@ func (a *analyzer) definedIn(obj types.Object, lit *ast.FuncLit) bool {
 }
 
 func (a *analyzer) errorTyped(e ast.Expr) bool {
-	t := a.info.Types[e].Type
-	if t == nil {
-		if id, ok := e.(*ast.Ident); ok {
-			if obj := a.defOrUseObj(id); obj != nil {
-				t = obj.Type()
-			}
-		}
-	}
-	return t != nil && t.String() == "error"
+	return analysis.IsError(a.info.TypeOf(e))
 }
 
 func (a *analyzer) funcTyped(e ast.Expr) bool {
@@ -884,16 +862,4 @@ func (a *analyzer) funcTyped(e ast.Expr) bool {
 	}
 	_, ok := t.Underlying().(*types.Signature)
 	return ok
-}
-
-func funcLits(n ast.Node) []*ast.FuncLit {
-	var lits []*ast.FuncLit
-	ast.Inspect(n, func(sub ast.Node) bool {
-		if lit, ok := sub.(*ast.FuncLit); ok {
-			lits = append(lits, lit)
-			return false
-		}
-		return true
-	})
-	return lits
 }

@@ -85,8 +85,8 @@ var spec = &typestate.Spec{
 			Acquire: []typestate.CallPat{
 				{Pkg: "driver", Recv: "Conn", Name: "failover"},
 			},
-			AcquireKey:     typestate.IdentSingleton,
-			AcquirePending: true,
+			AcquireKey:   typestate.IdentSingleton,
+			WaiveOnError: true,
 			Release: []typestate.CallPat{
 				{Pkg: "driver", Recv: "Conn", Name: "execOnce"},
 				{Pkg: "driver", Name: "once"},

@@ -97,16 +97,10 @@ type checker struct {
 	pass *analysis.Pass
 }
 
+// run checks every function body, and every function literal as a function
+// of its own.
 func run(pass *analysis.Pass) (any, error) {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			checkBody(pass, fn.Body)
-		}
-	}
+	pass.FuncBodies(func(body *ast.BlockStmt) { checkBody(pass, body) })
 	return nil, nil
 }
 
@@ -121,13 +115,6 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 		// apply mutates f exactly as the transfer Replay runs afterwards
 		// will (idempotent map updates); reporting sees mid-node state.
 		c.apply(f, n, true)
-	})
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			checkBody(pass, lit.Body)
-			return false
-		}
-		return true
 	})
 }
 

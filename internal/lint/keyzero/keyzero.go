@@ -1,535 +1,63 @@
-// Package keyzero enforces key-material lifetime hygiene: a local variable
-// holding raw key bytes obtained directly from a generator, deriver or
-// unwrap call must be zeroized on every return path, unless ownership
-// escapes the function (returned, stored into a field, map, slice element,
-// global, composite literal, channel, or captured by a closure).
+// Package keyzero enforces key-material lifetime hygiene: a value holding
+// raw key bytes obtained directly from a generator, deriver or unwrap call
+// must be zeroized on every return path, unless ownership leaves the
+// function (returned, stored into a field, map, slice element, global,
+// composite literal or channel, address-taken, or captured by a closure).
 //
-// The pass runs the zeroize-state lattice
-//
-//	Untracked < Zeroized < Live < Escaped
-//
-// forward over the function's CFG (join = max, so Escaped absorbs the
-// obligation at merges) and reports any object still Live on a
-// non-error return path. Per-path checking matters: zeroizing in one
-// branch does not discharge the other.
-//
-// Deliberate scope limits:
+// It is a typestate spec with one resource. Deliberate scope limits:
 //
 //   - Only DIRECT source calls create obligations (aecrypto.GenerateKey /
 //     deriveKey / UnwrapKey, keys Provider.Unwrap, ecdh ECDH,
 //     attestation.DeriveSecret, enclave openSealed). Values that arrive
 //     through an intermediate helper are that helper's responsibility —
 //     or an ownership transfer, as in the driver's CEK cache.
-//   - Passing the value to a call is a borrow, not an escape: the callee
-//     returns, the local still owns the bytes. Taking its address,
-//     slicing it into a composite literal, or capturing it in a closure
-//     IS an escape.
+//   - Passing the value to a call is a borrow, not a transfer (Borrow):
+//     the callee returns, the local still owns the bytes.
+//   - The property is per return path (EveryPath): zeroizing, or
+//     deferring the zeroize, in one branch does not discharge the other,
+//     even where the branches merge before the return.
 //   - Error return paths (a return whose error-typed result is not the
-//     nil identifier) are exempt: on those paths the source either
-//     failed (the local is nil) or the caller observes the failure.
-//     Panic-terminated paths never reach the exit block at all.
+//     nil identifier) are exempt (WaiveOnError): on those paths the source
+//     either failed (the local is nil) or the caller observes the
+//     failure. Panic-terminated paths never reach the exit block at all.
 //
-// Zeroization is any call to a function or method named Zeroize or zero
-// with the tracked object as receiver or first argument (a trailing [:]
-// slice of an array counts), including the defer forms
-// `defer aecrypto.Zeroize(x)` and `defer func() { aecrypto.Zeroize(x) }()`.
+// Zeroization is any function or method named Zeroize or zero with the
+// tracked value as receiver or first argument (x[:] of an array counts),
+// called directly, deferred, or inside a deferred closure.
 package keyzero
 
 import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
-
 	"alwaysencrypted/internal/lint/analysis"
-	"alwaysencrypted/internal/lint/cfg"
-	"alwaysencrypted/internal/lint/dataflow"
-	"alwaysencrypted/internal/lint/taint"
+	"alwaysencrypted/internal/lint/typestate"
 )
+
+var spec = &typestate.Spec{
+	Name:     "keyzero",
+	Doc:      "key material from generate/derive/unwrap calls must be zeroized on every return path",
+	Packages: []string{"aecrypto", "keys", "enclave", "attestation", "driver"},
+	Resources: []typestate.Resource{{
+		Name: "key material",
+		Acquire: []typestate.CallPat{
+			{Pkg: "aecrypto", Name: "GenerateKey"},
+			{Pkg: "aecrypto", Name: "deriveKey"},
+			{Pkg: "aecrypto", Name: "UnwrapKey"},
+			{Pkg: "keys", Recv: "*", Name: "Unwrap"},
+			{Pkg: "crypto/ecdh", Recv: "PrivateKey", Name: "ECDH"},
+			{Pkg: "attestation", Name: "DeriveSecret"},
+			{Pkg: "enclave", Recv: "session", Name: "openSealed"},
+		},
+		AcquireKey: typestate.IdentResult,
+		Release: []typestate.CallPat{
+			{Pkg: "*", Recv: "*", Name: "Zeroize"},
+			{Pkg: "*", Recv: "*", Name: "zero"},
+		},
+		ReleaseKey:   typestate.IdentSubject,
+		Borrow:       true,
+		EveryPath:    true,
+		WaiveOnError: true,
+		LeakMsg:      "key material is not zeroized on every return path: call aecrypto.Zeroize before returning, or transfer ownership explicitly",
+	}},
+}
 
 // Analyzer is the keyzero pass.
-var Analyzer = &analysis.Analyzer{
-	Name: "keyzero",
-	Doc:  "key material from generate/derive/unwrap calls must be zeroized on every return path",
-	Run:  run,
-}
-
-// trustedPackages are the short names of the packages that handle raw key
-// bytes and are held to the zeroization discipline.
-var trustedPackages = []string{"aecrypto", "keys", "enclave", "attestation", "driver"}
-
-// objState is the per-object lattice: join is max, so once a value escapes
-// the obligation is discharged on every path through the merge.
-type objState uint8
-
-const (
-	stUntracked objState = iota
-	stZeroized
-	stLive
-	stEscaped
-)
-
-type fact map[types.Object]objState
-
-type lattice struct{}
-
-func (lattice) Bottom() fact { return fact{} }
-
-func (lattice) Clone(f fact) fact {
-	out := make(fact, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
-}
-
-func (lattice) Join(dst, src fact) (fact, bool) {
-	changed := false
-	for k, v := range src {
-		if v > dst[k] {
-			dst[k] = v
-			changed = true
-		}
-	}
-	return dst, changed
-}
-
-type checker struct {
-	pass *analysis.Pass
-	// srcPos / srcName record where and from what call each tracked object
-	// was born, for the diagnostic.
-	srcPos  map[types.Object]token.Pos
-	srcName map[types.Object]string
-}
-
-func run(pass *analysis.Pass) (any, error) {
-	applies := false
-	for _, p := range trustedPackages {
-		if analysis.PackagePathIs(pass.Pkg, p) {
-			applies = true
-			break
-		}
-	}
-	if !applies {
-		return nil, nil
-	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			checkBody(pass, fn.Body)
-		}
-	}
-	return nil, nil
-}
-
-// checkBody analyzes one function body, then recurses into each function
-// literal as an independent function: a closure that unwraps a key owes its
-// own zeroization, with its own return paths.
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	c := &checker{
-		pass:    pass,
-		srcPos:  map[types.Object]token.Pos{},
-		srcName: map[types.Object]string{},
-	}
-	g := cfg.New(body)
-	res := dataflow.Forward[fact](g, lattice{}, func(f fact, n ast.Node) fact {
-		c.apply(f, n)
-		return f
-	})
-
-	// One report per object, at the source call, even when several return
-	// paths leave it live.
-	leaked := map[types.Object]bool{}
-	res.AtExit(func(blk *cfg.Block, out fact) {
-		if errorReturnPath(pass.TypesInfo, blk) {
-			return
-		}
-		for obj, st := range out {
-			if st == stLive {
-				leaked[obj] = true
-			}
-		}
-	})
-	objs := make([]types.Object, 0, len(leaked))
-	for obj := range leaked {
-		objs = append(objs, obj)
-	}
-	sort.Slice(objs, func(i, j int) bool { return c.srcPos[objs[i]] < c.srcPos[objs[j]] })
-	for _, obj := range objs {
-		pass.Reportf(c.srcPos[obj],
-			"key material in %s (from %s) is not zeroized on every return path: call aecrypto.Zeroize before returning, or transfer ownership explicitly",
-			obj.Name(), c.srcName[obj])
-	}
-
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			checkBody(pass, lit.Body)
-			return false
-		}
-		return true
-	})
-}
-
-// errorReturnPath reports whether the exit-reaching block ends in a return
-// whose error-typed result is anything but the nil identifier.
-func errorReturnPath(info *types.Info, blk *cfg.Block) bool {
-	if len(blk.Nodes) == 0 {
-		return false
-	}
-	ret, ok := blk.Nodes[len(blk.Nodes)-1].(*ast.ReturnStmt)
-	if !ok {
-		return false
-	}
-	for _, res := range ret.Results {
-		tv, ok := info.Types[res]
-		if !ok || tv.Type == nil {
-			continue
-		}
-		if !isErrorType(tv.Type) {
-			continue
-		}
-		if id, ok := res.(*ast.Ident); ok && id.Name == "nil" {
-			continue
-		}
-		return true
-	}
-	return false
-}
-
-func isErrorType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
-}
-
-// apply is the transfer function: it mutates f with the effect of one CFG
-// node (a statement or a hoisted control expression).
-func (c *checker) apply(f fact, n ast.Node) {
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		c.assign(f, n)
-	case *ast.DeclStmt:
-		if gd, ok := n.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Values) == 0 {
-					continue
-				}
-				c.bind(f, identExprs(vs.Names), vs.Values)
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, res := range n.Results {
-			c.markEscape(f, res)
-			c.scanExpr(f, res)
-		}
-	case *ast.DeferStmt:
-		if obj := zeroizeTarget(c.pass.TypesInfo, n.Call); obj != nil {
-			c.zeroize(f, obj)
-			return
-		}
-		// defer func() { aecrypto.Zeroize(x) }() — the closure runs at
-		// every exit, so its zeroize calls discharge the obligation here.
-		if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-			deferred := false
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				if call, ok := m.(*ast.CallExpr); ok {
-					if obj := zeroizeTarget(c.pass.TypesInfo, call); obj != nil {
-						c.zeroize(f, obj)
-						deferred = true
-					}
-				}
-				return true
-			})
-			if deferred {
-				return
-			}
-		}
-		c.scanExpr(f, n.Call)
-	case *ast.GoStmt:
-		// The goroutine may outlive the frame: captures escape.
-		c.scanExpr(f, n.Call)
-		for _, arg := range n.Call.Args {
-			c.markEscape(f, arg)
-		}
-	case *ast.SendStmt:
-		c.markEscape(f, n.Value)
-		c.scanExpr(f, n.Chan)
-		c.scanExpr(f, n.Value)
-	case *ast.ExprStmt:
-		c.scanExpr(f, n.X)
-	case *ast.RangeStmt:
-		c.scanExpr(f, n.X)
-	case *ast.TypeSwitchStmt:
-		c.scanExpr(f, n.Assign)
-	case *ast.IncDecStmt:
-		// no key-material effect
-	case ast.Expr:
-		c.scanExpr(f, n)
-	}
-}
-
-// assign handles x := src(...), x = src(...), stores that escape, and
-// overwrites of tracked objects.
-func (c *checker) assign(f fact, n *ast.AssignStmt) {
-	c.bind(f, n.Lhs, n.Rhs)
-}
-
-// bind is the shared binding logic for := / = / var declarations.
-func (c *checker) bind(f fact, lhs []ast.Expr, rhs []ast.Expr) {
-	// Multi-value form: x, err := src(...).
-	if len(rhs) == 1 && len(lhs) > 1 {
-		if call, ok := rhs[0].(*ast.CallExpr); ok {
-			c.scanExpr(f, call)
-			if name := c.keySource(call); name != "" {
-				for _, l := range lhs {
-					c.trackResult(f, l, call, name)
-				}
-			} else {
-				c.overwrite(f, lhs)
-			}
-			return
-		}
-	}
-	for i := range lhs {
-		var r ast.Expr
-		if i < len(rhs) {
-			r = rhs[i]
-		}
-		if r != nil {
-			c.scanExpr(f, r)
-			// A tracked value stored anywhere but a plain local escapes:
-			// fields, elements, derefs — and package-level variables.
-			if !c.isLocalTarget(lhs[i]) {
-				c.markEscape(f, r)
-			}
-		}
-		if call, ok := r.(*ast.CallExpr); ok {
-			if name := c.keySource(call); name != "" {
-				c.trackResult(f, lhs[i], call, name)
-				continue
-			}
-		}
-		c.overwrite(f, []ast.Expr{lhs[i]})
-	}
-}
-
-// trackResult marks one binding of a source call Live (error results and
-// the blank identifier are skipped).
-func (c *checker) trackResult(f fact, l ast.Expr, call *ast.CallExpr, srcName string) {
-	id, ok := l.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return
-	}
-	obj := c.pass.TypesInfo.Defs[id]
-	if obj == nil {
-		obj = c.pass.TypesInfo.Uses[id]
-	}
-	if obj == nil || isErrorType(obj.Type()) {
-		return
-	}
-	f[obj] = stLive
-	c.srcPos[obj] = call.Pos()
-	c.srcName[obj] = srcName
-}
-
-// overwrite handles assignment of a non-source value to possibly-tracked
-// targets. A Zeroized or Escaped object becomes untracked (a fresh value
-// now lives in the variable); a Live object stays Live — the original
-// buffer was abandoned without being wiped, which is exactly the leak.
-func (c *checker) overwrite(f fact, lhs []ast.Expr) {
-	for _, l := range lhs {
-		id, ok := l.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		obj := c.obj(id)
-		if obj == nil {
-			continue
-		}
-		if st, ok := f[obj]; ok && st != stLive {
-			delete(f, obj)
-		}
-	}
-}
-
-// markEscape discharges the obligation for a tracked object referenced by e
-// (an ident, or an array sliced as x[:]).
-func (c *checker) markEscape(f fact, e ast.Expr) {
-	if sl, ok := e.(*ast.SliceExpr); ok {
-		e = sl.X
-	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return
-	}
-	if obj := c.obj(id); obj != nil {
-		if _, tracked := f[obj]; tracked {
-			f[obj] = stEscaped
-		}
-	}
-}
-
-// scanExpr walks an expression for zeroize calls and escape triggers:
-// composite literals, address-taking, closures capturing tracked objects.
-// Plain call arguments are borrows and do not change state.
-func (c *checker) scanExpr(f fact, e ast.Node) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if obj := zeroizeTarget(c.pass.TypesInfo, n); obj != nil {
-				c.zeroize(f, obj)
-				return false
-			}
-			// append(dst, x...) folds the bytes into dst: treat as escape
-			// of x (a copy now lives beyond the local).
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" && n.Ellipsis != token.NoPos {
-				c.markEscape(f, n.Args[len(n.Args)-1])
-			}
-		case *ast.CompositeLit:
-			for _, el := range n.Elts {
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					el = kv.Value
-				}
-				c.markEscape(f, el)
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				c.markEscape(f, n.X)
-			}
-		case *ast.FuncLit:
-			// Captures escape; the literal's own body is checked as an
-			// independent function by checkBody.
-			for obj := range f {
-				if capturedBy(c.pass.TypesInfo, n, obj) {
-					f[obj] = stEscaped
-				}
-			}
-			return false
-		}
-		return true
-	})
-}
-
-// zeroize moves a tracked object to Zeroized (Escaped stays Escaped: the
-// obligation is already discharged).
-func (c *checker) zeroize(f fact, obj types.Object) {
-	if st, ok := f[obj]; ok && st != stEscaped {
-		f[obj] = stZeroized
-	}
-}
-
-func (c *checker) obj(id *ast.Ident) types.Object {
-	if obj := c.pass.TypesInfo.Uses[id]; obj != nil {
-		return obj
-	}
-	return c.pass.TypesInfo.Defs[id]
-}
-
-// keySource returns a display name when call produces raw key material
-// directly, else "".
-func (c *checker) keySource(call *ast.CallExpr) string {
-	fn := taint.CalleeFunc(c.pass.TypesInfo, call)
-	if fn == nil {
-		return ""
-	}
-	recv := taint.RecvTypeName(fn)
-	switch fn.Name() {
-	case "GenerateKey", "deriveKey", "UnwrapKey":
-		if analysis.PackagePathIs(fn.Pkg(), "aecrypto") {
-			return "aecrypto." + fn.Name()
-		}
-	case "Unwrap":
-		if analysis.PackagePathIs(fn.Pkg(), "keys") {
-			return "Provider.Unwrap"
-		}
-	case "ECDH":
-		if recv == "PrivateKey" && fn.Pkg() != nil && fn.Pkg().Path() == "crypto/ecdh" {
-			return "ecdh.ECDH"
-		}
-	case "DeriveSecret":
-		if analysis.PackagePathIs(fn.Pkg(), "attestation") {
-			return "attestation.DeriveSecret"
-		}
-	case "openSealed":
-		if recv == "session" && analysis.PackagePathIs(fn.Pkg(), "enclave") {
-			return "session.openSealed"
-		}
-	}
-	return ""
-}
-
-// zeroizeTarget returns the object wiped by call when it is a zeroization
-// (Zeroize/zero free function with the target as first argument, or a
-// Zeroize method on the target), else nil.
-func zeroizeTarget(info *types.Info, call *ast.CallExpr) types.Object {
-	fn := taint.CalleeFunc(info, call)
-	if fn == nil {
-		return nil
-	}
-	if fn.Name() != "Zeroize" && fn.Name() != "zero" {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok {
-				return info.Uses[id]
-			}
-		}
-		return nil
-	}
-	if len(call.Args) == 0 {
-		return nil
-	}
-	arg := call.Args[0]
-	if sl, ok := arg.(*ast.SliceExpr); ok {
-		arg = sl.X
-	}
-	if id, ok := arg.(*ast.Ident); ok {
-		return info.Uses[id]
-	}
-	return nil
-}
-
-// capturedBy reports whether the function literal references obj.
-func capturedBy(info *types.Info, lit *ast.FuncLit, obj types.Object) bool {
-	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-// isLocalTarget reports whether the assignment target is a plain
-// function-local identifier (including the blank identifier).
-func (c *checker) isLocalTarget(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if id.Name == "_" {
-		return true
-	}
-	obj := c.obj(id)
-	return obj == nil || obj.Parent() != c.pass.Pkg.Scope()
-}
-
-func identExprs(ids []*ast.Ident) []ast.Expr {
-	out := make([]ast.Expr, len(ids))
-	for i, id := range ids {
-		out[i] = id
-	}
-	return out
-}
+var Analyzer *analysis.Analyzer = typestate.NewAnalyzer(spec)

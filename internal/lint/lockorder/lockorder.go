@@ -13,377 +13,61 @@
 //	rank 40  MemStore.mu, FileStore.mu            (PageStore I/O)
 //
 // A goroutine may only acquire a lock of strictly greater rank than any lock
-// it already holds. The analyzer runs a must-hold dataflow over the
-// basic-block CFG of each function (internal/lint/cfg + dataflow): the fact
-// is the set of locks held on every path to a point, the join at merges is
-// intersection, and a branch that returns does not leak its holds into the
-// fall-through path — break and continue edges propagate their held sets to
-// their targets like any other edge, which the old statement-walking
-// simulation approximated away. Reporting happens on a replay pass after
-// the fixpoint, once per reachable call site. Interprocedural checks use
-// transitive may-acquire summaries: calling a same-package function whose
-// summary contains a rank no greater than a held rank is reported at the
-// call site. Calls through the PageStore interface are treated as acquiring
-// rank 40, since both implementations lock their own mutex.
+// it already holds. The hierarchy is a typestate spec of ranked resources:
+// a lock is held at a point only if held on every path to it, a same-package
+// call is checked against the callee's transitive may-acquire set, and calls
+// through the PageStore interface count as taking rank 40, since both
+// implementations lock their own mutex.
 //
 // RLock counts as Lock: read/write flavors deadlock the same way when
-// ordered inconsistently. Deferred Unlocks are ignored, which models the
-// lock as held until the function returns — exactly right for ordering.
-// Function literals and goroutine bodies are skipped (a fresh goroutine
-// starts with an empty held set).
+// ordered inconsistently. A deferred Unlock keeps the lock held until the
+// function returns — exactly right for ordering. A function literal or
+// goroutine body starts with nothing held.
 package lockorder
 
 import (
-	"go/ast"
-	"go/types"
-	"sort"
-
 	"alwaysencrypted/internal/lint/analysis"
-	"alwaysencrypted/internal/lint/cfg"
-	"alwaysencrypted/internal/lint/dataflow"
+	"alwaysencrypted/internal/lint/typestate"
 )
+
+// lock is the ranked resource of one Type.field mutex or RWMutex.
+func lock(recv, field string, rank int) typestate.Resource {
+	pat := func(name string) typestate.CallPat {
+		return typestate.CallPat{Pkg: "storage", Recv: recv, Field: field, Name: name}
+	}
+	return typestate.Resource{
+		Name:       recv + "." + field,
+		Rank:       rank,
+		Acquire:    []typestate.CallPat{pat("Lock"), pat("RLock")},
+		AcquireKey: typestate.IdentSingleton,
+		Release:    []typestate.CallPat{pat("Unlock"), pat("RUnlock")},
+		ReleaseKey: typestate.IdentSingleton,
+		Reentrant:  true,
+	}
+}
+
+var spec = &typestate.Spec{
+	Name:     "lockorder",
+	Doc:      "storage locks must be acquired in the documented rank order",
+	Packages: []string{"storage"},
+	Resources: []typestate.Resource{
+		lock("WAL", "gcMu", 5),
+		lock("LockManager", "mu", 10),
+		lock("Heap", "mu", 10),
+		lock("WAL", "mu", 10),
+		lock("WAL", "syncMu", 15),
+		lock("BufferPool", "mu", 20),
+		lock("Frame", "Latch", 30),
+		lock("VersionStore", "mu", 35),
+		lock("MemStore", "mu", 40),
+		lock("FileStore", "mu", 40),
+		{
+			Name:    "PageStore",
+			Rank:    40,
+			Acquire: []typestate.CallPat{{Pkg: "storage", Recv: "PageStore", Name: "*"}},
+		},
+	},
+}
 
 // Analyzer is the lockorder pass.
-var Analyzer = &analysis.Analyzer{
-	Name: "lockorder",
-	Doc:  "storage locks must be acquired in the documented rank order",
-	Run:  run,
-}
-
-// lockRank maps "Type.field" to its position in the hierarchy. Lower rank =
-// outer lock, acquired first.
-var lockRank = map[string]int{
-	"WAL.gcMu":        5,
-	"LockManager.mu":  10,
-	"Heap.mu":         10,
-	"WAL.mu":          10,
-	"WAL.syncMu":      15,
-	"BufferPool.mu":   20,
-	"Frame.Latch":     30,
-	"VersionStore.mu": 35,
-	"MemStore.mu":     40,
-	"FileStore.mu":    40,
-}
-
-const orderDoc = "lock order is WAL.gcMu -> LockManager/Heap/WAL.mu -> WAL.syncMu -> BufferPool.mu -> Frame.Latch -> VersionStore.mu -> PageStore"
-
-// pageStoreLock is the pseudo-lock charged to calls through the PageStore
-// interface: both implementations serialize on a rank-40 mutex.
-const (
-	pageStoreLock = "PageStore (MemStore.mu/FileStore.mu)"
-	pageStoreRank = 40
-)
-
-// heldFact maps lock name -> rank for every lock held on ALL paths to a
-// program point (must-hold).
-type heldFact map[string]int
-
-type heldLattice struct{}
-
-func (heldLattice) Bottom() heldFact { return heldFact{} }
-
-func (heldLattice) Clone(f heldFact) heldFact {
-	c := make(heldFact, len(f))
-	for k, v := range f {
-		c[k] = v
-	}
-	return c
-}
-
-// Join intersects: a lock is held at a merge only if held on every incoming
-// edge.
-func (heldLattice) Join(dst, src heldFact) (heldFact, bool) {
-	changed := false
-	for k := range dst {
-		if _, ok := src[k]; !ok {
-			delete(dst, k)
-			changed = true
-		}
-	}
-	return dst, changed
-}
-
-// summary is a function's transitive may-acquire set.
-type summary struct {
-	acquires map[string]int // lock name -> rank
-	callees  []*types.Func
-}
-
-func run(pass *analysis.Pass) (any, error) {
-	if !analysis.PackagePathIs(pass.Pkg, "storage") {
-		return nil, nil
-	}
-	s := &sim{pass: pass, summaries: map[*types.Func]*summary{}}
-	s.buildSummaries()
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				s.checkFunc(fn)
-			}
-		}
-	}
-	return nil, nil
-}
-
-// checkFunc runs the must-hold fixpoint over fn's CFG, then replays each
-// reachable block once, reporting violations against the converged held
-// sets.
-func (s *sim) checkFunc(fn *ast.FuncDecl) {
-	g := cfg.New(fn.Body)
-	transfer := func(f heldFact, n ast.Node) heldFact {
-		s.apply(f, n, false)
-		return f
-	}
-	res := dataflow.Forward[heldFact](g, heldLattice{}, transfer)
-	res.Replay(func(f heldFact, n ast.Node) {
-		// The visit mutates f exactly as the transfer that Replay applies
-		// right after will (acquire/release on a map are idempotent), so
-		// reporting here sees the held set mid-statement.
-		s.apply(f, n, true)
-	})
-}
-
-// apply processes the calls of one CFG node in source order against held,
-// updating it for lock operations and (when report is set) reporting
-// violations.
-func (s *sim) apply(held heldFact, n ast.Node, report bool) {
-	switch n := n.(type) {
-	case *ast.GoStmt:
-		// New goroutine: runs with an empty held set; literals are skipped.
-		return
-	case *ast.DeferStmt:
-		// A deferred Unlock keeps the lock held until return — the right
-		// model for ordering, so acquire/release bookkeeping skips it.
-		// Deferred plain calls are checked against the current held set.
-		if _, _, _, isLock := s.lockOp(n.Call); !isLock {
-			s.checkCall(n.Call, held, report)
-		}
-		return
-	case *ast.RangeStmt:
-		// The CFG hoists the range header here; the body lives in its own
-		// blocks, so only the operand is scanned.
-		s.checkCalls(n.X, held, report)
-		return
-	case *ast.TypeSwitchStmt:
-		s.checkCalls(n.Assign, held, report)
-		return
-	}
-	s.checkCalls(n, held, report)
-}
-
-type sim struct {
-	pass      *analysis.Pass
-	summaries map[*types.Func]*summary
-}
-
-// buildSummaries computes, for every function declared in the package, the
-// transitive set of ranked locks it may acquire.
-func (s *sim) buildSummaries() {
-	for _, file := range s.pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			obj, ok := s.pass.TypesInfo.Defs[fn.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sum := &summary{acquires: map[string]int{}}
-			s.scanCalls(fn.Body, func(call *ast.CallExpr) {
-				if name, rank, acquire, ok := s.lockOp(call); ok {
-					if acquire {
-						sum.acquires[name] = rank
-					}
-					return
-				}
-				if callee, iface := s.callee(call); iface {
-					sum.acquires[pageStoreLock] = pageStoreRank
-				} else if callee != nil {
-					sum.callees = append(sum.callees, callee)
-				}
-			})
-			s.summaries[obj] = sum
-		}
-	}
-	// Transitive closure: fold callee acquires into callers to fixpoint.
-	for changed := true; changed; {
-		changed = false
-		for _, sum := range s.summaries {
-			for _, callee := range sum.callees {
-				csum := s.summaries[callee]
-				if csum == nil {
-					continue
-				}
-				for name, rank := range csum.acquires {
-					if _, ok := sum.acquires[name]; !ok {
-						sum.acquires[name] = rank
-						changed = true
-					}
-				}
-			}
-		}
-	}
-}
-
-// scanCalls visits every CallExpr under n in source order, skipping function
-// literals (their bodies run with their own held set).
-func (s *sim) scanCalls(n ast.Node, fn func(*ast.CallExpr)) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			fn(n)
-		}
-		return true
-	})
-}
-
-// lockOp classifies a call as a ranked lock operation. Returns the lock name
-// ("Type.field"), its rank, and whether it acquires (Lock/RLock) or releases
-// (Unlock/RUnlock).
-func (s *sim) lockOp(call *ast.CallExpr) (name string, rank int, acquire, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", 0, false, false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		acquire = true
-	case "Unlock", "RUnlock":
-		acquire = false
-	default:
-		return "", 0, false, false
-	}
-	field, isSel := sel.X.(*ast.SelectorExpr)
-	if !isSel {
-		return "", 0, false, false
-	}
-	fsel, hasSel := s.pass.TypesInfo.Selections[field]
-	if !hasSel || fsel.Kind() != types.FieldVal {
-		return "", 0, false, false
-	}
-	recv := fsel.Recv()
-	if p, isPtr := recv.(*types.Pointer); isPtr {
-		recv = p.Elem()
-	}
-	named, isNamed := recv.(*types.Named)
-	if !isNamed {
-		return "", 0, false, false
-	}
-	key := named.Obj().Name() + "." + fsel.Obj().Name()
-	r, ranked := lockRank[key]
-	if !ranked {
-		return "", 0, false, false
-	}
-	return key, r, acquire, true
-}
-
-// callee resolves a call to a same-package static function (returned as
-// *types.Func), or reports iface=true for calls through the PageStore
-// interface. Calls to other packages, builtins, and function values resolve
-// to (nil, false).
-func (s *sim) callee(call *ast.CallExpr) (fn *types.Func, iface bool) {
-	var id *ast.Ident
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		id = f
-	case *ast.SelectorExpr:
-		id = f.Sel
-	default:
-		return nil, false
-	}
-	obj, ok := s.pass.TypesInfo.Uses[id].(*types.Func)
-	if !ok || obj.Pkg() != s.pass.Pkg {
-		return nil, false
-	}
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok {
-		return nil, false
-	}
-	if recv := sig.Recv(); recv != nil && types.IsInterface(recv.Type()) {
-		if named, ok := recv.Type().(*types.Named); ok && named.Obj().Name() == "PageStore" {
-			return nil, true
-		}
-		return nil, false
-	}
-	return obj, false
-}
-
-// checkCalls processes every call under n in source order against held,
-// updating held for lock ops and reporting violations when report is set.
-func (s *sim) checkCalls(n ast.Node, held heldFact, report bool) {
-	if n == nil {
-		return
-	}
-	s.scanCalls(n, func(call *ast.CallExpr) {
-		s.checkCall(call, held, report)
-	})
-}
-
-func (s *sim) checkCall(call *ast.CallExpr, held heldFact, report bool) {
-	if name, rank, acquire, ok := s.lockOp(call); ok {
-		if acquire {
-			if report {
-				if hn, hr, bad := worstHeld(held, rank); bad {
-					s.pass.Reportf(call.Pos(),
-						"acquires %s (rank %d) while holding %s (rank %d); %s",
-						name, rank, hn, hr, orderDoc)
-				}
-			}
-			held[name] = rank
-		} else {
-			delete(held, name)
-		}
-		return
-	}
-	if !report {
-		// Plain calls never change the held set; summary and interface
-		// checks only report.
-		return
-	}
-	callee, iface := s.callee(call)
-	if iface {
-		if hn, hr, bad := worstHeld(held, pageStoreRank); bad {
-			s.pass.Reportf(call.Pos(),
-				"PageStore call may acquire %s (rank %d) while holding %s (rank %d); %s",
-				pageStoreLock, pageStoreRank, hn, hr, orderDoc)
-		}
-		return
-	}
-	if callee == nil {
-		return
-	}
-	sum := s.summaries[callee]
-	if sum == nil {
-		return
-	}
-	// Report the worst violation a callee's may-acquire set implies.
-	names := make([]string, 0, len(sum.acquires))
-	for name := range sum.acquires {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rank := sum.acquires[name]
-		if hn, hr, bad := worstHeld(held, rank); bad {
-			s.pass.Reportf(call.Pos(),
-				"call to %s may acquire %s (rank %d) while %s (rank %d) is held; %s",
-				callee.Name(), name, rank, hn, hr, orderDoc)
-			return
-		}
-	}
-}
-
-// worstHeld returns the highest-ranked held lock whose rank is >= rank (an
-// ordering violation: only strictly greater ranks may be acquired).
-func worstHeld(held heldFact, rank int) (string, int, bool) {
-	worstName, worstRank := "", -1
-	for name, r := range held {
-		if r >= rank && (r > worstRank || (r == worstRank && name < worstName)) {
-			worstName, worstRank = name, r
-		}
-	}
-	return worstName, worstRank, worstRank >= 0
-}
+var Analyzer *analysis.Analyzer = typestate.NewAnalyzer(spec)

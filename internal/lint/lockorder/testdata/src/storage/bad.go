@@ -28,14 +28,14 @@ func lockWAL(w *WAL) {
 func badCall(b *BufferPool, w *WAL) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	lockWAL(w) // want `call to lockWAL may acquire WAL\.mu \(rank 10\) while BufferPool\.mu \(rank 20\) is held`
+	lockWAL(w) // want `call to lockWAL may acquire WAL\.mu \(rank 10\) while holding BufferPool\.mu \(rank 20\)`
 }
 
 // badIface calls through PageStore (rank 40) while a store lock is held.
 func (m *MemStore) badIface(b *BufferPool, id PageID, buf []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b.store.ReadPage(id, buf) // want `PageStore call may acquire PageStore \(MemStore\.mu/FileStore\.mu\) \(rank 40\) while holding MemStore\.mu \(rank 40\)`
+	b.store.ReadPage(id, buf) // want `call to ReadPage may acquire PageStore \(rank 40\) while holding MemStore\.mu \(rank 40\)`
 }
 
 // badGroupCommit enqueues under the append lock: the group-commit queue

@@ -27,49 +27,18 @@ import (
 
 // Analyzer is the obsleak pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "obsleak",
-	Doc:  "metrics must record only counts, durations and sizes — never plaintext",
-	Run:  run,
+	Name:     "obsleak",
+	Doc:      "metrics must record only counts, durations and sizes — never plaintext",
+	Packages: []string{"enclave", "exprsvc", "aecrypto"},
+	Run:      run,
 }
-
-// trustedPackages are the short names of the packages the pass applies to.
-var trustedPackages = []string{"enclave", "exprsvc", "aecrypto"}
 
 func run(pass *analysis.Pass) (any, error) {
-	applies := false
-	for _, p := range trustedPackages {
-		if analysis.PackagePathIs(pass.Pkg, p) {
-			applies = true
-			break
-		}
-	}
-	if !applies {
-		return nil, nil
-	}
 	oracle := callgraph.For(pass)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			checkFunc(pass, oracle, fn)
-		}
-	}
-	return nil, nil
-}
-
-func checkFunc(pass *analysis.Pass, oracle taint.Oracle, fn *ast.FuncDecl) {
-	c := taint.NewChecker(taint.Config{
-		Pass:    pass,
-		Sources: taint.EnclaveSources(pass),
-		Oracle:  oracle,
-	})
-	c.Analyze(fn.Body)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	taint.Walk(pass, taint.EnclaveSources(pass), oracle, func(c *taint.Checker, n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return true
+			return
 		}
 		if name := taint.ObsSink(pass.TypesInfo, call); name != "" {
 			for _, arg := range call.Args {
@@ -101,6 +70,6 @@ func checkFunc(pass *analysis.Pass, oracle taint.Oracle, fn *ast.FuncDecl) {
 				"plaintext-derived value reaches trace.%s inside %s: span attributes carry only counts and timings, never plaintext or key material",
 				hit.Desc, fn.Name())
 		}
-		return true
 	})
+	return nil, nil
 }

@@ -35,54 +35,21 @@ import (
 
 // Analyzer is the plaintextflow pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "plaintextflow",
-	Doc:  "decrypted values must not reach error messages, logs or panics",
-	Run:  run,
+	Name:     "plaintextflow",
+	Doc:      "decrypted values must not reach error messages, logs or panics",
+	Packages: []string{"enclave", "exprsvc", "aecrypto", "keys", "attestation"},
+	Run:      run,
 }
-
-// trustedPackages are the short names of the packages the pass applies to.
-var trustedPackages = []string{"enclave", "exprsvc", "aecrypto", "keys", "attestation"}
 
 func run(pass *analysis.Pass) (any, error) {
-	applies := false
-	for _, p := range trustedPackages {
-		if analysis.PackagePathIs(pass.Pkg, p) {
-			applies = true
-			break
-		}
-	}
-	if !applies {
-		return nil, nil
-	}
 	oracle := callgraph.For(pass)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			checkFunc(pass, oracle, fn)
+	taint.Walk(pass, taint.EnclaveSources(pass), oracle, func(c *taint.Checker, n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			checkSink(pass, c, call)
+			checkCallSite(pass, c, oracle, call)
 		}
-	}
+	})
 	return nil, nil
-}
-
-func checkFunc(pass *analysis.Pass, oracle taint.Oracle, fn *ast.FuncDecl) {
-	c := taint.NewChecker(taint.Config{
-		Pass:    pass,
-		Sources: taint.EnclaveSources(pass),
-		Oracle:  oracle,
-	})
-	c.Analyze(fn.Body)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		checkSink(pass, c, call)
-		checkCallSite(pass, c, oracle, call)
-		return true
-	})
 }
 
 // checkSink reports tainted arguments reaching a formatting/panic sink.

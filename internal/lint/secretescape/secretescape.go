@@ -30,15 +30,14 @@ import (
 	"alwaysencrypted/internal/lint/taint"
 )
 
-// Analyzer is the secretescape pass.
+// Analyzer is the secretescape pass; it audits the frames of the enclave
+// and aecrypto packages.
 var Analyzer = &analysis.Analyzer{
-	Name: "secretescape",
-	Doc:  "decrypted plaintext and key material must not escape the enclave trust domain via globals, goroutines, channels or foreign callbacks",
-	Run:  run,
+	Name:     "secretescape",
+	Doc:      "decrypted plaintext and key material must not escape the enclave trust domain via globals, goroutines, channels or foreign callbacks",
+	Packages: []string{"enclave", "aecrypto"},
+	Run:      run,
 }
-
-// trustedPackages hold the frames the pass audits.
-var trustedPackages = []string{"enclave", "aecrypto"}
 
 // calleeTrusted are the package short names a func-valued argument may
 // legally be handed to: registration inside the trust domain keeps the
@@ -46,28 +45,12 @@ var trustedPackages = []string{"enclave", "aecrypto"}
 var calleeTrusted = []string{"enclave", "aecrypto", "exprsvc"}
 
 func run(pass *analysis.Pass) (any, error) {
-	applies := false
-	for _, p := range trustedPackages {
-		if analysis.PackagePathIs(pass.Pkg, p) {
-			applies = true
-			break
-		}
-	}
-	if !applies {
-		return nil, nil
-	}
 	cfg := escape.Config{Pass: pass, Source: sourceName(pass)}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			for _, ev := range escape.Analyze(cfg, fn) {
-				report(pass, ev)
-			}
+	pass.FuncDecls(func(fn *ast.FuncDecl) {
+		for _, ev := range escape.Analyze(cfg, fn) {
+			report(pass, ev)
 		}
-	}
+	})
 	return nil, nil
 }
 

@@ -42,26 +42,15 @@ import (
 
 // Analyzer is the secretretain pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "secretretain",
-	Doc:  "long-lived containers of secret-typed values must have a Zeroize-on-evict path",
-	Run:  run,
+	Name:     "secretretain",
+	Doc:      "long-lived containers of secret-typed values must have a Zeroize-on-evict path",
+	Packages: []string{"enclave", "exprsvc", "keys", "driver", "engine"},
+	Run:      run,
 }
-
-var auditedPackages = []string{"enclave", "exprsvc", "keys", "driver", "engine"}
 
 const maxDepth = 4
 
 func run(pass *analysis.Pass) (any, error) {
-	applies := false
-	for _, p := range auditedPackages {
-		if analysis.PackagePathIs(pass.Pkg, p) {
-			applies = true
-			break
-		}
-	}
-	if !applies {
-		return nil, nil
-	}
 	scope := pass.Pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -169,39 +158,36 @@ func isSyncPool(t types.Type) bool {
 // calling a zeroize routine on what it visits.
 func hasZeroizeEvict(pass *analysis.Pass, named *types.Named, f *types.Var) bool {
 	found := false
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || fn.Recv == nil || found {
-				continue
+	pass.FuncDecls(func(fn *ast.FuncDecl) {
+		if fn.Recv == nil || found {
+			return
+		}
+		// Match by underlying struct identity, not named-type identity:
+		// a conversion view (`type enclaveKeyRing Enclave`) shares its
+		// base type's field declarations, and the zeroize contract
+		// attaches to the data layout, not the view through it.
+		recv := receiverType(pass, fn)
+		if recv == nil || recv.Underlying() != named.Underlying() {
+			return
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			rng, ok := n.(*ast.RangeStmt)
+			if !ok || found {
+				return true
 			}
-			// Match by underlying struct identity, not named-type identity:
-			// a conversion view (`type enclaveKeyRing Enclave`) shares its
-			// base type's field declarations, and the zeroize contract
-			// attaches to the data layout, not the view through it.
-			recv := receiverType(pass, fn)
-			if recv == nil || recv.Underlying() != named.Underlying() {
-				continue
+			if !selectsField(pass, rng.X, f) {
+				return true
 			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				rng, ok := n.(*ast.RangeStmt)
-				if !ok || found {
-					return true
+			ast.Inspect(rng.Body, func(m ast.Node) bool {
+				call, ok := m.(*ast.CallExpr)
+				if ok && zeroizeName(call) {
+					found = true
 				}
-				if !selectsField(pass, rng.X, f) {
-					return true
-				}
-				ast.Inspect(rng.Body, func(m ast.Node) bool {
-					call, ok := m.(*ast.CallExpr)
-					if ok && zeroizeName(call) {
-						found = true
-					}
-					return !found
-				})
 				return !found
 			})
-		}
-	}
+			return !found
+		})
+	})
 	return found
 }
 
@@ -323,7 +309,7 @@ func poolNewReturnType(pass *analysis.Pass, f *types.Var) types.Type {
 		}
 		for _, r := range rs.Results {
 			t := pass.TypesInfo.Types[r].Type
-			if t == nil || t.String() == "error" {
+			if t == nil || analysis.IsError(t) {
 				continue
 			}
 			ret = t

@@ -20,7 +20,7 @@
 //     bits.
 //  2. Universal sanitizers — len, cap, crypto/subtle functions and
 //     hmac.Equal return clean values: sizes and constant-time verdicts are
-//     declared channels. Per-analyzer Sanitizes may add more.
+//     declared channels.
 //  3. Oracle summaries — when the callee has a summary, each result gets
 //     exactly the labels the callee's own dataflow proved, and the callee's
 //     sink hits let call sites report "argument reaches fmt.Errorf inside
@@ -133,8 +133,6 @@ type Config struct {
 	// Sources returns the label bits introduced by a call's results, or 0
 	// if the call is not a source.
 	Sources func(call *ast.CallExpr) Labels
-	// Sanitizes adds per-analyzer sanitizers on top of the universal set.
-	Sanitizes func(call *ast.CallExpr) bool
 	// Oracle resolves interprocedural summaries; nil means intraprocedural.
 	Oracle Oracle
 }
@@ -153,6 +151,22 @@ type Checker struct {
 // NewChecker builds a checker for one function body under the given policy.
 func NewChecker(cfg Config) *Checker {
 	return &Checker{cfg: cfg, seed: State{}, stateAt: map[ast.Node]State{}}
+}
+
+// Walk runs the policy's fixpoint over every function declaration of the
+// package and calls visit with the function's checker on every node of its
+// body, closures included: the shared driver of the sink analyzers.
+func Walk(pass *analysis.Pass, sources func(*ast.CallExpr) Labels, oracle Oracle, visit func(c *Checker, n ast.Node)) {
+	pass.FuncDecls(func(fd *ast.FuncDecl) {
+		c := NewChecker(Config{Pass: pass, Sources: sources, Oracle: oracle})
+		c.Analyze(fd.Body)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if n != nil {
+				visit(c, n)
+			}
+			return true
+		})
+	})
 }
 
 // SeedParam pre-taints obj with parameter label i before analysis; used by
@@ -205,7 +219,7 @@ func (c *Checker) Analyze(body *ast.BlockStmt) {
 		// Closure bodies see the saturated post-state: their effects have
 		// been joined in, and they may observe any later write too — but
 		// later kills don't reach them, which is the safe direction.
-		if lits := funcLits(n); len(lits) > 0 {
+		if lits := analysis.FuncLits(n); len(lits) > 0 {
 			sat := c.transfer(lat.Clone(st), n)
 			for _, lit := range lits {
 				ast.Inspect(lit, func(sub ast.Node) bool {
@@ -230,19 +244,6 @@ func WalkNoFuncLit(n ast.Node, visit func(ast.Node)) {
 		_, isLit := sub.(*ast.FuncLit)
 		return !isLit
 	})
-}
-
-// funcLits returns the outermost function literals under n.
-func funcLits(n ast.Node) []*ast.FuncLit {
-	var lits []*ast.FuncLit
-	ast.Inspect(n, func(sub ast.Node) bool {
-		if lit, ok := sub.(*ast.FuncLit); ok {
-			lits = append(lits, lit)
-			return false
-		}
-		return true
-	})
-	return lits
 }
 
 // transfer applies one CFG node's effect to st.
@@ -293,7 +294,7 @@ func (c *Checker) transfer(st State, n ast.Node) State {
 		// expressions) may contain calls with effects.
 		c.exprEffects(st, n)
 	}
-	for _, lit := range funcLits(n) {
+	for _, lit := range analysis.FuncLits(n) {
 		c.closureEffect(st, lit)
 	}
 	return st
@@ -430,8 +431,8 @@ func (c *Checker) assignMultiCall(st State, lhs []ast.Expr, call *ast.CallExpr) 
 // would only duplicate the finding at every later wrap of it).
 func (c *Checker) callResultLabels(st State, call *ast.CallExpr, nResults int) []Labels {
 	res := c.rawCallResultLabels(st, call, nResults)
-	for i := range res {
-		if res[i] != 0 && c.errorResult(call, i) {
+	for _, i := range analysis.ErrorResults(c.cfg.Pass.TypesInfo, call) {
+		if i < len(res) {
 			res[i] = 0
 		}
 	}
@@ -446,7 +447,7 @@ func (c *Checker) rawCallResultLabels(st State, call *ast.CallExpr, nResults int
 		}
 		return res
 	}
-	if c.sanitizes(call) {
+	if UniversalSanitizer(c.cfg.Pass.TypesInfo, call) {
 		return res
 	}
 	// Crypto boundary calls are authoritative: the policy's Sources function
@@ -482,18 +483,6 @@ func (c *Checker) rawCallResultLabels(st State, call *ast.CallExpr, nResults int
 		res[i] = u
 	}
 	return res
-}
-
-// errorResult reports whether result i of call has static type error.
-func (c *Checker) errorResult(call *ast.CallExpr, i int) bool {
-	tv, ok := c.cfg.Pass.TypesInfo.Types[call]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	if t, ok := tv.Type.(*types.Tuple); ok {
-		return i < t.Len() && t.At(i).Type().String() == "error"
-	}
-	return i == 0 && tv.Type.String() == "error"
 }
 
 // ArgLabels returns the labels of each actual argument aligned with the
@@ -776,23 +765,8 @@ func (c *Checker) sources(call *ast.CallExpr) Labels {
 	return c.cfg.Sources(call)
 }
 
-func (c *Checker) sanitizes(call *ast.CallExpr) bool {
-	if UniversalSanitizer(c.cfg.Pass.TypesInfo, call) {
-		return true
-	}
-	return c.cfg.Sanitizes != nil && c.cfg.Sanitizes(call)
-}
-
 func (c *Checker) isErrorExpr(e ast.Expr) bool {
-	t := c.cfg.Pass.TypesInfo.Types[e].Type
-	if t == nil {
-		if id, ok := e.(*ast.Ident); ok {
-			if obj := c.cfg.Pass.TypesInfo.Defs[id]; obj != nil {
-				t = obj.Type()
-			}
-		}
-	}
-	return t != nil && t.String() == "error"
+	return analysis.IsError(c.cfg.Pass.TypesInfo.TypeOf(e))
 }
 
 // UniversalSanitizer reports calls whose results are clean regardless of

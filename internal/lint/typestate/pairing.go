@@ -4,7 +4,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"sort"
 
+	"alwaysencrypted/internal/lint/analysis"
 	"alwaysencrypted/internal/lint/cfg"
 	"alwaysencrypted/internal/lint/dataflow"
 	"alwaysencrypted/internal/lint/taint"
@@ -23,11 +26,14 @@ type pairKey struct {
 // Pairing phases. pending is an acquire whose error result has not
 // been checked yet (an error-return exit while pending is exempt from
 // the leak report); any later use of the object promotes it to held.
-// maybe is the merge of a released path with a holding one — neither a
-// leak nor a definite double release.
+// deferred is an obligation whose release a defer statement registered:
+// still held for the rest of the body, discharged at exit. maybe is the
+// merge of a released path with a holding one — not a definite double
+// release, and a leak at exit only for an EveryPath resource.
 const (
 	phasePending int8 = iota + 1
 	phaseHeld
+	phaseDeferred
 	phaseReleased
 	phaseMaybe
 	phaseKilled
@@ -38,13 +44,21 @@ type pairState struct {
 	pos   token.Pos // acquire position (kill position for terminals)
 }
 
+// holding reports whether the obligation is still held at this point.
+func (s pairState) holding() bool {
+	return s.phase == phasePending || s.phase == phaseHeld || s.phase == phaseDeferred
+}
+
 type pairFact map[pairKey]pairState
 
 // pairLat is a may-join lattice over obligation maps: an obligation
 // acquired on one incoming path is still an obligation after the
-// merge, and released+holding merges to maybe.
+// merge, and released+holding merges to maybe. Ranked resources join
+// must-style instead: absent on a path counts as released there, so a
+// lock is held after a merge only if every incoming path holds it.
 type pairLat struct {
-	seed pairFact
+	seed   pairFact
+	ranked []bool
 }
 
 func (l pairLat) Bottom() pairFact {
@@ -59,19 +73,34 @@ func (l pairLat) Clone(f pairFact) pairFact {
 	return cp
 }
 
+func (l pairLat) must(k pairKey) bool {
+	return k.res >= 0 && k.res < len(l.ranked) && l.ranked[k.res]
+}
+
 func (l pairLat) Join(dst, src pairFact) (pairFact, bool) {
 	changed := false
+	released := pairState{phase: phaseReleased}
 	for k, sv := range src {
 		dv, ok := dst[k]
-		if !ok {
+		if !ok && !l.must(k) {
 			dst[k] = sv
 			changed = true
 			continue
 		}
-		nv := joinState(dv, sv)
-		if nv != dv {
+		if !ok {
+			dv = released
+		}
+		if nv := joinState(dv, sv); nv != dv || !ok {
 			dst[k] = nv
 			changed = true
+		}
+	}
+	for k, dv := range dst {
+		if _, ok := src[k]; !ok && l.must(k) {
+			if nv := joinState(dv, released); nv != dv {
+				dst[k] = nv
+				changed = true
+			}
 		}
 	}
 	return dst, changed
@@ -95,15 +124,13 @@ func joinPhase(a, b int8) int8 {
 	switch {
 	case b == phaseKilled:
 		return phaseKilled
-	case b == phaseMaybe:
-		return phaseMaybe
 	case a == phasePending && b == phaseHeld:
 		return phaseHeld
-	case b == phaseReleased:
-		// pending/held on one path, released on the other.
-		return phaseMaybe
+	case a == phaseDeferred && b == phaseReleased:
+		return phaseReleased
 	}
-	return b
+	// Held on one path, released (now or at exit) on the other.
+	return phaseMaybe
 }
 
 // relKey is one entry of a must-release summary: parameter slot
@@ -121,41 +148,30 @@ type releaseSummary struct {
 	released map[relKey]bool
 }
 
-// runPairing runs the pairing machine: must-release summaries first
-// (two passes), then every function body and every function literal as
-// its own obligation scope.
+// runPairing runs the pairing machine: may-acquire and must-release
+// summaries first, then every function body and every function literal
+// as its own obligation scope.
 func (c *checker) runPairing() {
 	c.report = false
+	c.ranked = make([]bool, len(c.spec.Resources))
+	for ri := range c.spec.Resources {
+		c.ranked[ri] = c.spec.Resources[ri].Rank > 0
+	}
+	c.summarizeAcquires()
 	for pass := 0; pass < 2; pass++ {
 		c.funcDecls(func(fd *ast.FuncDecl, obj *types.Func) {
 			c.releaseSums[obj] = c.summarizeRelease(fd)
 		})
 	}
-	c.funcDecls(func(fd *ast.FuncDecl, _ *types.Func) {
-		c.pairAnalyze(fd.Body)
-		for _, lit := range funcLitsIn(fd.Body) {
-			c.pairAnalyze(lit.Body)
-		}
-	})
-}
-
-func funcLitsIn(body *ast.BlockStmt) []*ast.FuncLit {
-	var out []*ast.FuncLit
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			out = append(out, lit)
-		}
-		return true
-	})
-	return out
+	c.pass.FuncBodies(c.pairAnalyze)
 }
 
 // pairAnalyze checks one body: fixpoint silently, replay with
-// reporting for double-release / reacquire / use-after-kill, then
-// per-exit-path leak checks.
+// reporting for double-release / reacquire / ordering / use-after-kill,
+// then per-exit-path leak checks.
 func (c *checker) pairAnalyze(body *ast.BlockStmt) {
 	g := cfg.New(body)
-	lat := pairLat{}
+	lat := pairLat{ranked: c.ranked}
 	c.report = false
 	res := dataflow.Forward(g, lat, c.pairTransfer)
 	c.report = true
@@ -170,14 +186,17 @@ func (c *checker) pairAnalyze(body *ast.BlockStmt) {
 	}
 	res.AtExit(func(blk *cfg.Block, out pairFact) {
 		for k, st := range out {
-			if k.res < 0 || (st.phase != phaseHeld && st.phase != phasePending) {
+			if k.res < 0 {
 				continue
 			}
 			r := &c.spec.Resources[k.res]
-			if r.LeakNeedsLocalRelease && !localRelease[k.res] {
+			if st.phase != phaseHeld && st.phase != phasePending && (st.phase != phaseMaybe || !r.EveryPath) {
 				continue
 			}
-			if st.phase == phasePending && errorReturnPath(c.info, blk) {
+			if r.LeakMsg == "" || (r.LeakNeedsLocalRelease && !localRelease[k.res]) {
+				continue
+			}
+			if (st.phase == phasePending || r.WaiveOnError) && errorReturnPath(c.info, blk) {
 				continue
 			}
 			c.reportf(st.pos, "%s", r.LeakMsg)
@@ -233,7 +252,7 @@ func errorReturnPath(info *types.Info, blk *cfg.Block) bool {
 	}
 	for _, res := range ret.Results {
 		tv, ok := info.Types[res]
-		if !ok || tv.Type == nil || !isErrorType(tv.Type) {
+		if !ok || !analysis.IsError(tv.Type) {
 			continue
 		}
 		if id, isID := res.(*ast.Ident); isID && id.Name == "nil" {
@@ -278,6 +297,9 @@ func (c *checker) pairTransfer(f pairFact, n ast.Node) pairFact {
 			c.pairScan(f, n.Assign)
 		}
 	case *ast.ExprStmt:
+		if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
+			c.pairDiscarded(call)
+		}
 		c.pairScan(f, n.X)
 	default:
 		c.pairScan(f, n)
@@ -285,7 +307,7 @@ func (c *checker) pairTransfer(f pairFact, n ast.Node) pairFact {
 	return f
 }
 
-// pairScan walks an expression tree (function literals opaque),
+// pairScan walks an expression tree (function literal bodies opaque),
 // applying ident promotion/discharge, call semantics and escapes.
 func (c *checker) pairScan(f pairFact, n ast.Node) {
 	if n == nil {
@@ -308,6 +330,8 @@ func (c *checker) pairScan(f pairFact, n ast.Node) {
 				}
 				c.pairEscapeExpr(f, elt)
 			}
+		case *ast.FuncLit:
+			c.pairCapture(f, node)
 		}
 	})
 }
@@ -340,29 +364,30 @@ func (c *checker) pairIdent(f pairFact, id *ast.Ident) {
 }
 
 func (c *checker) pairCall(f pairFact, call *ast.CallExpr) {
-	matched := false
+	matched := c.pairReleaseCall(f, call, false, true)
 	for ri := range c.spec.Resources {
 		r := &c.spec.Resources[ri]
-		for pi := range r.Release {
-			if base, ok := c.matchCall(&r.Release[pi], call); ok {
-				matched = true
-				if key, kok := c.pairKeyFor(r, ri, r.ReleaseKey, call, base); kok {
-					c.pairRelease(f, r, key, call.Pos(), true)
+		for pi := range r.Acquire {
+			base, ok := c.matchCall(&r.Acquire[pi], call)
+			if !ok {
+				continue
+			}
+			matched = true
+			if r.Rank > 0 {
+				via := ""
+				if len(r.Release) == 0 {
+					via = taint.CalleeFunc(c.info, call).Name()
+				}
+				c.checkRank(f, call, ri, via)
+				if via != "" {
+					continue // held only for the duration of the call
 				}
 			}
-		}
-		for pi := range r.Acquire {
-			if base, ok := c.matchCall(&r.Acquire[pi], call); ok {
-				matched = true
-				if r.AcquireKey == IdentResult {
-					if !c.bound[call] && c.report {
-						c.reportf(call.Pos(), "%s: result of %s discarded, nothing can release it", r.LeakMsg, r.Acquire[pi].Name)
-					}
-					continue
-				}
-				if key, kok := c.pairKeyFor(r, ri, r.AcquireKey, call, base); kok {
-					c.pairAcquire(f, r, key, call.Pos(), len(errorResultIndexes(c.info, call)) > 0)
-				}
+			if r.AcquireKey == IdentResult {
+				continue // bound to its left-hand side by pairAssign/pairDecl
+			}
+			if key, kok := c.pairKeyFor(r, ri, r.AcquireKey, call, base); kok {
+				c.pairAcquire(f, r, key, call.Pos(), len(analysis.ErrorResults(c.info, call)) > 0)
 			}
 		}
 	}
@@ -390,15 +415,55 @@ func (c *checker) pairCall(f pairFact, call *ast.CallExpr) {
 	}
 }
 
-// pairUnknownCall handles a call outside the spec: arguments that name
-// tracked objects either discharge through the callee's must-release
-// summary or escape; the receiver is a borrow unless the summary
-// releases it.
+// pairReleaseCall applies every release pattern call matches, reporting
+// whether any did.
+func (c *checker) pairReleaseCall(f pairFact, call *ast.CallExpr, deferred, reportDouble bool) bool {
+	matched := false
+	for ri := range c.spec.Resources {
+		r := &c.spec.Resources[ri]
+		for pi := range r.Release {
+			if base, ok := c.matchCall(&r.Release[pi], call); ok {
+				matched = true
+				if key, kok := c.pairKeyFor(r, ri, r.ReleaseKey, call, base); kok {
+					c.pairRelease(f, r, key, call.Pos(), deferred, reportDouble)
+				}
+			}
+		}
+	}
+	return matched
+}
+
+// pairDiscarded reports an IdentResult acquire whose result the
+// statement drops: nothing can release it. A result that is bound,
+// returned, stored or passed on is somebody's obligation.
+func (c *checker) pairDiscarded(call *ast.CallExpr) {
+	if !c.report {
+		return
+	}
+	for ri := range c.spec.Resources {
+		r := &c.spec.Resources[ri]
+		if r.AcquireKey != IdentResult {
+			continue
+		}
+		for pi := range r.Acquire {
+			if _, ok := c.matchCall(&r.Acquire[pi], call); ok {
+				c.reportf(call.Pos(), "%s: result of %s discarded, nothing can release it", r.LeakMsg, r.Acquire[pi].Name)
+			}
+		}
+	}
+}
+
+// pairUnknownCall handles a call outside the spec: a same-package
+// callee's may-acquire set is checked against the held ranks; arguments
+// that name tracked objects discharge through the callee's must-release
+// summary, or escape unless the resource is borrowed; the receiver is a
+// borrow unless the summary releases it.
 func (c *checker) pairUnknownCall(f pairFact, call *ast.CallExpr) {
 	fn := taint.CalleeFunc(c.info, call)
 	var sum *releaseSummary
 	if fn != nil && fn.Pkg() == c.pass.Pkg {
 		sum = c.releaseSums[fn]
+		c.checkCalleeRanks(f, call, fn)
 	}
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if root, _, rok := chainOf(c.info, sel.X); rok {
@@ -425,29 +490,41 @@ func (c *checker) calleeEffect(f pairFact, root types.Object, sum *releaseSummar
 			f[k] = pairState{phase: phaseReleased, pos: st.pos}
 			continue
 		}
-		// Protocol obligations (RootIdentity, singletons) never escape:
-		// handing the object to a helper does not satisfy them.
-		if escapes && !r.RootIdentity && r.AcquireKey != IdentSingleton {
+		if escapes && !r.Borrow && r.movable() {
 			delete(f, k)
 		}
 	}
 }
 
+// movable reports whether the resource's obligations can change hands.
+// Protocol obligations (RootIdentity, singletons) never do: handing the
+// object to a helper or storing it does not satisfy them.
+func (r *Resource) movable() bool {
+	return !r.RootIdentity && r.AcquireKey != IdentSingleton
+}
+
 func (c *checker) pairAcquire(f pairFact, r *Resource, key pairKey, pos token.Pos, pending bool) {
-	if st, ok := f[key]; ok && (st.phase == phaseHeld || st.phase == phasePending) && !r.Reentrant {
+	// A deferred release captured the value it releases, so binding a
+	// new result to the same variable leaks nothing; acquiring the same
+	// object again while its release is still pending does.
+	if st, ok := f[key]; ok && st.holding() && !r.Reentrant &&
+		(st.phase != phaseDeferred || r.AcquireKey != IdentResult) {
 		if c.report {
 			c.reportf(pos, "%s reacquired before release (previous acquisition at %s never released)",
 				r.Name, c.pass.Fset.Position(st.pos))
 		}
 	}
 	ph := phaseHeld
-	if pending || r.AcquirePending {
+	if pending {
 		ph = phasePending
 	}
 	f[key] = pairState{phase: ph, pos: pos}
 }
 
-func (c *checker) pairRelease(f pairFact, r *Resource, key pairKey, pos token.Pos, reportDouble bool) {
+// pairRelease releases key now, or — for a deferred release of a held
+// obligation — at exit. A release of an obligation already released, or
+// whose release is already deferred, is a double release.
+func (c *checker) pairRelease(f pairFact, r *Resource, key pairKey, pos token.Pos, deferred, reportDouble bool) {
 	st, ok := f[key]
 	if !ok {
 		// Releasing something this scope never acquired (a parameter,
@@ -456,8 +533,12 @@ func (c *checker) pairRelease(f pairFact, r *Resource, key pairKey, pos token.Po
 		f[key] = pairState{phase: phaseReleased, pos: pos}
 		return
 	}
-	if (st.phase == phaseReleased || st.phase == phaseMaybe) && !r.Idempotent && !r.Reentrant {
-		if c.report && reportDouble {
+	if deferred && (st.phase == phaseHeld || st.phase == phasePending) {
+		f[key] = pairState{phase: phaseDeferred, pos: st.pos}
+		return
+	}
+	if !st.holding() || st.phase == phaseDeferred {
+		if c.report && reportDouble && r.DoubleMsg != "" && !r.Idempotent && !r.Reentrant {
 			c.reportf(pos, "%s", r.DoubleMsg)
 		}
 	}
@@ -470,6 +551,11 @@ func (c *checker) pairKeyFor(r *Resource, ri, keySel int, call *ast.CallExpr, ba
 		return pairKey{res: ri}, true
 	case keySel == IdentRecv:
 		return c.keyFromExpr(r, ri, base)
+	case keySel == IdentSubject:
+		if base == nil && len(call.Args) > 0 {
+			base = call.Args[0]
+		}
+		return c.keyFromExpr(r, ri, base)
 	case keySel >= 0 && keySel < len(call.Args):
 		return c.keyFromExpr(r, ri, call.Args[keySel])
 	}
@@ -480,7 +566,7 @@ func (c *checker) keyFromExpr(r *Resource, ri int, e ast.Expr) (pairKey, bool) {
 	if e == nil {
 		return pairKey{}, false
 	}
-	root, path, ok := chainOf(c.info, e)
+	root, path, ok := chainOf(c.info, unslice(e))
 	if !ok {
 		return pairKey{}, false
 	}
@@ -488,6 +574,14 @@ func (c *checker) keyFromExpr(r *Resource, ri int, e ast.Expr) (pairKey, bool) {
 		path = ""
 	}
 	return pairKey{root: root, path: path, res: ri}, true
+}
+
+// unslice strips a full slice expression: x[:] is the memory x names.
+func unslice(e ast.Expr) ast.Expr {
+	if s, ok := e.(*ast.SliceExpr); ok && s.Low == nil && s.High == nil && s.Max == nil {
+		return s.X
+	}
+	return e
 }
 
 func (c *checker) termKey(ti int, base ast.Expr) (pairKey, bool) {
@@ -503,24 +597,41 @@ func (c *checker) termKey(ti int, base ast.Expr) (pairKey, bool) {
 
 // pairEscapeExpr removes ownership obligations whose chain the
 // expression names (returned, stored away, sent, address-taken).
-// Protocol obligations are exempt: they must be discharged, not moved.
 func (c *checker) pairEscapeExpr(f pairFact, e ast.Expr) {
-	root, path, ok := chainOf(c.info, e)
+	root, path, ok := chainOf(c.info, unslice(e))
 	if !ok {
 		return
 	}
 	for k := range f {
-		if k.root != root || k.res < 0 {
-			continue
-		}
-		r := &c.spec.Resources[k.res]
-		if r.RootIdentity || r.AcquireKey == IdentSingleton {
+		if k.root != root || k.res < 0 || !c.spec.Resources[k.res].movable() {
 			continue
 		}
 		if pathPrefix(k.path, path) || pathPrefix(path, k.path) {
 			delete(f, k)
 		}
 	}
+}
+
+// pairCapture hands the obligations a function literal references to
+// the literal: it may run after this frame returns (a goroutine, a
+// stored callback), and its body is analyzed as a scope of its own.
+func (c *checker) pairCapture(f pairFact, lit *ast.FuncLit) {
+	ast.Inspect(lit.Body, func(node ast.Node) bool {
+		id, isID := node.(*ast.Ident)
+		if !isID {
+			return true
+		}
+		obj := c.info.Uses[id]
+		if obj == nil {
+			return true
+		}
+		for k := range f {
+			if k.root == obj && k.res >= 0 && c.spec.Resources[k.res].movable() {
+				delete(f, k)
+			}
+		}
+		return true
+	})
 }
 
 func pathPrefix(prefix, full string) bool {
@@ -532,12 +643,6 @@ func pathPrefix(prefix, full string) bool {
 // pairAssign handles acquisition binding, field-set acquire/release,
 // alias moves and store escapes.
 func (c *checker) pairAssign(f pairFact, n *ast.AssignStmt) {
-	// Mark bound acquire calls before the generic scan sees them.
-	for _, rhs := range n.Rhs {
-		if call, ok := rhs.(*ast.CallExpr); ok && c.isResultAcquire(call) {
-			c.bound[call] = true
-		}
-	}
 	for _, rhs := range n.Rhs {
 		c.pairScan(f, rhs)
 	}
@@ -565,11 +670,6 @@ func (c *checker) pairAssign(f pairFact, n *ast.AssignStmt) {
 
 func (c *checker) pairDecl(f pairFact, vs *ast.ValueSpec) {
 	for _, rhs := range vs.Values {
-		if call, ok := rhs.(*ast.CallExpr); ok && c.isResultAcquire(call) {
-			c.bound[call] = true
-		}
-	}
-	for _, rhs := range vs.Values {
 		c.pairScan(f, rhs)
 	}
 	if len(vs.Values) == 1 {
@@ -581,21 +681,6 @@ func (c *checker) pairDecl(f pairFact, vs *ast.ValueSpec) {
 			c.bindAcquire(f, call, lhs)
 		}
 	}
-}
-
-func (c *checker) isResultAcquire(call *ast.CallExpr) bool {
-	for ri := range c.spec.Resources {
-		r := &c.spec.Resources[ri]
-		if r.AcquireKey != IdentResult {
-			continue
-		}
-		for pi := range r.Acquire {
-			if _, ok := c.matchCall(&r.Acquire[pi], call); ok {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // bindAcquire tracks the value result of an IdentResult acquire under
@@ -627,7 +712,7 @@ func (c *checker) bindAcquire(f pairFact, call *ast.CallExpr, lhs []ast.Expr) {
 			continue
 		}
 		if key, kok := c.keyFromExpr(r, ri, target); kok {
-			c.pairAcquire(f, r, key, call.Pos(), len(errorResultIndexes(c.info, call)) > 0)
+			c.pairAcquire(f, r, key, call.Pos(), len(analysis.ErrorResults(c.info, call)) > 0)
 		}
 	}
 }
@@ -639,7 +724,7 @@ func resultTarget(info *types.Info, call *ast.CallExpr, lhs []ast.Expr) ast.Expr
 		return lhs[0]
 	}
 	errIdx := map[int]bool{}
-	for _, i := range errorResultIndexes(info, call) {
+	for _, i := range analysis.ErrorResults(info, call) {
 		errIdx[i] = true
 	}
 	for i, l := range lhs {
@@ -660,18 +745,24 @@ func (c *checker) pairFieldSet(f pairFact, lhs, rhs ast.Expr) {
 				}
 			}
 		}
-		for pi := range r.ReleaseSet {
-			if base, ok := c.matchFieldSet(&r.ReleaseSet[pi], lhs, rhs); ok {
-				if key, kok := c.keyFromExpr(r, ri, base); kok {
-					c.pairRelease(f, r, key, lhs.Pos(), true)
-				}
+		c.pairReleaseSet(f, r, ri, lhs, rhs, false, true)
+	}
+}
+
+// pairReleaseSet applies r's field-assignment release forms to lhs = rhs.
+func (c *checker) pairReleaseSet(f pairFact, r *Resource, ri int, lhs, rhs ast.Expr, deferred, reportDouble bool) {
+	for pi := range r.ReleaseSet {
+		if base, ok := c.matchFieldSet(&r.ReleaseSet[pi], lhs, rhs); ok {
+			if key, kok := c.keyFromExpr(r, ri, base); kok {
+				c.pairRelease(f, r, key, lhs.Pos(), deferred, reportDouble)
 			}
 		}
 	}
 }
 
 // pairAliasOrStore moves an obligation along `alias := tracked` and
-// escapes obligations stored into fields, slices or maps.
+// escapes obligations stored into fields, elements, maps or package
+// variables.
 func (c *checker) pairAliasOrStore(f pairFact, lhs, rhs ast.Expr) {
 	if rhs == nil {
 		return
@@ -680,64 +771,39 @@ func (c *checker) pairAliasOrStore(f pairFact, lhs, rhs ast.Expr) {
 	if !rok {
 		return
 	}
-	switch lhs.(type) {
-	case *ast.Ident:
-		lroot, lpath, lok := chainOf(c.info, lhs)
-		if !lok {
-			return
-		}
-		for k, st := range f {
-			if k.root != rroot || k.path != rpath || k.res < 0 {
-				continue
-			}
-			if st.phase != phaseHeld && st.phase != phasePending {
-				continue
-			}
-			r := &c.spec.Resources[k.res]
-			if r.RootIdentity || r.AcquireKey == IdentSingleton {
-				continue
-			}
-			delete(f, k)
-			f[pairKey{root: lroot, path: lpath, res: k.res}] = st
-		}
-	default:
-		// Store into a field/index: the object outlives this scope.
+	lroot, lpath, lok := chainOf(c.info, lhs)
+	if _, isID := lhs.(*ast.Ident); !isID || (lok && lroot.Parent() == c.pass.Pkg.Scope()) {
+		// Stored into a field, element or package variable: the object
+		// outlives this scope.
 		c.pairEscapeExpr(f, rhs)
+		return
+	}
+	if !lok {
+		return // _ = x
+	}
+	for k, st := range f {
+		if k.root != rroot || k.path != rpath || k.res < 0 {
+			continue
+		}
+		if st.phase != phaseHeld && st.phase != phasePending {
+			continue
+		}
+		if !c.spec.Resources[k.res].movable() {
+			continue
+		}
+		delete(f, k)
+		f[pairKey{root: lroot, path: lpath, res: k.res}] = st
 	}
 }
 
-// pairDefer discharges deferred releases at registration time: every
-// path past the defer runs it on exit.
+// pairDefer registers deferred releases: every path past the defer runs
+// them at exit, so the obligation stays held until then. A deferred kill
+// runs after every use, so it kills nothing in the body.
 func (c *checker) pairDefer(f pairFact, n *ast.DeferStmt) {
 	call := n.Call
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
 		c.deferClosure(f, lit)
-		for _, a := range call.Args {
-			c.pairScan(f, a)
-		}
-		return
-	}
-	matched := false
-	for ri := range c.spec.Resources {
-		r := &c.spec.Resources[ri]
-		for pi := range r.Release {
-			if base, ok := c.matchCall(&r.Release[pi], call); ok {
-				matched = true
-				if key, kok := c.pairKeyFor(r, ri, r.ReleaseKey, call, base); kok {
-					c.pairRelease(f, r, key, call.Pos(), true)
-				}
-			}
-		}
-	}
-	for ti := range c.spec.Terminals {
-		if base, ok := c.matchCall(&c.spec.Terminals[ti].Kill, call); ok {
-			matched = true
-			if key, kok := c.termKey(ti, base); kok {
-				f[key] = pairState{phase: phaseKilled, pos: call.Pos()}
-			}
-		}
-	}
-	if !matched {
+	} else if !c.pairReleaseCall(f, call, true, true) {
 		c.pairUnknownCall(f, call)
 	}
 	for _, a := range call.Args {
@@ -746,22 +812,13 @@ func (c *checker) pairDefer(f pairFact, n *ast.DeferStmt) {
 }
 
 // deferClosure scans a deferred function literal for release forms and
-// discharges the matching obligations. Conditions inside the closure
-// are not modelled, so no double-release reporting from here.
+// defers the matching releases. Conditions inside the closure are not
+// modelled, so no double-release reporting from here.
 func (c *checker) deferClosure(f pairFact, lit *ast.FuncLit) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			for ri := range c.spec.Resources {
-				r := &c.spec.Resources[ri]
-				for pi := range r.Release {
-					if base, ok := c.matchCall(&r.Release[pi], n); ok {
-						if key, kok := c.pairKeyFor(r, ri, r.ReleaseKey, n, base); kok {
-							c.pairRelease(f, r, key, n.Pos(), false)
-						}
-					}
-				}
-			}
+			c.pairReleaseCall(f, n, true, false)
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
 				var rhs ast.Expr
@@ -769,14 +826,7 @@ func (c *checker) deferClosure(f pairFact, lit *ast.FuncLit) {
 					rhs = n.Rhs[i]
 				}
 				for ri := range c.spec.Resources {
-					r := &c.spec.Resources[ri]
-					for pi := range r.ReleaseSet {
-						if base, ok := c.matchFieldSet(&r.ReleaseSet[pi], lhs, rhs); ok {
-							if key, kok := c.keyFromExpr(r, ri, base); kok {
-								c.pairRelease(f, r, key, lhs.Pos(), false)
-							}
-						}
-					}
+					c.pairReleaseSet(f, &c.spec.Resources[ri], ri, lhs, rhs, true, false)
 				}
 			}
 		case *ast.Ident:
@@ -786,40 +836,112 @@ func (c *checker) deferClosure(f pairFact, lit *ast.FuncLit) {
 	})
 }
 
-// pairGoStmt hands obligations referenced by a goroutine closure to
-// that goroutine (ownership leaves this scope; the closure body is
-// analyzed as its own scope).
+// pairGoStmt hands the goroutine everything it is given: its arguments
+// and the obligations its closure references leave this scope (the
+// closure body is analyzed as its own scope, with nothing held).
 func (c *checker) pairGoStmt(f pairFact, n *ast.GoStmt) {
 	if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-		ast.Inspect(lit.Body, func(node ast.Node) bool {
-			id, isID := node.(*ast.Ident)
-			if !isID {
-				return true
-			}
-			obj := c.info.Uses[id]
-			if obj == nil {
-				return true
-			}
-			for k := range f {
-				if k.root != obj || k.res < 0 {
-					continue
-				}
-				r := &c.spec.Resources[k.res]
-				if r.RootIdentity || r.AcquireKey == IdentSingleton {
-					continue
-				}
-				delete(f, k)
-			}
-			return true
-		})
-		for _, a := range n.Call.Args {
-			c.pairScan(f, a)
-		}
-		return
+		c.pairCapture(f, lit)
 	}
 	for _, a := range n.Call.Args {
+		c.pairScan(f, a)
 		c.pairEscapeExpr(f, a)
 	}
+}
+
+// ---- lock order ----
+
+// summarizeAcquires computes every function's transitive may-acquire
+// set of ranked resources: those it acquires outside function literals
+// (a literal's body runs with its own held set) plus its same-package
+// callees' sets.
+func (c *checker) summarizeAcquires() {
+	if !slices.Contains(c.ranked, true) {
+		return
+	}
+	callees := map[*types.Func][]*types.Func{}
+	c.funcDecls(func(fd *ast.FuncDecl, obj *types.Func) {
+		set := map[int]bool{}
+		taint.WalkNoFuncLit(fd.Body, func(n ast.Node) {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return
+			}
+			acquires := false
+			for ri := range c.spec.Resources {
+				for pi := range c.spec.Resources[ri].Acquire {
+					if _, ok := c.matchCall(&c.spec.Resources[ri].Acquire[pi], call); ok && c.ranked[ri] {
+						set[ri], acquires = true, true
+					}
+				}
+			}
+			if fn := taint.CalleeFunc(c.info, call); !acquires && fn != nil && fn.Pkg() == c.pass.Pkg {
+				callees[obj] = append(callees[obj], fn)
+			}
+		})
+		c.acquireSums[obj] = set
+	})
+	for changed := true; changed; {
+		changed = false
+		for fn, set := range c.acquireSums {
+			for _, callee := range callees[fn] {
+				for ri := range c.acquireSums[callee] {
+					if !set[ri] {
+						set[ri] = true
+						changed = true
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkCalleeRanks reports the first (by name) ranked resource in a
+// same-package callee's may-acquire set that the held locks forbid.
+func (c *checker) checkCalleeRanks(f pairFact, call *ast.CallExpr, fn *types.Func) {
+	if !c.report || len(c.acquireSums[fn]) == 0 {
+		return
+	}
+	var ris []int
+	for ri := range c.acquireSums[fn] {
+		ris = append(ris, ri)
+	}
+	sort.Slice(ris, func(i, j int) bool { return c.spec.Resources[ris[i]].Name < c.spec.Resources[ris[j]].Name })
+	for _, ri := range ris {
+		if c.checkRank(f, call, ri, fn.Name()) {
+			return
+		}
+	}
+}
+
+// checkRank reports acquiring ranked resource ri — directly, or through
+// the function named via — while a ranked resource of no lower rank is
+// held on every path here; it reports whether it did.
+func (c *checker) checkRank(f pairFact, call *ast.CallExpr, ri int, via string) bool {
+	if !c.report {
+		return false
+	}
+	r := &c.spec.Resources[ri]
+	var worst *Resource
+	for k, st := range f {
+		if k.res < 0 || !c.ranked[k.res] || !st.holding() {
+			continue
+		}
+		h := &c.spec.Resources[k.res]
+		if h.Rank >= r.Rank && (worst == nil || h.Rank > worst.Rank || (h.Rank == worst.Rank && h.Name < worst.Name)) {
+			worst = h
+		}
+	}
+	if worst == nil {
+		return false
+	}
+	what := "acquires"
+	if via != "" {
+		what = "call to " + via + " may acquire"
+	}
+	c.reportf(call.Pos(), "%s %s (rank %d) while holding %s (rank %d): locks are taken in increasing rank",
+		what, r.Name, r.Rank, worst.Name, worst.Rank)
+	return true
 }
 
 // ---- must-release summaries ----
@@ -858,7 +980,7 @@ func (c *checker) summarizeRelease(fd *ast.FuncDecl) *releaseSummary {
 		}
 	}
 	g := cfg.New(fd.Body)
-	res := dataflow.Forward(g, pairLat{seed: seed}, c.pairTransfer)
+	res := dataflow.Forward(g, pairLat{seed: seed, ranked: c.ranked}, c.pairTransfer)
 	var released map[relKey]bool
 	res.AtExit(func(_ *cfg.Block, out pairFact) {
 		path := map[relKey]bool{}
@@ -866,7 +988,7 @@ func (c *checker) summarizeRelease(fd *ast.FuncDecl) *releaseSummary {
 		// helper releasing s.Engine discharges the obligation seeded
 		// at s.
 		for k, st := range out {
-			if st.phase != phaseReleased || k.res < 0 {
+			if (st.phase != phaseReleased && st.phase != phaseDeferred) || k.res < 0 {
 				continue
 			}
 			if slot, ok := slots[k.root]; ok {

@@ -1,11 +1,11 @@
 // Package typestate is a declarative protocol-state-machine analyzer
 // family over the cfg/dataflow core. A protocol is written as a small
 // spec table — ordered chain levels with the calls that establish,
-// require and reset them; paired acquire/release resources; terminal
-// (kill/use-after) rules; and must-check-error rules — and NewAnalyzer
-// compiles the table into an aelint analyzer that runs the machines
-// per-path over every function body, with same-package interprocedural
-// summaries.
+// require and reset them; paired acquire/release resources, optionally
+// ranked; terminal (kill/use-after) rules; and must-check-error rules —
+// and NewAnalyzer compiles the table into an aelint analyzer that runs
+// the machines per-path over every function body, with same-package
+// interprocedural summaries.
 //
 // Two machines share the spec:
 //
@@ -21,13 +21,23 @@
 //
 //   - The pairing machine tracks per-object obligations keyed by the
 //     root variable and selector path of the acquired value: pinned
-//     frames, held latches, reconnect-reset obligations. It reports
-//     leaks on exit paths still holding an obligation, double releases,
-//     and use-after-kill, with defer discharge, escape analysis (an
-//     object returned, stored away, or handed to an unknown callee is
-//     no longer this function's obligation) and same-package
-//     must-release summaries so a helper that releases its parameter on
-//     every path discharges the caller's obligation.
+//     frames, held latches, key material, reconnect-reset obligations.
+//     It reports leaks on exit paths still holding an obligation, double
+//     releases, and use-after-kill. A deferred release keeps the
+//     obligation held for the rest of the body and discharges it at
+//     exit. Ownership leaves the function when the object is returned,
+//     stored into a field, element or package variable, sent, put in a
+//     composite literal, address-taken or captured by a closure; an
+//     argument to a call is a transfer too, unless the resource is a
+//     Borrow resource, for which the caller keeps the obligation.
+//     Same-package must-release summaries let a helper that releases its
+//     parameter on every path discharge the caller's obligation.
+//
+// Ranked resources turn the pairing machine into a lock-order checker: a
+// ranked resource is held at a merge only if held on every incoming path,
+// and acquiring one — directly, or through a same-package callee whose
+// transitive may-acquire set contains it — while a resource of no lower
+// rank is held is a finding.
 //
 // The machines are deliberately conservative about identity: objects
 // are named by (root *types.Object, selector path) chains, a plain
@@ -58,19 +68,24 @@ const (
 	// IdentSingleton: one per-function obligation regardless of
 	// operands (a protocol step that must be followed by another).
 	IdentSingleton = -3
+	// IdentSubject: the receiver of a method call, else the first
+	// argument (x.Zeroize() and Zeroize(x) both name x).
+	IdentSubject = -4
 	// Non-negative values index call arguments (UnpinStream(id, ...)
 	// with ReleaseKey 0 tracks the id argument).
 )
 
 // CallPat matches a call site. With Field empty the callee is resolved
 // through the type checker: package short name, receiver type name
-// (empty for plain functions) and function name. With Field set the
-// pattern is the syntactic base.Field.Name() form — used for methods of
-// an embedded or struct-field value such as fr.Latch.Lock(), where Recv
-// names the type of base, not of the field. A pattern with neither Recv nor
-// Field also matches a call through a func-typed variable of that name
-// declared in the package — a callback parameter such as the once of
-// retry(once func() ...), which has no declared callee to resolve.
+// (empty for plain functions) and function name; "*" in any of the three
+// matches anything (Recv "*" matches methods and plain functions). With
+// Field set the pattern is the syntactic base.Field.Name() form — used
+// for methods of an embedded or struct-field value such as
+// fr.Latch.Lock(), where Recv names the type of base, not of the field. A
+// pattern with neither Recv nor Field also matches a call through a
+// func-typed variable of that name declared in the package — a callback
+// parameter such as the once of retry(once func() ...), which has no
+// declared callee to resolve.
 type CallPat struct {
 	Pkg   string
 	Recv  string
@@ -130,11 +145,19 @@ type Resource struct {
 	ReleaseUse []IdentPat // identifier mentions that discharge (ErrIndeterminate)
 	AcquireKey int
 	ReleaseKey int
-	// AcquirePending forces the acquired state to start pending even
-	// when the acquire call has no error result: the obligation is
-	// waived on error-return exit paths (for protocol obligations that
-	// an error return legitimately satisfies).
-	AcquirePending bool
+	// WaiveOnError waives the obligation on every error-return exit path,
+	// not only while the acquire's own error result is unchecked (for
+	// obligations an error return legitimately satisfies, and for values
+	// the caller cannot reach once an error is returned).
+	WaiveOnError bool
+	// Borrow keeps the obligation with the caller when the object is
+	// passed to a call: the callee borrows it, the caller still owes the
+	// release (key material handed to a deriver must still be wiped).
+	Borrow bool
+	// EveryPath requires the release on every path into an exit: an exit
+	// reached with the release done or deferred on only some incoming
+	// paths is a leak too (key material zeroized in one branch only).
+	EveryPath bool
 	// Reentrant permits re-acquiring a held resource and suppresses
 	// double-release reports (counted pins).
 	Reentrant bool
@@ -148,8 +171,16 @@ type Resource struct {
 	// RootIdentity collapses the selector path, keying the obligation
 	// by the root object alone (c.tds and c.caches both name c).
 	RootIdentity bool
-	LeakMsg      string
-	DoubleMsg    string
+	// Rank places the resource in a lock order (0 = unranked). A ranked
+	// resource is held at a merge only if held on every incoming path,
+	// and acquiring it while holding a ranked resource of rank no lower
+	// is reported. A ranked resource without Release patterns is held
+	// only for the duration of its acquiring call.
+	Rank int
+	// LeakMsg and DoubleMsg are the leak and double-release diagnostics;
+	// an empty message turns that report off.
+	LeakMsg   string
+	DoubleMsg string
 }
 
 // Terminal is a kill/use-after rule: after Kill runs on an object, any
@@ -184,9 +215,10 @@ type Spec struct {
 // NewAnalyzer compiles a spec into an analyzer.
 func NewAnalyzer(s *Spec) *analysis.Analyzer {
 	return &analysis.Analyzer{
-		Name: s.Name,
-		Doc:  s.Doc,
-		Run:  func(pass *analysis.Pass) (any, error) { return run(s, pass) },
+		Name:     s.Name,
+		Doc:      s.Doc,
+		Packages: s.Packages,
+		Run:      func(pass *analysis.Pass) (any, error) { return run(s, pass) },
 	}
 }
 
@@ -203,29 +235,18 @@ type checker struct {
 	// summaries, keyed by the function's Defs object.
 	chainSums   map[*types.Func]*chainSummary
 	releaseSums map[*types.Func]*releaseSummary
+	// acquireSums are the transitive may-acquire sets of ranked
+	// resources, by resource index; ranked marks those indexes.
+	acquireSums map[*types.Func]map[int]bool
+	ranked      []bool
 	report      bool
 	// maxSlot/maxCaps index the chain's budgeted (Max > 0) events into
 	// count slots with their saturation caps.
 	maxSlot map[int]int
 	maxCaps []uint8
-	// bound marks acquire calls whose results an assignment binds, so
-	// the expression walker does not flag them as discarded.
-	bound map[*ast.CallExpr]bool
 }
 
 func run(s *Spec, pass *analysis.Pass) (any, error) {
-	if len(s.Packages) > 0 {
-		ok := false
-		for _, short := range s.Packages {
-			if analysis.PackagePathIs(pass.Pkg, short) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, nil
-		}
-	}
 	c := &checker{
 		spec:        s,
 		pass:        pass,
@@ -233,7 +254,7 @@ func run(s *Spec, pass *analysis.Pass) (any, error) {
 		seen:        map[string]bool{},
 		chainSums:   map[*types.Func]*chainSummary{},
 		releaseSums: map[*types.Func]*releaseSummary{},
-		bound:       map[*ast.CallExpr]bool{},
+		acquireSums: map[*types.Func]map[int]bool{},
 	}
 	if s.Chain != nil {
 		c.runChain()
@@ -260,25 +281,17 @@ func (c *checker) reportf(pos token.Pos, format string, args ...any) {
 // funcDecls yields every function declaration with a body, paired with
 // its Defs object.
 func (c *checker) funcDecls(visit func(fd *ast.FuncDecl, obj *types.Func)) {
-	for _, file := range c.pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := c.info.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
+	c.pass.FuncDecls(func(fd *ast.FuncDecl) {
+		if obj, _ := c.info.Defs[fd.Name].(*types.Func); obj != nil {
 			visit(fd, obj)
 		}
-	}
+	})
 }
 
 // ---- pattern matching ----
 
 // matchCall reports whether call matches pat, returning the receiver /
-// selector-base expression when the pattern is a method (nil for plain
+// selector-base expression when the callee is a method (nil for plain
 // functions).
 func (c *checker) matchCall(pat *CallPat, call *ast.CallExpr) (base ast.Expr, ok bool) {
 	if pat.Field != "" {
@@ -304,22 +317,18 @@ func (c *checker) matchCall(pat *CallPat, call *ast.CallExpr) (base ast.Expr, ok
 		v, isVar := c.info.Uses[id].(*types.Var)
 		return nil, isVar && analysis.PackagePathIs(v.Pkg(), pat.Pkg)
 	}
-	if fn.Name() != pat.Name {
+	recv := taint.RecvTypeName(fn)
+	if !matches(pat.Name, fn.Name()) || !matches(pat.Recv, recv) ||
+		(pat.Pkg != "*" && !analysis.PackagePathIs(fn.Pkg(), pat.Pkg)) {
 		return nil, false
 	}
-	if taint.RecvTypeName(fn) != pat.Recv {
-		return nil, false
-	}
-	if !analysis.PackagePathIs(fn.Pkg(), pat.Pkg) {
-		return nil, false
-	}
-	if pat.Recv != "" {
-		if sel, selOK := call.Fun.(*ast.SelectorExpr); selOK {
-			return sel.X, true
-		}
+	if sel, selOK := call.Fun.(*ast.SelectorExpr); selOK && recv != "" {
+		return sel.X, true
 	}
 	return nil, true
 }
+
+func matches(pat, name string) bool { return pat == "*" || pat == name }
 
 // exprTypeIs reports whether e's (dereferenced) named type is the given
 // type in the given repo package.
@@ -404,33 +413,6 @@ func chainOf(info *types.Info, e ast.Expr) (root types.Object, path string, ok b
 	return nil, "", false
 }
 
-// errorResultIndexes returns the positions of error-typed results in
-// the call's result tuple (single results are position 0).
-func errorResultIndexes(info *types.Info, call *ast.CallExpr) []int {
-	tv, ok := info.Types[call]
-	if !ok || tv.Type == nil {
-		return nil
-	}
-	if tuple, isTuple := tv.Type.(*types.Tuple); isTuple {
-		var out []int
-		for i := 0; i < tuple.Len(); i++ {
-			if isErrorType(tuple.At(i).Type()) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	if isErrorType(tv.Type) {
-		return []int{0}
-	}
-	return nil
-}
-
-func isErrorType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
-}
-
 // ---- must-check rules ----
 
 // runMustCheck walks every file for calls matching mc whose error
@@ -445,7 +427,7 @@ func (c *checker) runMustCheck(mc *MustCheck) {
 			if _, matched := c.matchCall(&mc.Call, call); !matched {
 				return true
 			}
-			errIdx := errorResultIndexes(c.info, call)
+			errIdx := analysis.ErrorResults(c.info, call)
 			if len(errIdx) == 0 || len(stack) == 0 {
 				return true
 			}

@@ -10,7 +10,7 @@ import (
 // conditionally-released resource is never reported as a definite
 // double release.
 func TestJoinPhase(t *testing.T) {
-	phases := []int8{phasePending, phaseHeld, phaseReleased, phaseMaybe, phaseKilled}
+	phases := []int8{phasePending, phaseHeld, phaseDeferred, phaseReleased, phaseMaybe, phaseKilled}
 	for _, p := range phases {
 		if got := joinPhase(p, p); got != p {
 			t.Errorf("joinPhase(%d, %d) = %d, want idempotent", p, p, got)
@@ -29,6 +29,11 @@ func TestJoinPhase(t *testing.T) {
 		{phaseReleased, phaseMaybe, phaseMaybe},
 		{phaseHeld, phaseKilled, phaseKilled},
 		{phaseMaybe, phaseKilled, phaseKilled},
+		// A release deferred on one path only: the other path may leak.
+		{phaseHeld, phaseDeferred, phaseMaybe},
+		{phasePending, phaseDeferred, phaseMaybe},
+		// Released at exit or already: no obligation either way.
+		{phaseDeferred, phaseReleased, phaseReleased},
 	}
 	for _, c := range cases {
 		if got := joinPhase(c.a, c.b); got != c.want {
@@ -47,6 +52,33 @@ func TestJoinStateEarliestPos(t *testing.T) {
 	}
 	if got := joinState(pairState{phase: phaseHeld}, b); got.pos != token.Pos(10) {
 		t.Errorf("joinState with zero pos = %d, want 10", got.pos)
+	}
+}
+
+// TestMustJoinRanked pins the ranked join: a ranked obligation absent on
+// one incoming path counts as released there, so it is not held after the
+// merge, while unranked obligations keep may-join semantics.
+func TestMustJoinRanked(t *testing.T) {
+	lat := pairLat{ranked: []bool{true, false}}
+	lock, pin := pairKey{res: 0}, pairKey{res: 1}
+	dst := pairFact{lock: {phase: phaseHeld, pos: 5}, pin: {phase: phaseHeld, pos: 7}}
+	got, changed := lat.Join(lat.Clone(dst), pairFact{})
+	if !changed || got[lock].holding() {
+		t.Errorf("ranked lock held on one path only: %+v, want not held", got[lock])
+	}
+	if got[pin].phase != phaseHeld {
+		t.Errorf("unranked pin = %+v, want still held (may-join)", got[pin])
+	}
+	got, _ = lat.Join(pairFact{}, pairFact{lock: {phase: phaseDeferred, pos: 5}})
+	if got[lock].holding() {
+		t.Errorf("ranked lock absent on the first path: %+v, want not held", got[lock])
+	}
+	both, _ := lat.Join(lat.Clone(dst), pairFact{lock: {phase: phaseDeferred, pos: 3}})
+	if both[lock].phase != phaseMaybe {
+		t.Errorf("held ⊔ deferred = %d, want maybe", both[lock].phase)
+	}
+	if again, _ := lat.Join(pairFact{lock: {phase: phaseHeld}}, pairFact{lock: {phase: phaseHeld}}); !again[lock].holding() {
+		t.Errorf("ranked lock held on both paths: %+v, want held", again[lock])
 	}
 }
 

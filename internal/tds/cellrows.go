@@ -51,13 +51,18 @@ func EncodeCellRows(rows [][][]byte) []byte {
 // DecodeCellRows parses the flat framing back into per-row cell slices.
 // Cell byte slices alias the payload — callers must not retain the payload
 // mutably. The payload must be exactly consumed; trailing bytes are an
-// error.
+// error. Every count is checked against the bytes left before anything is
+// sized from it (a row takes at least 2 bytes, a cell at least 4): the
+// payload comes from any connected client.
 func DecodeCellRows(payload []byte) ([][][]byte, error) {
 	if len(payload) < 4 {
 		return nil, fmt.Errorf("%w: %d-byte payload", ErrBadCellRows, len(payload))
 	}
 	n := binary.BigEndian.Uint32(payload)
 	off := 4
+	if uint64(n)*2 > uint64(len(payload)-off) {
+		return nil, fmt.Errorf("%w: %d rows in %d bytes", ErrBadCellRows, n, len(payload)-off)
+	}
 	rows := make([][][]byte, 0, n)
 	for r := uint32(0); r < n; r++ {
 		if off+2 > len(payload) {
@@ -65,6 +70,9 @@ func DecodeCellRows(payload []byte) ([][][]byte, error) {
 		}
 		cells := int(binary.BigEndian.Uint16(payload[off:]))
 		off += 2
+		if cells*4 > len(payload)-off {
+			return nil, fmt.Errorf("%w: row %d claims %d cells in %d bytes", ErrBadCellRows, r, cells, len(payload)-off)
+		}
 		row := make([][]byte, cells)
 		for c := 0; c < cells; c++ {
 			if off+4 > len(payload) {
