@@ -36,12 +36,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Ten seconds of coverage-guided fuzzing per byte-level decoder on the read
-# and redo paths, as package:target pairs (go test accepts one package and
-# one -fuzz target per run). A crasher is written to the package's
+# Ten seconds of coverage-guided fuzzing per byte-level decoder on the read,
+# redo and wire paths, as package:target pairs (go test accepts one package
+# and one -fuzz target per run). A crasher is written to the package's
 # testdata/fuzz and fails the build.
 FUZZ_TARGETS = internal/storage:FuzzDecodeHeapRows internal/storage:FuzzDecodeIndexEntries \
-	internal/storage:FuzzLoadWAL internal/engine:FuzzDecodeRow internal/tds:FuzzDecodeCellRows
+	internal/storage:FuzzLoadWAL internal/engine:FuzzDecodeRow internal/tds:FuzzDecodeCellRows \
+	internal/tds:FuzzDecodeRequest internal/tds:FuzzDecodeResponse \
+	internal/repl:FuzzDecodeReplMessage internal/exprsvc:FuzzDeserializeProgram
 
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \

@@ -2,11 +2,10 @@ package exprsvc
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"alwaysencrypted/internal/sqltypes"
+	"alwaysencrypted/internal/wire"
 )
 
 // Opcode enumerates stack machine instructions. GetData/SetData move data on
@@ -72,165 +71,87 @@ var (
 
 const programMagic = 0xE5C0
 
-// Serialize encodes the program into a self-contained byte stream.
+// Serialize encodes the program into a self-contained byte stream: the
+// magic, then every field in declaration order, lists behind u16 counts.
 func (p *Program) Serialize() []byte {
-	var buf bytes.Buffer
-	w16 := func(v int) { binary.Write(&buf, binary.BigEndian, uint16(v)) }
-	w32 := func(v int) { binary.Write(&buf, binary.BigEndian, uint32(v)) }
-	wBytes := func(b []byte) { w32(len(b)); buf.Write(b) }
-	wEnc := func(e EncInfo) {
-		buf.WriteByte(byte(e.Kind))
-		buf.WriteByte(byte(e.Enc.Scheme))
-		flag := byte(0)
-		if e.Enc.EnclaveEnabled {
-			flag = 1
-		}
-		buf.WriteByte(flag)
-		wBytes([]byte(e.Enc.CEKName))
-	}
-
-	w16(programMagic)
-	wBytes([]byte(p.Name))
-	w16(len(p.Inputs))
-	for _, e := range p.Inputs {
-		wEnc(e)
-	}
-	w16(len(p.Outputs))
-	for _, e := range p.Outputs {
-		wEnc(e)
-	}
-	w16(len(p.Code))
+	b := wire.AppendU16(nil, programMagic)
+	b = wire.AppendString(b, p.Name)
+	b = appendEncInfos(b, p.Inputs)
+	b = appendEncInfos(b, p.Outputs)
+	b = wire.AppendU16(b, uint16(len(p.Code)))
 	for _, in := range p.Code {
-		buf.WriteByte(byte(in.Op))
-		w32(in.Arg)
-		wBytes(in.Val.Encode())
-		w16(len(in.InSlots))
+		b = append(b, byte(in.Op))
+		b = wire.AppendU32(b, uint32(in.Arg))
+		b = wire.AppendBytes(b, in.Val.Encode())
+		b = wire.AppendU16(b, uint16(len(in.InSlots)))
 		for _, s := range in.InSlots {
-			w32(s)
+			b = wire.AppendU32(b, uint32(s))
 		}
 	}
-	w16(len(p.Subs))
+	b = wire.AppendU16(b, uint16(len(p.Subs)))
 	for _, s := range p.Subs {
-		wBytes(s)
+		b = wire.AppendBytes(b, s)
 	}
-	return buf.Bytes()
+	return b
+}
+
+func appendEncInfos(b []byte, infos []EncInfo) []byte {
+	b = wire.AppendU16(b, uint16(len(infos)))
+	for _, e := range infos {
+		b = append(b, byte(e.Kind), byte(e.Enc.Scheme))
+		b = wire.AppendBool(b, e.Enc.EnclaveEnabled)
+		b = wire.AppendString(b, e.Enc.CEKName)
+	}
+	return b
 }
 
 // Deserialize reconstructs a Program from a byte stream produced by
 // Serialize. The enclave uses this to rebuild its own private copy of the
-// expression object.
+// expression object: sub-programs are copied out of b, so the host cannot
+// change them under the enclave afterwards.
 func Deserialize(b []byte) (*Program, error) {
-	r := &reader{b: b}
-	if r.u16() != programMagic {
-		return nil, ErrBadProgram
+	r := wire.NewReader(b, ErrBadProgram)
+	if r.U16() != programMagic {
+		r.Fail("bad magic")
 	}
-	p := &Program{Name: string(r.bytes())}
-	p.Inputs = r.encInfos()
-	p.Outputs = r.encInfos()
-	n := r.u16()
-	if r.err != nil || n > 1<<14 {
-		return nil, ErrBadProgram
-	}
-	p.Code = make([]Instr, n)
+	p := &Program{Name: r.String()}
+	p.Inputs = readEncInfos(&r)
+	p.Outputs = readEncInfos(&r)
+	p.Code = make([]Instr, r.Count16(11))
 	for i := range p.Code {
 		in := &p.Code[i]
-		in.Op = Opcode(r.u8())
-		in.Arg = int(r.u32())
-		vb := r.bytes()
-		if len(vb) > 0 {
-			v, err := sqltypes.Decode(vb)
-			if err != nil {
-				return nil, fmt.Errorf("%w: const: %v", ErrBadProgram, err)
+		in.Op = Opcode(r.U8())
+		in.Arg = int(r.U32())
+		if vb := r.Bytes(); vb != nil {
+			// One encoding per program: a constant must re-encode to its bytes.
+			var err error
+			if in.Val, err = sqltypes.Decode(vb); err != nil || !bytes.Equal(in.Val.Encode(), vb) {
+				r.Fail("constant of instruction %d", i)
 			}
-			in.Val = v
 		}
-		m := r.u16()
-		if r.err != nil || m > 1<<10 {
-			return nil, ErrBadProgram
-		}
-		if m > 0 {
+		if m := r.Count16(4); m > 0 {
 			in.InSlots = make([]int, m)
 			for j := range in.InSlots {
-				in.InSlots[j] = int(r.u32())
+				in.InSlots[j] = int(r.U32())
 			}
 		}
 	}
-	ns := r.u16()
-	if r.err != nil || ns > 1<<10 {
-		return nil, ErrBadProgram
+	for n := r.Count16(4); n > 0; n-- {
+		p.Subs = append(p.Subs, bytes.Clone(r.Bytes()))
 	}
-	for i := 0; i < int(ns); i++ {
-		s := r.bytes()
-		cp := make([]byte, len(s))
-		copy(cp, s)
-		p.Subs = append(p.Subs, cp)
-	}
-	if r.err != nil || len(r.b) != 0 {
-		return nil, ErrBadProgram
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil || len(r.b) < n {
-		r.err = ErrBadProgram
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *reader) bytes() []byte {
-	n := r.u32()
-	if r.err != nil || uint32(len(r.b)) < n {
-		r.err = ErrBadProgram
-		return nil
-	}
-	return r.take(int(n))
-}
-
-func (r *reader) encInfos() []EncInfo {
-	n := r.u16()
-	if r.err != nil || n > 1<<12 {
-		r.err = ErrBadProgram
-		return nil
-	}
-	out := make([]EncInfo, n)
+func readEncInfos(r *wire.Reader) []EncInfo {
+	out := make([]EncInfo, r.Count16(7))
 	for i := range out {
-		out[i].Kind = sqltypes.Kind(r.u8())
-		out[i].Enc.Scheme = sqltypes.EncScheme(r.u8())
-		out[i].Enc.EnclaveEnabled = r.u8() != 0
-		out[i].Enc.CEKName = string(r.bytes())
+		out[i].Kind = sqltypes.Kind(r.U8())
+		out[i].Enc.Scheme = sqltypes.EncScheme(r.U8())
+		out[i].Enc.EnclaveEnabled = r.Bool()
+		out[i].Enc.CEKName = r.String()
 	}
 	return out
 }

@@ -1,7 +1,9 @@
 package exprsvc
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"alwaysencrypted/internal/sqltypes"
@@ -102,4 +104,55 @@ func BenchmarkProgramSerialize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = prog.Serialize()
 	}
+}
+
+// allocatedBy reports the bytes fn allocates on the heap.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDeserializeProgram: the enclave's decoder for programs the host hands
+// it. No input panics, allocates beyond a small multiple of its length, or
+// decodes to a program that serializes differently.
+func FuzzDeserializeProgram(f *testing.F) {
+	str, num := Plain(sqltypes.KindString), Plain(sqltypes.KindInt)
+	rnd := EncInfo{Kind: sqltypes.KindInt, Enc: sqltypes.EncType{
+		Scheme: sqltypes.SchemeRandomized, CEKName: "K", EnclaveEnabled: true}}
+	for _, c := range []struct {
+		expr   Expr
+		inputs []EncInfo
+	}{
+		{Cmp{Op: CmpEQ, L: SlotRef{Slot: 0, Info: rnd}, R: SlotRef{Slot: 1, Info: rnd}}, []EncInfo{rnd, rnd}},
+		{And{
+			L: Cmp{Op: CmpGT, L: SlotRef{Slot: 0, Info: num}, R: Const{Val: sqltypes.Int(3)}},
+			R: LikeExpr{Input: SlotRef{Slot: 1, Info: str}, Pattern: Const{Val: sqltypes.Str("A%")}},
+		}, []EncInfo{num, str}},
+	} {
+		prog, err := Compile("seed", c.expr, c.inputs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(prog.Serialize())
+		for _, sub := range prog.Subs {
+			f.Add(sub)
+		}
+	}
+	f.Add([]byte{0xE5, 0xC0, 0, 0, 0, 0, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var p *Program
+		var err error
+		if n := allocatedBy(func() { p, err = Deserialize(b) }); n > 64<<10+32*uint64(len(b)) {
+			t.Fatalf("deserializing %d bytes allocated %d", len(b), n)
+		}
+		if err != nil {
+			return
+		}
+		if again := p.Serialize(); !bytes.Equal(again, b) {
+			t.Fatalf("deserialize/serialize changed the program: %x -> %x", b, again)
+		}
+	})
 }

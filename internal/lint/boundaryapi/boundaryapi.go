@@ -12,9 +12,9 @@
 //   - exported functions must not return key material (*aecrypto.CellKey,
 //     *rsa.PrivateKey, *ecdh.PrivateKey) — keys live and die inside their
 //     trust domain;
-//   - exported struct types (the gob-encoded wire messages in tds, the
-//     host-visible records in enclave) must not contain sqltypes.Value
-//     fields.
+//   - exported struct types (the wire messages in tds, whose exported fields
+//     the message codec puts on the wire, and the host-visible records in
+//     enclave) must not contain sqltypes.Value fields.
 package boundaryapi
 
 import (
@@ -96,8 +96,8 @@ func checkFuncDecl(pass *analysis.Pass, fn *ast.FuncDecl) {
 }
 
 // checkTypeSpec flags exported struct types with plaintext-carrying fields
-// (the tds wire messages are gob-encoded structs; anything in them is on the
-// wire for the untrusted network and server to see).
+// (the tds wire messages are structs whose exported fields are encoded onto
+// the wire for the untrusted network and server to see).
 func checkTypeSpec(pass *analysis.Pass, ts *ast.TypeSpec) {
 	if !ts.Name.IsExported() {
 		return
@@ -133,8 +133,8 @@ func plaintextCarrier(t types.Type, visited []*types.Named) string {
 		}
 		visited = append(visited, t)
 		if s, ok := t.Underlying().(*types.Struct); ok {
-			// Only exported fields are boundary-reachable: gob encodes only
-			// exported fields, and unexported fields are package-private
+			// Only exported fields are boundary-reachable: the wire codec
+			// encodes message fields, and unexported fields are package-private
 			// plumbing (an *Enclave handle held by the host does not put the
 			// enclave's internals on the wire).
 			for i := 0; i < s.NumFields(); i++ {

@@ -1,4 +1,4 @@
-// Package tds is a fixture of the wire layer: gob-encoded messages must not
+// Package tds is a fixture of the wire layer: encoded messages must not
 // contain plaintext values.
 package tds
 

@@ -17,8 +17,9 @@
 //     Released exactly once — a leaked snapshot pins the oldest-active
 //     watermark and version-chain eviction stalls behind it (functions
 //     that hand the handle to another owner are exempt);
-//   - FrameWriter poison: Write/Flush errors are how the sticky poison
-//     surfaces — discarding them writes to a poisoned stream blind.
+//   - message sends: tds.Peer.Send refuses an oversized request and reports
+//     a transport failure only through its error — discarding it leaves a
+//     caller waiting for an answer to a message that never left.
 package pairing
 
 import (
@@ -28,7 +29,7 @@ import (
 
 var spec = &typestate.Spec{
 	Name: "pairing",
-	Doc:  "acquire/release pairing for buffer-pool pins, frame latches, WAL stream pins and arena pins; FrameWriter errors must be checked",
+	Doc:  "acquire/release pairing for buffer-pool pins, frame latches, WAL stream pins and arena pins; message send errors must be checked",
 	Resources: []typestate.Resource{
 		{
 			Name: "framepin",
@@ -112,12 +113,8 @@ var spec = &typestate.Spec{
 	},
 	MustCheck: []typestate.MustCheck{
 		{
-			Call: typestate.CallPat{Pkg: "tds", Recv: "FrameWriter", Name: "Write"},
-			Msg:  "FrameWriter poison surfaces through its error",
-		},
-		{
-			Call: typestate.CallPat{Pkg: "tds", Recv: "FrameWriter", Name: "Flush"},
-			Msg:  "FrameWriter poison surfaces through its error",
+			Call: typestate.CallPat{Pkg: "tds", Recv: "Peer", Name: "Send"},
+			Msg:  "a refused or failed send surfaces only through its error",
 		},
 	},
 }

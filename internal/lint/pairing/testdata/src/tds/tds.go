@@ -1,22 +1,18 @@
-// Package tds stubs the poisoned frame writer: Write/Flush errors are
-// how the sticky poison surfaces, so discarding them is flagged.
+// Package tds stubs the message peer: a refused or failed send is reported
+// only through Send's error, so discarding it is flagged.
 package tds
 
-type FrameWriter struct{ poisoned bool }
+type Peer struct{ server bool }
 
-func (w *FrameWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (w *FrameWriter) Flush() error                { return nil }
+func (p *Peer) Send(msg []byte) error { return nil }
 
-// relayBad discards poison verdicts two ways.
-func relayBad(w *FrameWriter, p []byte) {
-	w.Flush()         // want "FrameWriter poison surfaces through its error: error result of Flush discarded"
-	_, _ = w.Write(p) // want "FrameWriter poison surfaces through its error: error result of Write assigned to _"
+// relayBad discards send verdicts two ways.
+func relayBad(p *Peer, msg []byte) {
+	p.Send(msg)     // want "a refused or failed send surfaces only through its error: error result of Send discarded"
+	_ = p.Send(msg) // want "a refused or failed send surfaces only through its error: error result of Send assigned to _"
 }
 
-// relayOK consumes both errors.
-func relayOK(w *FrameWriter, p []byte) error {
-	if _, err := w.Write(p); err != nil {
-		return err
-	}
-	return w.Flush()
+// relayOK consumes the error.
+func relayOK(p *Peer, msg []byte) error {
+	return p.Send(msg)
 }

@@ -1,8 +1,8 @@
 // Package repl implements WAL-shipping replication: a primary streams its
-// write-ahead log to read replicas over a framed gob protocol (the same
-// framing discipline as the TDS front door, internal/tds), replicas apply
-// physical redo into their own buffer pools, and a replica can be promoted
-// to primary after the original dies.
+// write-ahead log to read replicas, in the log's own record layout over the
+// TDS front door's framing (internal/tds), replicas apply physical redo
+// into their own buffer pools, and a replica can be promoted to primary
+// after the original dies.
 //
 // The trust story mirrors the paper's: the replication stream is served by
 // the untrusted server and carries exactly what the log carries — for
@@ -19,16 +19,15 @@
 package repl
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"alwaysencrypted/internal/obs"
 	"alwaysencrypted/internal/storage"
 	"alwaysencrypted/internal/tds"
+	"alwaysencrypted/internal/wire"
 )
 
 // Hello is the replica's stream subscription: who it is and the first LSN it
@@ -58,6 +57,13 @@ type Ack struct {
 	AckLSN uint64
 }
 
+const (
+	// batchMax caps records per batch.
+	batchMax = 256
+	// heartbeat is the idle-stream heartbeat interval.
+	heartbeat = 200 * time.Millisecond
+)
+
 // Primary serves the replication endpoint over a listener: one goroutine per
 // replica, streaming from the shared WAL.
 type Primary struct {
@@ -66,23 +72,11 @@ type Primary struct {
 	// harness hook, as on the TDS server.
 	Tap tds.Tap
 
-	// IdleTimeout bounds the wait for a replica's next ack; WriteTimeout
-	// bounds one batch write. Zero means the tds package defaults.
-	IdleTimeout  time.Duration
-	WriteTimeout time.Duration
-	// BatchMax caps records per batch (default 256, keeping batches well
-	// under the frame limit).
-	BatchMax int
-	// Heartbeat is the idle-stream heartbeat interval (default 200ms).
-	Heartbeat time.Duration
-
 	batches  *obs.Counter
 	records  *obs.Counter
 	replicas *obs.Gauge
 
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-	done  bool
+	conns tds.Endpoint
 }
 
 // NewPrimary wraps a WAL as a replication source, reporting into reg (nil for
@@ -90,7 +84,6 @@ type Primary struct {
 func NewPrimary(wal *storage.WAL, reg *obs.Registry) *Primary {
 	p := &Primary{
 		WAL:      wal,
-		conns:    make(map[net.Conn]struct{}),
 		batches:  reg.Counter("repl.batches_sent"),
 		records:  reg.Counter("repl.records_shipped"),
 		replicas: reg.Gauge("repl.replicas_connected"),
@@ -108,79 +101,27 @@ func NewPrimary(wal *storage.WAL, reg *obs.Registry) *Primary {
 }
 
 // Serve accepts replica connections until the listener closes.
-func (p *Primary) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		p.mu.Lock()
-		if p.done {
-			p.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		p.conns[conn] = struct{}{}
-		p.mu.Unlock()
-		go p.handle(conn)
-	}
-}
+func (p *Primary) Serve(l net.Listener) error { return p.conns.Serve(l, p.handle) }
 
 // ServeConn streams to a single established connection (e.g. one side of
 // net.Pipe); it blocks until the stream ends.
-func (p *Primary) ServeConn(conn net.Conn) { p.handle(conn) }
-
-// Close tears down all replica streams.
-func (p *Primary) Close() {
-	p.mu.Lock()
-	p.done = true
-	for c := range p.conns {
-		c.Close()
-	}
-	p.conns = map[net.Conn]struct{}{}
-	p.mu.Unlock()
+func (p *Primary) ServeConn(conn net.Conn) {
+	defer conn.Close()
+	p.handle(conn)
 }
 
+// Close tears down all replica streams.
+func (p *Primary) Close() { p.conns.Close() }
+
 func (p *Primary) handle(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		p.mu.Lock()
-		delete(p.conns, conn)
-		p.mu.Unlock()
-	}()
-	idle, write := p.IdleTimeout, p.WriteTimeout
-	if idle == 0 {
-		idle = tds.DefaultIdleTimeout
-	}
-	if write == 0 {
-		write = tds.DefaultWriteTimeout
-	}
-	batchMax := p.BatchMax
-	if batchMax <= 0 {
-		batchMax = 256
-	}
-	heartbeat := p.Heartbeat
-	if heartbeat <= 0 {
-		heartbeat = 200 * time.Millisecond
-	}
-
-	fr := tds.NewFrameReader(conn, idle)
-	fw := tds.NewFrameWriter(conn, write)
-	// Hello/acks from the replica stay capped at MaxFrameSize; outbound
-	// batches (page images can be big) stream across frames.
-	fw.SetStreaming(true)
-	dec := gob.NewDecoder(fr)
-	enc := gob.NewEncoder(fw)
-
-	var hello Hello
-	if err := fr.BeginMessage(); err != nil {
-		return
-	}
-	if err := dec.Decode(&hello); err != nil {
+	peer := tds.NewPeer(conn, true)
+	msg, err := recv(peer)
+	hello, ok := msg.(*Hello)
+	if err != nil || !ok {
 		return
 	}
 	if p.Tap != nil {
-		p.Tap("r→p", &hello)
+		p.Tap("r→p", hello)
 	}
 	id := hello.ReplicaID
 	if id == "" {
@@ -205,15 +146,13 @@ func (p *Primary) handle(conn net.Conn) {
 	go func() {
 		defer close(stop)
 		for {
-			var ack Ack
-			if err := fr.BeginMessage(); err != nil {
-				return
-			}
-			if err := dec.Decode(&ack); err != nil {
+			msg, err := recv(peer)
+			ack, ok := msg.(*Ack)
+			if err != nil || !ok {
 				return
 			}
 			if p.Tap != nil {
-				p.Tap("r→p", &ack)
+				p.Tap("r→p", ack)
 			}
 			p.WAL.PinStream(id, ack.AckLSN)
 		}
@@ -225,17 +164,14 @@ func (p *Primary) handle(conn net.Conn) {
 		if errors.Is(err, storage.ErrFollowStopped) {
 			return
 		}
-		batch := Batch{Records: recs, NextLSN: next, SentAtUnixNano: time.Now().UnixNano()}
+		batch := &Batch{Records: recs, NextLSN: next, SentAtUnixNano: time.Now().UnixNano()}
 		if err != nil {
 			batch.Err = err.Error()
 		}
 		if p.Tap != nil {
-			p.Tap("p→r", &batch)
+			p.Tap("p→r", batch)
 		}
-		if err := enc.Encode(&batch); err != nil {
-			return
-		}
-		if err := fw.Flush(); err != nil {
+		if err := peer.Send(appendMessage(peer.Message(), batch)); err != nil {
 			return
 		}
 		p.batches.Inc()
@@ -249,10 +185,68 @@ func (p *Primary) handle(conn net.Conn) {
 	}
 }
 
-// MinAckedLSN reports the slowest connected replica's progress.
-func (p *Primary) MinAckedLSN() (uint64, bool) { return p.WAL.MinStreamAck() }
-
 // ErrStream is the terminal-error wrapper replicas see for Batch.Err.
 var ErrStream = errors.New("repl: stream error from primary")
 
 func streamErr(msg string) error { return fmt.Errorf("%w: %s", ErrStream, msg) }
+
+// Message tags on the replication stream: the replica sends one Hello and
+// then Acks, the primary sends Batches.
+const (
+	tagHello byte = iota + 1
+	tagAck
+	tagBatch
+)
+
+// ErrBadMessage reports a replication message that does not decode.
+var ErrBadMessage = errors.New("repl: malformed message")
+
+// appendMessage appends the body of msg, a *Hello, *Ack or *Batch: its tag
+// and fields in declaration order, a Batch's records last, in the log's
+// record layout (DESIGN.md, "Wire format").
+func appendMessage(b []byte, msg any) []byte {
+	switch m := msg.(type) {
+	case *Hello:
+		return wire.AppendU64(wire.AppendString(append(b, tagHello), m.ReplicaID), m.FromLSN)
+	case *Ack:
+		return wire.AppendU64(append(b, tagAck), m.AckLSN)
+	case *Batch:
+		b = wire.AppendU64(append(b, tagBatch), m.NextLSN)
+		b = wire.AppendString(wire.AppendU64(b, uint64(m.SentAtUnixNano)), m.Err)
+		b = wire.AppendU32(b, uint32(len(m.Records)))
+		for i := range m.Records {
+			b = storage.AppendRecord(b, &m.Records[i])
+		}
+	}
+	return b
+}
+
+// decodeMessage parses one message body. Record byte fields alias it.
+func decodeMessage(body []byte) (any, error) {
+	r := wire.NewReader(body, ErrBadMessage)
+	var msg any
+	switch tag := r.U8(); tag {
+	case tagHello:
+		msg = &Hello{ReplicaID: r.String(), FromLSN: r.U64()}
+	case tagAck:
+		msg = &Ack{AckLSN: r.U64()}
+	case tagBatch:
+		msg = &Batch{NextLSN: r.U64(), SentAtUnixNano: int64(r.U64()), Err: r.String(),
+			Records: wire.ReadList(&r, storage.RecordMinLen, storage.ReadRecord)}
+	default:
+		r.Fail("message tag %d", tag)
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return msg, nil
+}
+
+// recv reads and decodes the next message from peer.
+func recv(peer *tds.Peer) (any, error) {
+	body, err := peer.Recv()
+	if err != nil {
+		return nil, err
+	}
+	return decodeMessage(body)
+}

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -29,8 +28,6 @@ type ReplicaConfig struct {
 	Engine *engine.Engine
 	// Obs receives lag and throughput instruments (nil for none).
 	Obs *obs.Registry
-	// WriteTimeout bounds ack writes (default: tds package default).
-	WriteTimeout time.Duration
 }
 
 // Replica is a running redo loop: it subscribes to the primary's WAL from
@@ -50,11 +47,7 @@ type Replica struct {
 	stopOnce sync.Once
 	done     chan struct{}
 	err      atomic.Value // error
-
-	// applyMu serializes Apply with promotion: Promote must not race a batch
-	// that is mid-application.
-	applyMu sync.Mutex
-	stopped atomic.Bool
+	stopped  atomic.Bool
 }
 
 // StartReplica connects to the primary and launches the redo loop. The
@@ -149,37 +142,24 @@ func (r *Replica) run() {
 	defer close(r.done)
 	defer r.conn.Close()
 
-	write := r.cfg.WriteTimeout
-	if write == 0 {
-		write = tds.DefaultWriteTimeout
-	}
-	// No idle timeout on the batch reader: the primary heartbeats, and a dead
-	// primary closes the socket (or is detected by the operator promoting us).
-	// No per-message cap either — batches stream across frames.
-	fr := tds.NewFrameReader(r.conn, 0)
-	fr.SetMessageLimit(0)
-	fw := tds.NewFrameWriter(r.conn, write)
-	dec := gob.NewDecoder(fr)
-	enc := gob.NewEncoder(fw)
-
+	// The batch reader waits without a deadline: the primary heartbeats, and a
+	// dead primary closes the socket (or is detected by the operator promoting
+	// us).
+	peer := tds.NewPeer(r.conn, false)
 	wal := r.cfg.Engine.WAL()
-	hello := Hello{ReplicaID: r.cfg.ReplicaID, FromLSN: wal.NextLSN()}
-	if err := enc.Encode(&hello); err != nil {
-		r.fail(err)
-		return
-	}
-	if err := fw.Flush(); err != nil {
+	hello := &Hello{ReplicaID: r.cfg.ReplicaID, FromLSN: wal.NextLSN()}
+	if err := peer.Send(appendMessage(peer.Message(), hello)); err != nil {
 		r.fail(err)
 		return
 	}
 
 	for {
-		var batch Batch
-		if err := fr.BeginMessage(); err != nil {
-			r.fail(err)
-			return
+		msg, err := recv(peer)
+		batch, ok := msg.(*Batch)
+		if err == nil && !ok {
+			err = fmt.Errorf("%w: %T where a batch belongs", ErrBadMessage, msg)
 		}
-		if err := dec.Decode(&batch); err != nil {
+		if err != nil {
 			r.fail(err)
 			return
 		}
@@ -187,9 +167,7 @@ func (r *Replica) run() {
 			r.fail(streamErr(batch.Err))
 			return
 		}
-		r.applyMu.Lock()
 		if r.stopped.Load() {
-			r.applyMu.Unlock()
 			return
 		}
 		// Redo tracing: WAL records carry the originating statement's trace
@@ -229,7 +207,6 @@ func (r *Replica) run() {
 					redoSpan.End()
 					redoAct.Finish(err)
 				}
-				r.applyMu.Unlock()
 				r.fail(err)
 				return
 			}
@@ -238,7 +215,6 @@ func (r *Replica) run() {
 		finishRedo()
 		redoOrigin = trace.ID{}
 		applied := r.applier.AppliedLSN()
-		r.applyMu.Unlock()
 		r.redoBatch.Inc()
 		r.redoRecs.Add(uint64(len(batch.Records)))
 
@@ -257,22 +233,9 @@ func (r *Replica) run() {
 			}
 		}
 
-		ack := Ack{AckLSN: applied}
-		if err := enc.Encode(&ack); err != nil {
-			r.fail(err)
-			return
-		}
-		if err := fw.Flush(); err != nil {
+		if err := peer.Send(appendMessage(peer.Message(), &Ack{AckLSN: applied})); err != nil {
 			r.fail(err)
 			return
 		}
 	}
-}
-
-// PauseApply runs fn with the apply loop excluded — promotion uses it to
-// drain in-flight application before rewiring the engine.
-func (r *Replica) PauseApply(fn func()) {
-	r.applyMu.Lock()
-	defer r.applyMu.Unlock()
-	fn()
 }

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"encoding/gob"
 	"net"
 	"os"
 	"strings"
@@ -15,11 +14,7 @@ import (
 // fakeReplica speaks the replica half of the protocol by hand, so the
 // Primary can be tested without an engine.
 type fakeReplica struct {
-	conn net.Conn
-	fr   *tds.FrameReader
-	fw   *tds.FrameWriter
-	dec  *gob.Decoder
-	enc  *gob.Encoder
+	peer *tds.Peer
 }
 
 func dialFake(t *testing.T, p *Primary, id string, from uint64) *fakeReplica {
@@ -27,38 +22,34 @@ func dialFake(t *testing.T, p *Primary, id string, from uint64) *fakeReplica {
 	c, s := net.Pipe()
 	t.Cleanup(func() { c.Close(); s.Close() })
 	go p.ServeConn(s)
-	f := &fakeReplica{conn: c, fr: tds.NewFrameReader(c, 0), fw: tds.NewFrameWriter(c, time.Second)}
-	f.dec = gob.NewDecoder(f.fr)
-	f.enc = gob.NewEncoder(f.fw)
-	if err := f.enc.Encode(&Hello{ReplicaID: id, FromLSN: from}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	f := &fakeReplica{peer: tds.NewPeer(c, false)}
+	f.send(t, &Hello{ReplicaID: id, FromLSN: from})
 	return f
+}
+
+func (f *fakeReplica) send(t *testing.T, msg any) {
+	t.Helper()
+	if err := f.peer.Send(appendMessage(f.peer.Message(), msg)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func (f *fakeReplica) recv(t *testing.T) Batch {
 	t.Helper()
-	var b Batch
-	if err := f.fr.BeginMessage(); err != nil {
+	msg, err := recv(f.peer)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.dec.Decode(&b); err != nil {
-		t.Fatal(err)
+	b, ok := msg.(*Batch)
+	if !ok {
+		t.Fatalf("primary sent %T", msg)
 	}
-	return b
+	return *b
 }
 
 func (f *fakeReplica) ack(t *testing.T, lsn uint64) {
 	t.Helper()
-	if err := f.enc.Encode(&Ack{AckLSN: lsn}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	f.send(t, &Ack{AckLSN: lsn})
 }
 
 func TestPrimaryStreamsAndTracksAcks(t *testing.T) {
@@ -89,7 +80,7 @@ func TestPrimaryStreamsAndTracksAcks(t *testing.T) {
 	f.ack(t, 5)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if ack, ok := p.MinAckedLSN(); ok && ack == 5 {
+		if ack, ok := p.WAL.MinStreamAck(); ok && ack == 5 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -113,7 +104,6 @@ func TestPrimaryHeartbeatOnIdleStream(t *testing.T) {
 	wal := storage.NewWAL()
 	wal.Append(storage.Record{Type: storage.RecCheckpoint})
 	p := NewPrimary(wal, nil)
-	p.Heartbeat = 10 * time.Millisecond
 	defer p.Close()
 
 	f := dialFake(t, p, "fake-hb", 1)
@@ -148,7 +138,7 @@ func TestPrimaryClampsZeroFromLSN(t *testing.T) {
 		t.Fatalf("zero-FromLSN batch = %+v", b)
 	}
 	// The stream registered with ack 0, not an underflowed huge value.
-	if ack, ok := p.MinAckedLSN(); !ok || ack != 0 {
+	if ack, ok := p.WAL.MinStreamAck(); !ok || ack != 0 {
 		t.Fatalf("min acked = %d, %v", ack, ok)
 	}
 	// Retention still holds for the un-acked record.

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -146,22 +147,35 @@ func FuzzLoadWAL(f *testing.F) {
 	w.AppendCommitGroup(Record{Txn: 1, Type: RecCommit}, 0)
 	ser := w.Serialize()
 	f.Add(ser)
+	f.Add(goldenWAL().Serialize())
 	f.Add(ser[:len(ser)/2])
 	f.Add(NewWAL().Serialize())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := LoadWAL(data)
+		var got *WAL
+		var err error
+		if n := allocatedBy(func() { got, err = LoadWAL(data) }); n > 64<<10+16*uint64(len(data)) {
+			t.Fatalf("loading a %d-byte log allocated %d bytes", len(data), n)
+		}
 		if err != nil {
 			return
 		}
 		// The smallest serialized record is 90 bytes; a log cannot hold more
 		// records than its bytes pay for.
-		if n := got.Len(); n > len(data)/90 {
+		if n := got.Len(); n > len(data)/RecordMinLen {
 			t.Fatalf("%d-byte log decoded to %d records", len(data), n)
 		}
-		again, err := LoadWAL(got.Serialize())
-		if err != nil || again.Len() != got.Len() || again.NextLSN() != got.NextLSN() {
-			t.Fatalf("reserialized log does not load back: %v", err)
+		if again := got.Serialize(); !bytes.Equal(again, data) {
+			t.Fatalf("load/serialize changed the log: %x -> %x", data, again)
 		}
 	})
+}
+
+// allocatedBy reports the bytes fn allocates on the heap.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

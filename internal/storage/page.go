@@ -91,9 +91,6 @@ func (p *Page) ID() PageID { return PageID(binary.LittleEndian.Uint32(p.buf[0:])
 // Type returns the page type tag.
 func (p *Page) Type() uint8 { return p.buf[4] }
 
-// SetType updates the page type tag.
-func (p *Page) SetType(t uint8) { p.buf[4] = t }
-
 // Next returns the chain link.
 func (p *Page) Next() PageID { return PageID(binary.LittleEndian.Uint32(p.buf[12:])) }
 

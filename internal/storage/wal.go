@@ -1,16 +1,14 @@
 package storage
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
 
 	"alwaysencrypted/internal/obs/trace"
+	"alwaysencrypted/internal/wire"
 )
 
 // RecType enumerates write-ahead log record types. Heap records carry
@@ -456,134 +454,113 @@ func (w *WAL) RetainedBytes() int {
 	return total
 }
 
-// Serialize encodes the retained log for durability.
+// RecordMinLen is the encoded length of a record whose variable-length
+// fields are all empty: the floor a record count is checked against.
+const RecordMinLen = 90
+
+// AppendRecord appends rec in the log's record layout, the one Serialize
+// writes and the replication stream ships:
+//
+//	u64 LSN, u64 Txn, u8 Type, Table, u64 Row, u64 NewRow,
+//	u64 key count then each component, Old, New, DDL,
+//	u8 CLR (0 or 1), 16-byte Trace
+//
+// where every variable-length field is a u64 length and its bytes.
+func AppendRecord(b []byte, rec *Record) []byte {
+	b = wire.AppendU64(b, rec.LSN)
+	b = wire.AppendU64(b, rec.Txn)
+	b = append(b, byte(rec.Type))
+	b = append64(b, rec.Table)
+	b = wire.AppendU64(b, uint64(rec.Row))
+	b = wire.AppendU64(b, uint64(rec.NewRow))
+	b = wire.AppendU64(b, uint64(len(rec.Key)))
+	for _, k := range rec.Key {
+		b = append64(b, k)
+	}
+	b = append64(b, rec.Old)
+	b = append64(b, rec.New)
+	b = append64(b, rec.DDL)
+	b = wire.AppendBool(b, rec.CLR)
+	return append(b, rec.Trace[:]...)
+}
+
+func append64[T string | []byte](b []byte, v T) []byte {
+	return append(wire.AppendU64(b, uint64(len(v))), v...)
+}
+
+// encodedLen is len(AppendRecord(nil, rec)).
+func encodedLen(rec *Record) int {
+	n := RecordMinLen + len(rec.Table) + len(rec.Old) + len(rec.New) + len(rec.DDL)
+	for _, k := range rec.Key {
+		n += 8 + len(k)
+	}
+	return n
+}
+
+// ReadRecord decodes one AppendRecord layout. Byte fields alias the input.
+func ReadRecord(r *wire.Reader) Record {
+	rec := Record{LSN: r.U64(), Txn: r.U64(), Type: RecType(r.U8())}
+	rec.Table = string(r.Take(r.U64()))
+	rec.Row = RowID(r.U64())
+	rec.NewRow = RowID(r.U64())
+	if n := r.Count64(8); n > 0 {
+		rec.Key = make([][]byte, n)
+		for i := range rec.Key {
+			rec.Key[i] = r.Take(r.U64())
+		}
+	}
+	rec.Old = r.Take(r.U64())
+	rec.New = r.Take(r.U64())
+	rec.DDL = string(r.Take(r.U64()))
+	rec.CLR = r.Bool()
+	copy(rec.Trace[:], r.Take(uint64(len(rec.Trace))))
+	return rec
+}
+
+// Serialize encodes the retained log for durability: u64 next LSN, u64
+// record count, then the records.
 func (w *WAL) Serialize() []byte {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var buf bytes.Buffer
-	wU64 := func(v uint64) { binary.Write(&buf, binary.BigEndian, v) }
-	wBytes := func(b []byte) { wU64(uint64(len(b))); buf.Write(b) }
-	wU64(w.nextLSN)
-	wU64(uint64(len(w.records)))
+	size := 16
 	for i := range w.records {
-		r := &w.records[i]
-		wU64(r.LSN)
-		wU64(r.Txn)
-		buf.WriteByte(byte(r.Type))
-		wBytes([]byte(r.Table))
-		wU64(uint64(r.Row))
-		wU64(uint64(r.NewRow))
-		wU64(uint64(len(r.Key)))
-		for _, k := range r.Key {
-			wBytes(k)
-		}
-		wBytes(r.Old)
-		wBytes(r.New)
-		wBytes([]byte(r.DDL))
-		if r.CLR {
-			buf.WriteByte(1)
-		} else {
-			buf.WriteByte(0)
-		}
-		buf.Write(r.Trace[:])
+		size += encodedLen(&w.records[i])
 	}
-	return buf.Bytes()
+	b := make([]byte, 0, size)
+	b = wire.AppendU64(b, w.nextLSN)
+	b = wire.AppendU64(b, uint64(len(w.records)))
+	for i := range w.records {
+		b = AppendRecord(b, &w.records[i])
+	}
+	return b
 }
 
 // ErrBadWAL reports a corrupt serialized log.
 var ErrBadWAL = errors.New("storage: malformed serialized WAL")
 
-// LoadWAL decodes a log produced by Serialize.
+// LoadWAL decodes a log produced by Serialize. Record byte fields alias
+// data, which the caller must not modify afterwards. LSNs must be strictly
+// increasing and the next LSN must lie beyond the last record: a log that
+// would hand out an LSN it already holds is corrupt.
 func LoadWAL(data []byte) (*WAL, error) {
-	r := bytes.NewReader(data)
-	rU64 := func() (uint64, error) {
-		var v uint64
-		err := binary.Read(r, binary.BigEndian, &v)
-		return v, err
-	}
-	rBytes := func() ([]byte, error) {
-		n, err := rU64()
-		if err != nil || n > uint64(r.Len()) {
-			return nil, ErrBadWAL
-		}
-		if n == 0 {
-			return nil, nil
-		}
-		b := make([]byte, n)
-		if _, err := r.Read(b); err != nil {
-			return nil, ErrBadWAL
-		}
-		return b, nil
-	}
+	r := wire.NewReader(data, ErrBadWAL)
 	w := NewWAL()
-	next, err := rU64()
-	if err != nil {
-		return nil, ErrBadWAL
-	}
-	w.nextLSN = next
-	n, err := rU64()
-	if err != nil || n > 1<<30 {
-		return nil, ErrBadWAL
-	}
-	for i := uint64(0); i < n; i++ {
-		var rec Record
-		if rec.LSN, err = rU64(); err != nil {
-			return nil, ErrBadWAL
+	w.nextLSN = r.U64()
+	w.records = make([]Record, 0, r.Count64(RecordMinLen))
+	var last uint64
+	for i := 0; i < cap(w.records); i++ {
+		rec := ReadRecord(&r)
+		if rec.LSN <= last {
+			r.Fail("record LSN %d after %d", rec.LSN, last)
 		}
-		if rec.Txn, err = rU64(); err != nil {
-			return nil, ErrBadWAL
-		}
-		t := make([]byte, 1)
-		if _, err := r.Read(t); err != nil {
-			return nil, ErrBadWAL
-		}
-		rec.Type = RecType(t[0])
-		tb, err := rBytes()
-		if err != nil {
-			return nil, err
-		}
-		rec.Table = string(tb)
-		row, err := rU64()
-		if err != nil {
-			return nil, ErrBadWAL
-		}
-		rec.Row = RowID(row)
-		nrow, err := rU64()
-		if err != nil {
-			return nil, ErrBadWAL
-		}
-		rec.NewRow = RowID(nrow)
-		nk, err := rU64()
-		if err != nil || nk > 64 {
-			return nil, ErrBadWAL
-		}
-		for j := uint64(0); j < nk; j++ {
-			k, err := rBytes()
-			if err != nil {
-				return nil, err
-			}
-			rec.Key = append(rec.Key, k)
-		}
-		if rec.Old, err = rBytes(); err != nil {
-			return nil, err
-		}
-		if rec.New, err = rBytes(); err != nil {
-			return nil, err
-		}
-		ddl, err := rBytes()
-		if err != nil {
-			return nil, err
-		}
-		rec.DDL = string(ddl)
-		clr := make([]byte, 1)
-		if _, err := r.Read(clr); err != nil {
-			return nil, ErrBadWAL
-		}
-		rec.CLR = clr[0] != 0
-		if _, err := io.ReadFull(r, rec.Trace[:]); err != nil {
-			return nil, ErrBadWAL
-		}
+		last = rec.LSN
 		w.records = append(w.records, rec)
+	}
+	if w.nextLSN <= last {
+		r.Fail("next LSN %d not past record LSN %d", w.nextLSN, last)
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	if len(w.records) > 0 {
 		w.base = w.records[0].LSN

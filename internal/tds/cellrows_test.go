@@ -2,6 +2,7 @@ package tds
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"runtime"
 	"testing"
@@ -43,6 +44,16 @@ func TestCellRowsRoundTrip(t *testing.T) {
 				t.Fatalf("row %d cell %d: %q, want %q", r, c, got[r][c], rows[r][c])
 			}
 		}
+	}
+}
+
+// The cell-rows layout is a fixed point: bulk payloads and the ladder's
+// encode/decode rungs depend on its bytes.
+func TestEncodeCellRowsGolden(t *testing.T) {
+	const want = "00000003000300000006616c706861000000000000000100000002" +
+		"0000002061206c6f6e67657220636970686572746578742d7368617065642063656c6c0000000262"
+	if got := hex.EncodeToString(EncodeCellRows(sampleCellRows())); got != want {
+		t.Fatalf("EncodeCellRows output changed:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -6,196 +6,149 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"slices"
+	"sync"
 	"time"
 )
 
-// Frame layer: every gob message travels inside length-prefixed frames
-// (u32 big-endian length, then payload). The length prefix is what lets an
-// untrusted peer be bounded — a decoder fed straight from the socket would
-// happily allocate whatever an attacker's stream announces, and a stalled
-// peer would pin the handler goroutine forever. The same limits are reused
-// by the replication protocol (internal/repl).
-//
-// The limits are asymmetric by direction. Requests (client→server,
-// replica→primary) are capped at MaxFrameSize per message: the server never
-// buffers more than that for an untrusted peer. Responses (server→client,
-// primary→replica) may legitimately be large — a big SELECT, a batch of WAL
-// records — so response writers stream one message across several
-// MaxFrameSize frames and response readers disable the per-message budget
-// while keeping the per-frame cap.
+// Framing (DESIGN.md, "Wire format"): a message on the TDS and replication
+// wires is a u32 big-endian body length and the body. A request comes from
+// an untrusted peer and is checked against MaxFrameSize from its length
+// alone; a response may be larger, and is read in MaxFrameSize steps so
+// memory grows only with bytes received. A message is encoded whole and
+// size-checked before its first byte is written.
 const (
-	// MaxFrameSize bounds a single frame, and — for request directions — a
-	// single protocol message.
+	// MaxFrameSize bounds a request body.
 	MaxFrameSize = 4 << 20
 
-	// DefaultIdleTimeout is how long a server-side read waits for the next
-	// frame before the connection is considered abandoned.
+	// DefaultIdleTimeout is how long a server end waits for the next
+	// request before the connection is considered abandoned.
 	DefaultIdleTimeout = 5 * time.Minute
 
-	// DefaultWriteTimeout bounds writing one response to a peer that has
+	// DefaultWriteTimeout bounds writing one message to a peer that has
 	// stopped draining its socket.
 	DefaultWriteTimeout = 30 * time.Second
 )
 
-// ErrFrameTooLarge reports a frame (or message) exceeding MaxFrameSize.
+// ErrFrameTooLarge reports a message length outside what its direction
+// allows.
 var ErrFrameTooLarge = errors.New("tds: frame exceeds maximum size")
 
-// FrameReader adapts a connection into an io.Reader that transparently
-// spans frame boundaries, enforcing MaxFrameSize per frame and an optional
-// per-message byte budget. gob decoders are stateful across messages, so the
-// decoder reads from one persistent FrameReader; call BeginMessage before
-// each Decode to arm the budget and the idle deadline.
-type FrameReader struct {
-	conn      net.Conn
-	br        *bufio.Reader
-	remaining int // bytes left in the current frame
-	budget    int // bytes left for the current message; <0 disables
-	limit     int // per-message budget armed by BeginMessage; <=0 disables
-	idle      time.Duration
+// Peer is one end of a message stream. The server end (a TDS server, a
+// replication primary) reads requests and sends responses and arms
+// DefaultIdleTimeout on every read; the client end sends requests and reads
+// responses. Send and Recv may run concurrently with each other, but
+// neither with itself.
+type Peer struct {
+	conn   net.Conn
+	br     *bufio.Reader
+	hdr    [4]byte
+	out    []byte
+	server bool
 }
 
-// NewFrameReader wraps conn. idle == 0 disables read deadlines (client side,
-// where a query may legitimately run long). The per-message budget defaults
-// to MaxFrameSize; see SetMessageLimit.
-func NewFrameReader(conn net.Conn, idle time.Duration) *FrameReader {
-	return &FrameReader{conn: conn, br: bufio.NewReader(conn), budget: -1, limit: MaxFrameSize, idle: idle}
+// NewPeer wraps conn as a server end or a client end.
+func NewPeer(conn net.Conn, server bool) *Peer {
+	return &Peer{conn: conn, br: bufio.NewReader(conn), server: server}
 }
 
-// SetMessageLimit changes the per-message byte budget armed by BeginMessage.
-// n <= 0 removes the budget entirely (per-frame caps still apply): the mode
-// used when reading responses from one's own upstream — a client reading
-// result sets, a replica reading WAL batches — which may span many frames.
-func (fr *FrameReader) SetMessageLimit(n int) { fr.limit = n }
+// Message returns the send buffer, emptied, with room for the length
+// prefix: append one message body and pass the result to Send.
+func (p *Peer) Message() []byte { return append(p.out[:0], 0, 0, 0, 0) }
 
-// BeginMessage arms the byte budget for the next Decode and, when an idle
-// timeout is configured, requires the whole message to arrive within it.
-func (fr *FrameReader) BeginMessage() error {
-	if fr.limit > 0 {
-		fr.budget = fr.limit
-	} else {
-		fr.budget = -1
+// Send writes one message built on Message, under DefaultWriteTimeout. A
+// request body over MaxFrameSize is refused before anything is written.
+func (p *Peer) Send(msg []byte) error {
+	n := len(msg) - len(p.hdr)
+	if (!p.server && n > MaxFrameSize) || n > math.MaxUint32 {
+		return fmt.Errorf("%w: %d-byte message", ErrFrameTooLarge, n)
 	}
-	if fr.idle > 0 {
-		return fr.conn.SetReadDeadline(time.Now().Add(fr.idle))
+	binary.BigEndian.PutUint32(msg, uint32(n))
+	if cap(msg) <= MaxFrameSize { // a larger result set's buffer is dropped once sent
+		p.out = msg[:0]
 	}
-	return nil
-}
-
-func (fr *FrameReader) Read(p []byte) (int, error) {
-	if fr.remaining == 0 {
-		var hdr [4]byte
-		if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
-			return 0, err
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 || n > MaxFrameSize {
-			return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-		}
-		fr.remaining = int(n)
-	}
-	// A message spread over several frames may not exceed the budget either.
-	if fr.budget == 0 {
-		return 0, fmt.Errorf("%w: message exceeds %d bytes", ErrFrameTooLarge, fr.limit)
-	}
-	if fr.budget > 0 && len(p) > fr.budget {
-		p = p[:fr.budget]
-	}
-	if len(p) > fr.remaining {
-		p = p[:fr.remaining]
-	}
-	n, err := fr.br.Read(p)
-	fr.remaining -= n
-	if fr.budget > 0 {
-		fr.budget -= n
-	}
-	return n, err
-}
-
-// FrameWriter buffers one message and emits it as frames. In the default
-// (request) mode a message must fit one frame: exceeding MaxFrameSize fails
-// the write, discards the partial message and poisons the writer so later
-// writes fail fast instead of flushing a half-encoded gob message that would
-// desync the peer's stream. In streaming (response) mode — SetStreaming —
-// an oversized message is emitted as several full frames plus a final
-// partial one, so large result sets and WAL batches are not size-capped.
-type FrameWriter struct {
-	conn    net.Conn
-	buf     []byte
-	timeout time.Duration
-	stream  bool
-	err     error // sticky: set on overflow or transport failure
-}
-
-// NewFrameWriter wraps conn. timeout == 0 disables write deadlines.
-func NewFrameWriter(conn net.Conn, timeout time.Duration) *FrameWriter {
-	return &FrameWriter{conn: conn, timeout: timeout}
-}
-
-// SetStreaming switches the writer into multi-frame message mode (used for
-// the response direction, whose reader runs without a message budget).
-func (fw *FrameWriter) SetStreaming(on bool) { fw.stream = on }
-
-func (fw *FrameWriter) Write(p []byte) (int, error) {
-	if fw.err != nil {
-		return 0, fw.err
-	}
-	if !fw.stream {
-		if len(fw.buf)+len(p) > MaxFrameSize {
-			// Drop the partial message: a later Flush must never send half a
-			// gob message. The encoder's state is unknowable from here, so the
-			// writer is poisoned rather than left looking usable.
-			fw.buf = fw.buf[:0]
-			fw.err = ErrFrameTooLarge
-			return 0, fw.err
-		}
-		fw.buf = append(fw.buf, p...)
-		return len(p), nil
-	}
-	total := len(p)
-	for len(fw.buf)+len(p) > MaxFrameSize {
-		n := MaxFrameSize - len(fw.buf)
-		fw.buf = append(fw.buf, p[:n]...)
-		if err := fw.emit(); err != nil {
-			return 0, err
-		}
-		p = p[n:]
-	}
-	fw.buf = append(fw.buf, p...)
-	return total, nil
-}
-
-// emit sends the buffered bytes as one frame.
-func (fw *FrameWriter) emit() error {
-	if fw.timeout > 0 {
-		if err := fw.conn.SetWriteDeadline(time.Now().Add(fw.timeout)); err != nil {
-			fw.buf = fw.buf[:0]
-			fw.err = err
-			return err
-		}
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(fw.buf)))
-	if _, err := fw.conn.Write(hdr[:]); err != nil {
-		fw.buf = fw.buf[:0]
-		fw.err = err
+	if err := p.conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout)); err != nil {
 		return err
 	}
-	_, err := fw.conn.Write(fw.buf)
-	fw.buf = fw.buf[:0]
-	if err != nil {
-		fw.err = err
-	}
+	_, err := p.conn.Write(msg)
 	return err
 }
 
-// Flush frames and sends the rest of the buffered message.
-func (fw *FrameWriter) Flush() error {
-	if fw.err != nil {
-		return fw.err
+// Recv reads the next message body into a fresh buffer that is never
+// reused, so decoded messages may alias it.
+func (p *Peer) Recv() ([]byte, error) {
+	if p.server {
+		if err := p.conn.SetReadDeadline(time.Now().Add(DefaultIdleTimeout)); err != nil {
+			return nil, err
+		}
 	}
-	if len(fw.buf) == 0 {
-		return nil
+	if _, err := io.ReadFull(p.br, p.hdr[:]); err != nil {
+		return nil, err
 	}
-	return fw.emit()
+	n := int(binary.BigEndian.Uint32(p.hdr[:]))
+	if n == 0 || (p.server && n > MaxFrameSize) {
+		return nil, fmt.Errorf("%w: %d-byte message", ErrFrameTooLarge, n)
+	}
+	body := make([]byte, 0, min(n, MaxFrameSize))
+	for len(body) < n {
+		step := min(n-len(body), MaxFrameSize)
+		body = slices.Grow(body, step)[:len(body)+step]
+		if _, err := io.ReadFull(p.br, body[len(body)-step:]); err != nil {
+			return nil, err
+		}
+	}
+	return body, nil
+}
+
+// Endpoint runs one handler goroutine per accepted connection and closes
+// every open connection on Close. The zero value is ready to use.
+type Endpoint struct {
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+	done  bool
+}
+
+// Serve accepts connections from l until it fails or Close is called; each
+// connection is closed when its handler returns.
+func (e *Endpoint) Serve(l net.Listener, handle func(net.Conn)) error {
+	for {
+		conn, err := l.Accept()
+		if err != nil {
+			return err
+		}
+		e.mu.Lock()
+		if e.done {
+			e.mu.Unlock()
+			conn.Close()
+			return nil
+		}
+		if e.conns == nil {
+			e.conns = make(map[net.Conn]struct{})
+		}
+		e.conns[conn] = struct{}{}
+		e.mu.Unlock()
+		go func() {
+			defer func() {
+				conn.Close()
+				e.mu.Lock()
+				delete(e.conns, conn)
+				e.mu.Unlock()
+			}()
+			handle(conn)
+		}()
+	}
+}
+
+// Close stops Serve at its next accepted connection and closes every open
+// one.
+func (e *Endpoint) Close() {
+	e.mu.Lock()
+	e.done = true
+	for c := range e.conns {
+		c.Close()
+	}
+	e.conns = nil
+	e.mu.Unlock()
 }

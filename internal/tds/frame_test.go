@@ -4,36 +4,37 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
 
-func framePair(t *testing.T, idle time.Duration) (client net.Conn, fr *FrameReader) {
+// peerPair connects a client end to a server end over net.Pipe.
+func peerPair(t *testing.T) (client, server *Peer, clientConn net.Conn) {
 	t.Helper()
 	c, s := net.Pipe()
 	t.Cleanup(func() { c.Close(); s.Close() })
-	return c, NewFrameReader(s, idle)
+	return NewPeer(c, false), NewPeer(s, true), c
+}
+
+// send writes body from p on a goroutine and returns its error channel.
+func send(p *Peer, body []byte) <-chan error {
+	msg := append(p.Message(), body...)
+	errc := make(chan error, 1)
+	go func() { errc <- p.Send(msg) }()
+	return errc
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	c, s := net.Pipe()
-	defer c.Close()
-	defer s.Close()
-	fw := NewFrameWriter(c, 0)
-	fr := NewFrameReader(s, 0)
-
+	client, server, _ := peerPair(t)
 	msg := bytes.Repeat([]byte("payload."), 100)
-	go func() {
-		fw.Write(msg)
-		fw.Flush()
-	}()
-	if err := fr.BeginMessage(); err != nil {
+	errc := send(client, msg)
+	got, err := server.Recv()
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, len(msg))
-	if _, err := io.ReadFull(fr, got); err != nil {
+	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, msg) {
@@ -41,157 +42,190 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// rawHeader writes a bare length prefix from the client side.
+func rawHeader(c net.Conn, n uint32) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], n)
+	go c.Write(hdr[:])
+}
+
+// A request longer than MaxFrameSize is refused from its length alone.
 func TestFrameRejectsOversizedHeader(t *testing.T) {
-	client, fr := framePair(t, 0)
-	go func() {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-		client.Write(hdr[:])
-	}()
-	fr.BeginMessage()
-	if _, err := fr.Read(make([]byte, 16)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized frame header err = %v", err)
+	_, server, c := peerPair(t)
+	rawHeader(c, MaxFrameSize+1)
+	if _, err := server.Recv(); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized request header err = %v", err)
 	}
 }
 
 func TestFrameRejectsZeroLengthHeader(t *testing.T) {
-	client, fr := framePair(t, 0)
-	go client.Write([]byte{0, 0, 0, 0})
-	fr.BeginMessage()
-	if _, err := fr.Read(make([]byte, 16)); !errors.Is(err, ErrFrameTooLarge) {
+	_, server, c := peerPair(t)
+	rawHeader(c, 0)
+	if _, err := server.Recv(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("zero-length frame err = %v", err)
 	}
 }
 
-// A message split across many small frames must still respect the per-message
-// budget: an attacker cannot dodge MaxFrameSize by chunking.
-func TestFrameBudgetSpansFrames(t *testing.T) {
-	client, fr := framePair(t, 0)
+// A response may announce any length, but the reader allocates at most
+// MaxFrameSize ahead of what actually arrived: a 2 GiB promise followed by a
+// few bytes and a hang-up costs one step, not 2 GiB.
+func TestFrameResponseGrowsWithBytesReceived(t *testing.T) {
+	c, s := net.Pipe()
+	defer c.Close()
+	client := NewPeer(c, false)
 	go func() {
-		chunk := make([]byte, 1<<20) // 1 MiB per frame, 4 MiB limit
 		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(chunk)))
-		for i := 0; i < 6; i++ {
-			if _, err := client.Write(hdr[:]); err != nil {
-				return
-			}
-			if _, err := client.Write(chunk); err != nil {
-				return
-			}
-		}
+		binary.BigEndian.PutUint32(hdr[:], 1<<31)
+		s.Write(hdr[:])
+		s.Write([]byte("only this"))
+		s.Close()
 	}()
-	fr.BeginMessage()
-	n, err := io.Copy(io.Discard, io.LimitReader(fr, 8<<20))
-	_ = n
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("budget overflow err = %v (after %d bytes)", err, n)
+	var err error
+	n := allocatedBy(func() { _, err = client.Recv() })
+	if err == nil {
+		t.Fatal("truncated response accepted")
+	}
+	if n > 2*MaxFrameSize {
+		t.Fatalf("a response that delivered 9 bytes cost %d bytes", n)
 	}
 }
 
+// A request over MaxFrameSize fails locally: nothing reaches the wire.
 func TestFrameWriterRefusesOversizedMessage(t *testing.T) {
-	c, s := net.Pipe()
-	defer c.Close()
-	defer s.Close()
-	fw := NewFrameWriter(c, 0)
-	if _, err := fw.Write(make([]byte, MaxFrameSize)); err != nil {
-		t.Fatalf("max-size write: %v", err)
-	}
-	if _, err := fw.Write([]byte{1}); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("overflow write err = %v", err)
+	client, _, _ := peerPair(t)
+	msg := append(client.Message(), make([]byte, MaxFrameSize+1)...)
+	if err := client.Send(msg); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized request err = %v", err)
 	}
 }
 
-// An overflow discards the partial message and poisons the writer: nothing of
-// the half-encoded gob message may ever reach the wire (it would desync the
-// peer's decoder), and later writes fail fast instead of looking usable.
-func TestFrameWriterPoisonedAfterOverflow(t *testing.T) {
-	c, s := net.Pipe()
-	defer c.Close()
-	defer s.Close()
-	fw := NewFrameWriter(c, 0)
-	if _, err := fw.Write(make([]byte, 64)); err != nil {
+// A refused request leaves the connection usable: the next message arrives
+// intact and nothing of the refused one precedes it.
+func TestFrameUsableAfterOversizedRequest(t *testing.T) {
+	client, server, _ := peerPair(t)
+	big := append(client.Message(), make([]byte, MaxFrameSize+1)...)
+	if err := client.Send(big); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized request err = %v", err)
+	}
+	errc := send(client, []byte("next"))
+	got, err := server.Recv()
+	if err != nil || string(got) != "next" {
+		t.Fatalf("message after a refused one = %q, %v", got, err)
+	}
+	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fw.Write(make([]byte, MaxFrameSize)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatal("overflow not reported")
-	}
-	if _, err := fw.Write([]byte{1}); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatal("write after overflow did not fail fast")
-	}
-	if err := fw.Flush(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatal("flush after overflow did not fail fast")
-	}
-	// The buffered 64-byte prefix must not have been flushed.
-	s.SetReadDeadline(time.Now().Add(30 * time.Millisecond))
-	if n, err := s.Read(make([]byte, 1)); err == nil {
-		t.Fatalf("poisoned writer leaked %d bytes to the wire", n)
-	}
 }
 
-// Streaming mode (the response direction) carries one message across several
-// frames; a reader with the message budget disabled reassembles it intact.
+// A response may exceed MaxFrameSize; the client reads it in steps and
+// reassembles it intact.
 func TestFrameStreamingSpansFrames(t *testing.T) {
-	c, s := net.Pipe()
-	defer c.Close()
-	defer s.Close()
-	fw := NewFrameWriter(c, 0)
-	fw.SetStreaming(true)
-	fr := NewFrameReader(s, 0)
-	fr.SetMessageLimit(0)
-
-	msg := make([]byte, (2*MaxFrameSize)+12345) // 3 frames
+	client, server, _ := peerPair(t)
+	msg := make([]byte, (2*MaxFrameSize)+12345)
 	for i := range msg {
 		msg[i] = byte(i * 7)
 	}
-	errCh := make(chan error, 1)
-	go func() {
-		if _, err := fw.Write(msg); err != nil {
-			errCh <- err
-			return
-		}
-		errCh <- fw.Flush()
-	}()
-	if err := fr.BeginMessage(); err != nil {
+	errc := send(server, msg)
+	got, err := client.Recv()
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, len(msg))
-	if _, err := io.ReadFull(fr, got); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errCh; err != nil {
+	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, msg) {
-		t.Fatal("multi-frame message corrupted")
+		t.Fatal("multi-step message corrupted")
 	}
 }
 
+// deadlineConn records the deadlines a Peer arms.
+type deadlineConn struct {
+	net.Conn
+	mu            sync.Mutex
+	read, written time.Time
+}
+
+func (d *deadlineConn) SetReadDeadline(t time.Time) error {
+	d.mu.Lock()
+	d.read = t
+	d.mu.Unlock()
+	return d.Conn.SetReadDeadline(t)
+}
+
+func (d *deadlineConn) SetWriteDeadline(t time.Time) error {
+	d.mu.Lock()
+	d.written = t
+	d.mu.Unlock()
+	return d.Conn.SetWriteDeadline(t)
+}
+
+// near reports whether deadline lies d after now, give or take a second.
+func near(deadline time.Time, d time.Duration) bool {
+	off := time.Until(deadline) - d
+	return off > -time.Second && off < time.Second
+}
+
+// The server end waits DefaultIdleTimeout for each request; the client end
+// waits as long as a statement takes.
 func TestFrameIdleTimeout(t *testing.T) {
-	_, fr := framePair(t, 30*time.Millisecond)
-	if err := fr.BeginMessage(); err != nil {
+	c, s := net.Pipe()
+	defer c.Close()
+	defer s.Close()
+	sc, cc := &deadlineConn{Conn: s}, &deadlineConn{Conn: c}
+	server, client := NewPeer(sc, true), NewPeer(cc, false)
+	errc := send(client, []byte("x"))
+	if _, err := server.Recv(); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	_, err := fr.Read(make([]byte, 16))
-	var nerr net.Error
-	if !errors.As(err, &nerr) || !nerr.Timeout() {
-		t.Fatalf("idle read err = %v", err)
+	<-errc
+	sc.mu.Lock()
+	armed := sc.read
+	sc.mu.Unlock()
+	if !near(armed, DefaultIdleTimeout) {
+		t.Fatalf("server read deadline %v, want now+%v", armed, DefaultIdleTimeout)
 	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("idle timeout took far too long")
+	errc = send(server, []byte("y"))
+	if _, err := client.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	<-errc
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if !cc.read.IsZero() {
+		t.Fatalf("client armed a read deadline %v", cc.read)
 	}
 }
 
+// Every send is bounded by DefaultWriteTimeout, and a stalled peer surfaces
+// as a timeout error.
 func TestFrameWriteTimeout(t *testing.T) {
 	c, s := net.Pipe()
 	defer c.Close()
 	defer s.Close()
-	fw := NewFrameWriter(c, 30*time.Millisecond)
-	// Nobody reads from s: the pipe write must give up at the deadline.
-	fw.Write(make([]byte, 64))
-	err := fw.Flush()
+	cc := &deadlineConn{Conn: c}
+	p := NewPeer(cc, false)
+	go func() {
+		// Nobody reads from s. Once Send has armed its deadline, shorten it
+		// so the stall shows within the test.
+		for {
+			cc.mu.Lock()
+			armed := !cc.written.IsZero()
+			cc.mu.Unlock()
+			if armed {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cc.Conn.SetWriteDeadline(time.Now().Add(30 * time.Millisecond))
+	}()
+	err := p.Send(append(p.Message(), make([]byte, 64)...))
 	var nerr net.Error
 	if !errors.As(err, &nerr) || !nerr.Timeout() {
-		t.Fatalf("stalled flush err = %v", err)
+		t.Fatalf("stalled send err = %v", err)
+	}
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if !near(cc.written, DefaultWriteTimeout) {
+		t.Fatalf("send armed write deadline %v, want now+%v", cc.written, DefaultWriteTimeout)
 	}
 }

@@ -1,6 +1,7 @@
 // Package tds implements the client↔server wire protocol of the
 // reproduction — the stand-in for the TDS stream of Figure 3. It is a
-// length-framed, gob-encoded request/response protocol carrying:
+// length-framed request/response protocol with an explicit byte codec
+// (codec.go) carrying:
 //
 //   - sp_describe_parameter_encryption calls, optionally with the client's
 //     DH public key (which triggers attestation, §4.2);
@@ -15,13 +16,9 @@
 package tds
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"sync"
-	"time"
 
 	"alwaysencrypted/internal/attestation"
 	"alwaysencrypted/internal/engine"
@@ -41,9 +38,7 @@ type Request struct {
 // PingReq is a liveness/progress probe: the response carries nothing but the
 // server's LSN watermark (Response.LSN). Connection pools use it both as a
 // health check on idle connections and as the replica-staleness heartbeat
-// that read routing decides on. Old servers decode it as an empty request
-// and answer with an error, which a pool treats as "unhealthy" — safe in
-// both directions.
+// that read routing decides on.
 type PingReq struct{}
 
 // DescribeReq asks for sp_describe_parameter_encryption output. ClientDHPub
@@ -56,9 +51,7 @@ type DescribeReq struct {
 
 // ExecReq executes a parameterized statement. Parameter values are wire
 // encodings: ciphertext for encrypted parameters. Trace is an optional
-// 16-byte client-minted trace ID: old clients omit it (gob drops absent
-// fields, the server mints an ID server-side), and old servers ignore it —
-// the field is wire-compatible in both directions.
+// 16-byte client-minted trace ID; when it is empty the server mints one.
 type ExecReq struct {
 	Query  string
 	Params map[string][]byte
@@ -69,12 +62,9 @@ type ExecReq struct {
 // Rows is the EncodeCellRows flat framing of the batch: wire encodings cell
 // by cell in Cols order — ciphertext envelopes for encrypted columns (the
 // client encrypted them before sending, exactly like Exec parameters),
-// canonical value encodings for plaintext ones. A flat payload instead of
-// nested slices keeps gob from reflecting over every cell, which at bulk
-// rates is the dominant wire cost. The server never sees plaintext for
-// encrypted cells; the batch only changes how many rows share one round
-// trip and one set of log records. Old servers reject the unknown request
-// as empty; old clients never send it.
+// canonical value encodings for plaintext ones. The server never sees
+// plaintext for encrypted cells; the batch only changes how many rows share
+// one round trip and one set of log records.
 type BulkInsertReq struct {
 	Table string
 	Cols  []string
@@ -104,11 +94,9 @@ type Response struct {
 	// highest assigned LSN, on a read replica the highest *applied* LSN (a
 	// mirrored-but-unapplied record is not yet visible to reads, so the
 	// replica must not advertise it). Zero means the server does not report
-	// one — old servers omit the field entirely (gob drops zero fields), so
-	// the protocol stays wire-compatible in both directions. Clients use it
-	// for LSN-bounded replica read routing: a write's response LSN is the
-	// client's read-your-writes watermark, and a replica is eligible for a
-	// read only once its advertised LSN has caught up to that watermark.
+	// one. Clients use it for LSN-bounded replica read routing: a write's
+	// response LSN is the client's read-your-writes watermark, and a replica
+	// is eligible for a read only once its advertised LSN has caught up to it.
 	LSN uint64
 }
 
@@ -134,84 +122,35 @@ type Server struct {
 	// assigned LSN; a replica reports the highest applied LSN.
 	LSN func() uint64
 
-	// IdleTimeout bounds the wait for the next request frame; WriteTimeout
-	// bounds writing one response. Zero means the package defaults — a
-	// stalled or oversized peer can no longer pin a handler goroutine.
-	IdleTimeout  time.Duration
-	WriteTimeout time.Duration
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-	done  bool
+	conns Endpoint
 }
 
 // NewServer wraps an engine.
-func NewServer(e *engine.Engine) *Server {
-	return &Server{Engine: e, conns: make(map[net.Conn]struct{})}
-}
+func NewServer(e *engine.Engine) *Server { return &Server{Engine: e} }
 
 // Serve accepts connections until the listener closes.
-func (s *Server) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		if s.done {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.handle(conn)
-	}
-}
+func (s *Server) Serve(l net.Listener) error { return s.conns.Serve(l, s.handle) }
 
 // Close tears down all connections.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.done = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.conns = map[net.Conn]struct{}{}
-	s.mu.Unlock()
-}
+func (s *Server) Close() { s.conns.Close() }
 
 // ServeConn handles a single already-established connection (e.g. one side
 // of net.Pipe); it blocks until the connection closes.
-func (s *Server) ServeConn(conn net.Conn) { s.handle(conn) }
+func (s *Server) ServeConn(conn net.Conn) {
+	defer conn.Close()
+	s.handle(conn)
+}
 
 func (s *Server) handle(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	sess := s.Engine.NewSession()
-	idle, write := s.IdleTimeout, s.WriteTimeout
-	if idle == 0 {
-		idle = DefaultIdleTimeout
-	}
-	if write == 0 {
-		write = DefaultWriteTimeout
-	}
-	fr := NewFrameReader(conn, idle)
-	fw := NewFrameWriter(conn, write)
-	// Requests from the untrusted client stay capped at MaxFrameSize;
-	// responses (result sets can be big) stream across frames.
-	fw.SetStreaming(true)
-	dec := gob.NewDecoder(fr)
-	enc := gob.NewEncoder(fw)
+	peer := NewPeer(conn, true)
 	for {
-		var req Request
-		if err := fr.BeginMessage(); err != nil {
-			return
+		body, err := peer.Recv()
+		var req *Request
+		if err == nil {
+			req, err = decodeRequest(body)
 		}
-		if err := dec.Decode(&req); err != nil {
+		if err != nil {
 			if sess.InTxn() {
 				// Connection dropped mid-transaction: roll back, as a real
 				// server would on session death.
@@ -220,84 +159,72 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		if s.Tap != nil {
-			s.Tap("c→s", &req)
+			s.Tap("c→s", req)
 		}
-		resp := s.dispatch(sess, &req)
+		resp := s.dispatch(sess, req)
 		if s.LSN != nil {
 			resp.LSN = s.LSN()
 		}
 		if s.Tap != nil {
 			s.Tap("s→c", resp)
 		}
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-		if err := fw.Flush(); err != nil {
+		if err := peer.Send(appendResponse(peer.Message(), body[0], resp)); err != nil {
 			return
 		}
 	}
 }
 
 func (s *Server) dispatch(sess *engine.Session, req *Request) *Response {
+	var resp Response
+	var err error
 	switch {
 	case req.Describe != nil:
-		desc, info, sid, err := sess.DescribeWithAttestation(req.Describe.Query, req.Describe.ClientDHPub)
-		if err != nil {
-			return &Response{Err: err.Error()}
+		d := &DescribeResp{}
+		var desc *engine.DescribeResult
+		desc, d.Attestation, d.EnclaveSID, err = sess.DescribeWithAttestation(req.Describe.Query, req.Describe.ClientDHPub)
+		if err == nil {
+			d.Desc, resp.Describe = *desc, d
 		}
-		return &Response{Describe: &DescribeResp{Desc: *desc, Attestation: info, EnclaveSID: sid}}
 	case req.Exec != nil:
-		id, err := trace.IDFromBytes(req.Exec.Trace)
-		if err != nil {
-			return &Response{Err: fmt.Sprintf("tds: bad trace context: %v", err)}
+		if err = setTrace(sess, req.Exec.Trace); err == nil {
+			resp.Result, err = sess.Execute(req.Exec.Query, engine.Params(req.Exec.Params))
 		}
-		sess.SetTraceID(id)
-		rs, err := sess.Execute(req.Exec.Query, engine.Params(req.Exec.Params))
-		if err != nil {
-			return &Response{Err: err.Error()}
-		}
-		return &Response{Result: rs}
 	case req.BulkInsert != nil:
-		id, err := trace.IDFromBytes(req.BulkInsert.Trace)
-		if err != nil {
-			return &Response{Err: fmt.Sprintf("tds: bad trace context: %v", err)}
+		m := req.BulkInsert
+		var rows [][][]byte
+		if err = setTrace(sess, m.Trace); err == nil {
+			rows, err = DecodeCellRows(m.Rows)
 		}
-		sess.SetTraceID(id)
-		rows, err := DecodeCellRows(req.BulkInsert.Rows)
-		if err != nil {
-			return &Response{Err: err.Error()}
+		if err == nil {
+			resp.Result = &engine.ResultSet{}
+			resp.Result.Affected, err = sess.BulkInsert(m.Table, m.Cols, rows)
 		}
-		n, err := sess.BulkInsert(req.BulkInsert.Table, req.BulkInsert.Cols, rows)
-		if err != nil {
-			return &Response{Err: err.Error()}
-		}
-		return &Response{Result: &engine.ResultSet{Affected: n}}
 	case req.InstallCEK != nil:
-		if err := sess.InstallCEK(req.InstallCEK.Name, req.InstallCEK.Nonce, req.InstallCEK.Sealed); err != nil {
-			return &Response{Err: err.Error()}
-		}
-		return &Response{}
+		err = sess.InstallCEK(req.InstallCEK.Name, req.InstallCEK.Nonce, req.InstallCEK.Sealed)
 	case req.Authorize != nil:
-		if err := sess.AuthorizeStatement(req.Authorize.Nonce, req.Authorize.Sealed); err != nil {
-			return &Response{Err: err.Error()}
-		}
-		return &Response{}
-	case req.Ping != nil:
-		// Nothing to do: handle stamps the LSN watermark on the way out.
-		return &Response{}
-	default:
-		return &Response{Err: "tds: empty request"}
+		err = sess.AuthorizeStatement(req.Authorize.Nonce, req.Authorize.Sealed)
 	}
+	// Ping has nothing to do: handle stamps the LSN watermark on every answer.
+	if err != nil {
+		return &Response{Err: err.Error()}
+	}
+	return &resp
+}
+
+// setTrace installs a request's client-minted trace ID on the session.
+func setTrace(sess *engine.Session, b []byte) error {
+	id, err := trace.IDFromBytes(b)
+	if err != nil {
+		return fmt.Errorf("tds: bad trace context: %v", err)
+	}
+	sess.SetTraceID(id)
+	return nil
 }
 
 // Conn is the client end of the protocol: a thin RPC layer with no AE
 // logic (that lives in the driver package). Not safe for concurrent use.
 type Conn struct {
-	conn net.Conn
-	fr   *FrameReader
-	fw   *FrameWriter
-	dec  *gob.Decoder
-	enc  *gob.Encoder
+	peer *Peer
 	// lastLSN is the watermark from the most recent response (0 until the
 	// server reports one). Error responses update it too: the server stamps
 	// its watermark on every answer it produces.
@@ -313,46 +240,44 @@ func Dial(addr string) (*Conn, error) {
 	return NewConn(c), nil
 }
 
-// NewConn wraps an established transport (TCP or net.Pipe). The client
-// enforces per-frame limits but no deadlines (a query may legitimately run
-// long) and no per-message cap on responses (a large result set arrives as
-// several frames). Requests it sends must fit the server's MaxFrameSize
-// message budget; an oversized one fails locally without touching the wire.
-func NewConn(c net.Conn) *Conn {
-	fr := NewFrameReader(c, 0)
-	fr.SetMessageLimit(0)
-	fw := NewFrameWriter(c, 0)
-	return &Conn{conn: c, fr: fr, fw: fw, dec: gob.NewDecoder(fr), enc: gob.NewEncoder(fw)}
-}
+// NewConn wraps an established transport (TCP or net.Pipe). The client sets
+// no read deadline (a query may legitimately run long) and no cap on
+// response size. Requests it sends must fit MaxFrameSize; an oversized one
+// fails locally without touching the wire.
+func NewConn(c net.Conn) *Conn { return &Conn{peer: NewPeer(c, false)} }
 
 // Close shuts the connection down.
-func (c *Conn) Close() error { return c.conn.Close() }
+func (c *Conn) Close() error { return c.peer.conn.Close() }
 
-// roundTrip sends one request and reads one response.
+// roundTrip sends one request and reads the response that answers it. A
+// response that does not decode, or does not answer this request, is a
+// protocol error: the connection is closed, and the caller sees a transport
+// failure.
 func (c *Conn) roundTrip(req *Request) (*Response, error) {
-	if err := c.enc.Encode(req); err != nil {
+	msg := appendRequest(c.peer.Message(), req)
+	if len(msg) == len(c.peer.hdr) {
+		return nil, errors.New("tds: empty request")
+	}
+	tag := msg[len(c.peer.hdr)]
+	if err := c.peer.Send(msg); err != nil {
 		return nil, fmt.Errorf("tds: send: %w", err)
 	}
-	if err := c.fw.Flush(); err != nil {
-		return nil, fmt.Errorf("tds: flush: %w", err)
-	}
-	var resp Response
-	if err := c.fr.BeginMessage(); err != nil {
+	body, err := c.peer.Recv()
+	if err != nil {
 		return nil, fmt.Errorf("tds: recv: %w", err)
 	}
-	if err := c.dec.Decode(&resp); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("tds: connection closed")
-		}
-		return nil, fmt.Errorf("tds: recv: %w", err)
+	resp, err := decodeResponse(body, tag)
+	if err != nil {
+		c.Close()
+		return nil, err
 	}
 	if resp.LSN > 0 {
 		c.lastLSN = resp.LSN
 	}
 	if resp.Err != "" {
-		return &resp, &ServerError{Msg: resp.Err}
+		return resp, &ServerError{Msg: resp.Err}
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // LastLSN returns the server's log watermark from the most recent response
@@ -390,9 +315,9 @@ func (c *Conn) Exec(query string, params map[string][]byte) (*engine.ResultSet, 
 	return c.ExecTrace(query, params, trace.ID{})
 }
 
-// ExecTrace is Exec with an explicit trace context. A zero ID sends no
-// trace field (old-server compatible); a non-zero ID rides the request so
-// the server's trace of this statement carries the client-minted ID.
+// ExecTrace is Exec with an explicit trace context. A zero ID sends an empty
+// trace field; a non-zero ID rides the request so the server's trace of
+// this statement carries the client-minted ID.
 func (c *Conn) ExecTrace(query string, params map[string][]byte, id trace.ID) (*engine.ResultSet, error) {
 	req := &ExecReq{Query: query, Params: params}
 	if !id.IsZero() {

@@ -1,7 +1,7 @@
 package tds
 
 import (
-	"encoding/gob"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -10,22 +10,6 @@ import (
 	"alwaysencrypted/internal/obs/trace"
 	"alwaysencrypted/internal/sqltypes"
 )
-
-// legacyExecReq / legacyRequest mirror the pre-trace wire structs: gob
-// matches struct fields by name (type names are irrelevant), so encoding
-// these is exactly what an old client puts on the wire, and decoding into
-// them is exactly what an old server does with a new client's frames.
-type legacyExecReq struct {
-	Query  string
-	Params map[string][]byte
-}
-
-type legacyRequest struct {
-	Describe   *DescribeReq
-	Exec       *legacyExecReq
-	InstallCEK *InstallCEKReq
-	Authorize  *AuthorizeReq
-}
 
 // A traced statement must land in the server's ring under the ID the
 // client minted.
@@ -57,108 +41,8 @@ func TestExecTraceCarriesClientID(t *testing.T) {
 	t.Fatalf("no trace with client ID %s in the ring", id)
 }
 
-// Old client → new server: a request without the Trace field executes
-// normally (the server mints an ID server-side).
-func TestOldClientNewServer(t *testing.T) {
-	tracer := trace.NewTracer(trace.Policy{SampleRate: 1})
-	eng := engine.New(engine.Config{Tracer: tracer})
-	srv := NewServer(eng)
-	client, server := net.Pipe()
-	go srv.ServeConn(server)
-	defer client.Close()
-
-	fr := NewFrameReader(client, 0)
-	fr.SetMessageLimit(0)
-	fw := NewFrameWriter(client, 0)
-	enc := gob.NewEncoder(fw)
-	dec := gob.NewDecoder(fr)
-	send := func(req *legacyRequest) *Response {
-		t.Helper()
-		if err := enc.Encode(req); err != nil {
-			t.Fatal(err)
-		}
-		if err := fw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := fr.BeginMessage(); err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		return &resp
-	}
-
-	if resp := send(&legacyRequest{Exec: &legacyExecReq{Query: "CREATE TABLE old (id int PRIMARY KEY)"}}); resp.Err != "" {
-		t.Fatalf("legacy exec: %s", resp.Err)
-	}
-	resp := send(&legacyRequest{Exec: &legacyExecReq{
-		Query:  "INSERT INTO old (id) VALUES (@i)",
-		Params: map[string][]byte{"i": sqltypes.Int(7).Encode()},
-	}})
-	if resp.Err != "" {
-		t.Fatalf("legacy insert: %s", resp.Err)
-	}
-	// The server still traced the statement, under a server-minted ID.
-	var found bool
-	for _, tr := range tracer.Store().Drain() {
-		if tr.Kind == trace.KindInsert && !tr.ID.IsZero() {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("server did not mint a trace for the legacy client's statement")
-	}
-}
-
-// New client → old server: a request carrying Trace decodes cleanly into
-// the pre-trace struct, query and params intact — gob drops fields the
-// receiver does not declare.
-func TestNewClientOldServer(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-
-	// "Old server" loop: decode into the legacy struct, echo a Response.
-	go func() {
-		fr := NewFrameReader(server, 0)
-		fw := NewFrameWriter(server, 0)
-		dec := gob.NewDecoder(fr)
-		enc := gob.NewEncoder(fw)
-		for {
-			var req legacyRequest
-			if err := fr.BeginMessage(); err != nil {
-				return
-			}
-			if err := dec.Decode(&req); err != nil {
-				enc.Encode(&Response{Err: "decode: " + err.Error()})
-				fw.Flush()
-				return
-			}
-			if req.Exec == nil || req.Exec.Query == "" || len(req.Exec.Params) != 1 {
-				enc.Encode(&Response{Err: "legacy server saw a mangled request"})
-				fw.Flush()
-				continue
-			}
-			enc.Encode(&Response{Result: &engine.ResultSet{Affected: 1}})
-			fw.Flush()
-		}
-	}()
-
-	c := NewConn(client)
-	rs, err := c.ExecTrace("INSERT INTO x (id) VALUES (@i)",
-		map[string][]byte{"i": sqltypes.Int(1).Encode()}, trace.NewID())
-	if err != nil {
-		t.Fatalf("old server choked on traced request: %v", err)
-	}
-	if rs.Affected != 1 {
-		t.Fatalf("affected = %d", rs.Affected)
-	}
-}
-
-// An adversarial trace field is rejected without killing the session, and a
-// frame-budget-busting one never reaches the wire at all.
+// An adversarial trace field is rejected without killing the session, and an
+// oversized one never reaches the wire at all.
 func TestOversizedTraceRejected(t *testing.T) {
 	eng := engine.New(engine.Config{Tracer: trace.NewTracer(trace.Policy{SampleRate: 1})})
 	srv := NewServer(eng)
@@ -189,8 +73,8 @@ func TestOversizedTraceRejected(t *testing.T) {
 		t.Fatalf("connection dead after rejected trace: %v", err)
 	}
 
-	// A trace blob larger than the 4 MiB message budget fails locally at the
-	// frame writer — it must not take down the server or hang the client.
+	// A trace blob larger than MaxFrameSize fails locally — it must not take
+	// down the server, hang the client or poison the connection.
 	_, err = c.roundTrip(&Request{Exec: &ExecReq{
 		Query: "INSERT INTO adv (id) VALUES (@i)",
 		Params: map[string][]byte{
@@ -198,7 +82,11 @@ func TestOversizedTraceRejected(t *testing.T) {
 		},
 		Trace: make([]byte, MaxFrameSize+1024),
 	}})
-	if err == nil {
-		t.Fatal("oversized frame accepted")
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized request: err = %v, want ErrFrameTooLarge", err)
+	}
+	if _, err := c.Exec("INSERT INTO adv (id) VALUES (@i)",
+		map[string][]byte{"i": sqltypes.Int(4).Encode()}); err != nil {
+		t.Fatalf("connection dead after a refused oversized request: %v", err)
 	}
 }
