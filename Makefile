@@ -43,7 +43,8 @@ race:
 FUZZ_TARGETS = internal/storage:FuzzDecodeHeapRows internal/storage:FuzzDecodeIndexEntries \
 	internal/storage:FuzzLoadWAL internal/engine:FuzzDecodeRow internal/tds:FuzzDecodeCellRows \
 	internal/tds:FuzzDecodeRequest internal/tds:FuzzDecodeResponse \
-	internal/repl:FuzzDecodeReplMessage internal/exprsvc:FuzzDeserializeProgram
+	internal/repl:FuzzDecodeReplMessage internal/exprsvc:FuzzDeserializeProgram \
+	internal/aesql:FuzzParseDSN internal/engine:FuzzParse
 
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \

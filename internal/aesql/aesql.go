@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -169,8 +170,8 @@ func ParseDSN(dsn string) (Config, error) {
 		query = strings.TrimPrefix(strings.TrimPrefix(rest[i:], "/"), "?")
 	}
 	hosts := strings.Split(hostPart, ",")
-	if hostPart == "" || len(hosts) == 0 {
-		return cfg, errors.New("aesql: DSN has no endpoints")
+	if slices.Contains(hosts, "") {
+		return cfg, fmt.Errorf("aesql: DSN %q has an empty endpoint", dsn)
 	}
 	cfg.Primary = hosts[0]
 	cfg.Replicas = hosts[1:]

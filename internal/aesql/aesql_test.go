@@ -47,16 +47,34 @@ func startHalfDeadServer(t *testing.T) string {
 	return l.Addr().String()
 }
 
+// roundTripConfigs render to DSNs that parse back to themselves; they also
+// seed FuzzParseDSN.
+var roundTripConfigs = []aesql.Config{
+	{Primary: "10.0.0.1:1433"},
+	{Primary: "10.0.0.1:1433", Replicas: []string{"10.0.0.2:1433", "10.0.0.3:1433"}},
+	{Primary: "p:1", AlwaysEncrypted: true, TrustName: "prod"},
+	{Primary: "p:1", Consistency: aesql.ConsistencyGlobal, MaxConns: 4},
+	{Primary: "p:1", Consistency: aesql.ConsistencyPrimary, MaxIdle: 2,
+		HealthInterval: 250 * time.Millisecond, DisableDescribeCache: true},
+}
+
+// badDSNs must all be rejected; they also seed FuzzParseDSN.
+var badDSNs = []string{
+	"sqlserver://host/",
+	"aedb:///?ae=1",
+	"aedb://,r:1/",
+	"aedb://p:1,,/",
+	"aedb://p:1,/",
+	"aedb://h:1/?bogus=1",
+	"aedb://h:1/?ae=maybe",
+	"aedb://h:1/?consistency=eventual",
+	"aedb://h:1/?maxconns=0",
+	"aedb://h:1/?maxidle=-3",
+	"aedb://h:1/?health=fast",
+}
+
 func TestParseDSNRoundTrip(t *testing.T) {
-	cases := []aesql.Config{
-		{Primary: "10.0.0.1:1433"},
-		{Primary: "10.0.0.1:1433", Replicas: []string{"10.0.0.2:1433", "10.0.0.3:1433"}},
-		{Primary: "p:1", AlwaysEncrypted: true, TrustName: "prod"},
-		{Primary: "p:1", Consistency: aesql.ConsistencyGlobal, MaxConns: 4},
-		{Primary: "p:1", Consistency: aesql.ConsistencyPrimary, MaxIdle: 2,
-			HealthInterval: 250 * time.Millisecond, DisableDescribeCache: true},
-	}
-	for _, want := range cases {
+	for _, want := range roundTripConfigs {
 		dsn := want.DSN()
 		got, err := aesql.ParseDSN(dsn)
 		if err != nil {
@@ -74,17 +92,7 @@ func TestParseDSNRoundTrip(t *testing.T) {
 }
 
 func TestParseDSNErrors(t *testing.T) {
-	bad := []string{
-		"sqlserver://host/",
-		"aedb:///?ae=1",
-		"aedb://h:1/?bogus=1",
-		"aedb://h:1/?ae=maybe",
-		"aedb://h:1/?consistency=eventual",
-		"aedb://h:1/?maxconns=0",
-		"aedb://h:1/?maxidle=-3",
-		"aedb://h:1/?health=fast",
-	}
-	for _, dsn := range bad {
+	for _, dsn := range badDSNs {
 		if _, err := aesql.ParseDSN(dsn); err == nil {
 			t.Errorf("ParseDSN(%q) accepted, want error", dsn)
 		}

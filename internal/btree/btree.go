@@ -187,7 +187,7 @@ type Entry struct {
 var (
 	ErrDuplicate = errors.New("btree: duplicate key in unique index")
 	// ErrInvalidated is returned by every operation after the index was
-	// invalidated by forced deferred-transaction resolution (§4.5).
+	// invalidated (§4.5), until a rebuild replaces it.
 	ErrInvalidated = errors.New("btree: index invalidated; rebuild required")
 )
 
@@ -206,7 +206,11 @@ type Tree struct {
 	// shared latch search too); the leakage harness uses it, and it shows
 	// how much work routes through the enclave.
 	comparisons atomic.Uint64
-	invalidated bool
+	// invalidated is written under the exclusive latch and read without it
+	// too: writers ask every index of their table whether it is usable
+	// inside the table mutex, and must not queue there behind a tree
+	// operation that is waiting on the enclave.
+	invalidated atomic.Bool
 }
 
 type node struct {
@@ -243,21 +247,31 @@ func (t *Tree) Comparisons() uint64 {
 	return t.comparisons.Load()
 }
 
-// Invalidate marks the index unusable (forced resolution of deferred
-// transactions skips logical undo and invalidates the index instead, §4.5).
+// Invalidate marks the index unusable: the server could not maintain it
+// (work that needs keys its enclave lacks), so it is neither read nor written
+// until rebuilt (§4.5's escape hatch).
 func (t *Tree) Invalidate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.invalidated = true
+	t.invalidated.Store(true)
 	t.root = &node{leaf: true}
 	t.size = 0
 }
 
+// Replace takes over src's entries, comparator and state under t's latch. A
+// rebuild fills a fresh tree and then replaces the published one, so holders
+// of the published pointer never see a partial fill. src must not be used
+// afterwards.
+func (t *Tree) Replace(src *Tree) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.cmp, t.root, t.unique, t.size = src.cmp, src.root, src.unique, src.size
+	t.invalidated.Store(src.invalidated.Load())
+}
+
 // Invalidated reports whether the index has been invalidated.
 func (t *Tree) Invalidated() bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.invalidated
+	return t.invalidated.Load()
 }
 
 // SwapEnclave repoints every EnclaveOrder component at a new comparer. A
@@ -321,7 +335,7 @@ func (t *Tree) childFor(n *node, key [][]byte, row storage.RowID) (int, error) {
 func (t *Tree) Insert(key [][]byte, row storage.RowID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.invalidated {
+	if t.invalidated.Load() {
 		return ErrInvalidated
 	}
 	if len(key) != len(t.cmp.Cols) {
@@ -417,7 +431,7 @@ func (t *Tree) insertNode(n *node, key [][]byte, row storage.RowID) (*node, Entr
 func (t *Tree) Delete(key [][]byte, row storage.RowID) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.invalidated {
+	if t.invalidated.Load() {
 		return false, ErrInvalidated
 	}
 	if len(key) != len(t.cmp.Cols) {
@@ -451,7 +465,7 @@ func (t *Tree) SeekGE(key [][]byte, limit int) ([]Entry, error) {
 func (t *Tree) ScanRange(lo, hi [][]byte, loInc, hiInc bool, limit int) ([]Entry, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.invalidated {
+	if t.invalidated.Load() {
 		return nil, ErrInvalidated
 	}
 	return t.scan(nil, lo, hi, loInc, hiInc, false, limit)
@@ -464,7 +478,7 @@ func (t *Tree) ScanRange(lo, hi [][]byte, loInc, hiInc bool, limit int) ([]Entry
 func (t *Tree) SeekExact(key [][]byte, limit int) ([]Entry, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.invalidated {
+	if t.invalidated.Load() {
 		return nil, ErrInvalidated
 	}
 	return t.scan(nil, key, key, true, true, true, limit)
@@ -545,7 +559,7 @@ func leftmostLeaf(n *node) *node {
 func (t *Tree) Ascend(fn func(e Entry) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.invalidated {
+	if t.invalidated.Load() {
 		return ErrInvalidated
 	}
 	for leaf := leftmostLeaf(t.root); leaf != nil; leaf = leaf.next {

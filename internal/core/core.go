@@ -443,27 +443,23 @@ func (rs *ReplicaServer) AppliedLSN() uint64 {
 }
 
 // Promote turns the replica into a primary: the redo loop is drained and
-// stopped, queued-but-never-applied encrypted-index work of in-flight
-// transactions is dropped, crash recovery rolls those transactions back
-// (deferring encrypted-index undo exactly as §4.5 does after a crash), a
-// fresh enclave is loaded, and the engine starts accepting writes. Clients
-// reconnect, re-attest against the fresh enclave and re-install CEKs —
-// which lets the background cleaner resolve whatever recovery deferred.
+// stopped, crash recovery rolls in-flight transactions back (deferring
+// encrypted-index undo exactly as §4.5 does after a crash), a fresh enclave
+// is loaded, and the engine starts accepting writes. Clients reconnect,
+// re-attest against the fresh enclave and re-install CEKs — which rebuilds
+// the indexes the key-less replica invalidated and lets the background
+// cleaner resolve whatever recovery deferred.
 func (rs *ReplicaServer) Promote() error {
 	if !rs.promoted.CompareAndSwap(false, true) {
 		return nil
 	}
 	start := time.Now()
 	rs.Replication.Stop()
-	rs.Replication.Applier().DropInflightPending()
 	rs.Engine.Recover()
 	if err := rs.RestartEnclave(); err != nil {
 		return err
 	}
 	rs.Engine.SetReadOnly(false)
-	// Deferred redo transactions (encrypted-index work queued for lack of
-	// keys) resolve in the background once a client re-attests and ships
-	// CEKs to the fresh enclave.
 	rs.cleanerStop = rs.Engine.StartCleaner(20 * time.Millisecond)
 	rs.failoverNs.Observe(time.Since(start).Nanoseconds())
 	rs.promotions.Inc()

@@ -20,8 +20,21 @@ import (
 // promoted, and the same client connection retries transparently: it
 // re-attests against the promoted server's fresh enclave, re-installs CEKs,
 // and an enclave-backed range query over the encrypted column returns
-// correct results.
+// correct results. The salary_index input adds an enclave index on salary
+// before any row exists: the key-less replica invalidates it, and the first
+// post-failover key install rebuilds it, so the range query seeks it and
+// returns every row on its first try.
 func TestReplicationE2EFailover(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		name := "scan"
+		if indexed {
+			name = "salary_index"
+		}
+		t.Run(name, func(t *testing.T) { replicationE2EFailover(t, indexed) })
+	}
+}
+
+func replicationE2EFailover(t *testing.T, indexed bool) {
 	srv, err := StartServer(ServerConfig{EnclaveThreads: 2, ReplListen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +86,11 @@ func TestReplicationE2EFailover(t *testing.T) {
 		ssn varchar(16) ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = CEK, ENCRYPTION_TYPE = Randomized, ALGORITHM = 'AEAD_AES_256_CBC_HMAC_SHA_256'),
 		salary int ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = CEK, ENCRYPTION_TYPE = Randomized, ALGORITHM = 'AEAD_AES_256_CBC_HMAC_SHA_256'))`, nil); err != nil {
 		t.Fatal(err)
+	}
+	if indexed {
+		if _, err := db.Exec("CREATE INDEX ix_salary ON people (salary)", nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ssn := func(i int64) string { return fmt.Sprintf("SECRET-SSN-%03d", i) }
 	for i := int64(1); i <= 10; i++ {
@@ -158,6 +176,7 @@ func TestReplicationE2EFailover(t *testing.T) {
 	// The same client connection retries: transparent failover, full
 	// re-attestation against the fresh enclave, CEKs re-installed, and the
 	// enclave-backed range query over encrypted data computes correctly.
+	_, seeks0, _ := rs.Engine.Stats()
 	rows, err = db.Exec("SELECT id FROM people WHERE salary BETWEEN @lo AND @hi",
 		map[string]Value{"lo": Int(3000), "hi": Int(6000)})
 	if err != nil {
@@ -165,6 +184,9 @@ func TestReplicationE2EFailover(t *testing.T) {
 	}
 	if len(rows.Values) != 4 {
 		t.Fatalf("post-failover range rows = %d, want 4", len(rows.Values))
+	}
+	if _, seeks, _ := rs.Engine.Stats(); indexed && seeks == seeks0 {
+		t.Fatal("post-failover range query did not seek the rebuilt index")
 	}
 	rows, err = db.Exec("SELECT id, ssn FROM people WHERE ssn = @s", map[string]Value{"s": Str(ssn(7))})
 	if err != nil {

@@ -57,6 +57,19 @@ func (t *Table) PrimaryKeyIndex() *Index {
 	return nil
 }
 
+// maintainable fails a write to a table with an invalidated index, which the
+// write could not maintain. Writers call it under t.mu before they change the
+// heap: a rebuild scans the heap and publishes under t.mu, so it never meets
+// a row whose index work was skipped.
+func (t *Table) maintainable() error {
+	for _, idx := range t.Indexes {
+		if idx.Tree.Invalidated() {
+			return fmt.Errorf("engine: index %s: %w", idx.Name, btree.ErrInvalidated)
+		}
+	}
+	return nil
+}
+
 // Index is a catalog index over one table.
 type Index struct {
 	Name      string

@@ -48,7 +48,7 @@ func (e *Engine) createTable(st CreateTableStmt, firstPage storage.PageID, logDD
 		// its primary key, so no row is ever inserted past it. The table's
 		// RecDDL covers the index; no separate record.
 		idx := &Index{Name: "pk_" + st.Name, Table: tbl.Name, ColPos: pkCols, ColNames: names, Unique: true, IsPrimary: true}
-		if _, err := e.buildIndex(tbl, idx, fillNone); err != nil {
+		if err := e.buildIndex(tbl, idx, fillNone); err != nil {
 			return storage.InvalidPageID, err
 		}
 		tbl.Indexes = []*Index{idx}
@@ -77,12 +77,11 @@ func (e *Engine) createTable(st CreateTableStmt, firstPage storage.PageID, logDD
 // executeCreateIndex builds an index, populating it from existing rows.
 // Clustered indexes on encrypted columns are refused: invalidating one would
 // lose data (§4.5). logDDL (nil on replicas) appends the creating RecDDL
-// before the index becomes visible in the catalog. fill and the invalidated
-// result are buildIndex's.
-func (e *Engine) executeCreateIndex(st CreateIndexStmt, fill indexFill, logDDL func()) (invalidated bool, err error) {
+// before the index becomes visible in the catalog. fill is buildIndex's.
+func (e *Engine) executeCreateIndex(st CreateIndexStmt, fill indexFill, logDDL func()) error {
 	tbl, err := e.catalog.Table(st.Table)
 	if err != nil {
-		return false, err
+		return err
 	}
 	idx := &Index{
 		Name: st.Name, Table: tbl.Name, Unique: st.Unique,
@@ -92,7 +91,7 @@ func (e *Engine) executeCreateIndex(st CreateIndexStmt, fill indexFill, logDDL f
 	for i, name := range st.Cols {
 		col, err := tbl.Col(name)
 		if err != nil {
-			return false, err
+			return err
 		}
 		idx.ColPos[i] = col.Pos
 		idx.ColNames[i] = col.Name
@@ -101,23 +100,23 @@ func (e *Engine) executeCreateIndex(st CreateIndexStmt, fill indexFill, logDDL f
 		}
 	}
 	if st.Clustered && anyEncrypted {
-		return false, errors.New("engine: clustered indexes on encrypted columns are not supported (§4.5)")
+		return errors.New("engine: clustered indexes on encrypted columns are not supported (§4.5)")
 	}
 	// Backfill and publish are one tbl.mu critical section, and writers take
 	// their index list inside theirs: a row is either already in the heap when
 	// the backfill scans it, or its writer sees the new index and maintains
 	// it — never neither.
 	tbl.mu.Lock()
-	invalidated, err = e.buildIndex(tbl, idx, fill)
+	err = e.buildIndex(tbl, idx, fill)
 	if err == nil {
 		err = e.catalog.AddIndexLogged(idx, logDDL)
 	}
 	tbl.mu.Unlock()
 	if err != nil {
-		return false, err
+		return err
 	}
 	e.InvalidatePlans()
-	return invalidated, nil
+	return nil
 }
 
 // indexFill says how buildIndex populates the tree it constructs.
@@ -132,9 +131,9 @@ const (
 	fillFromHeap
 	// fillOrInvalidate is fillFromHeap for replica redo: ordering encrypted
 	// keys takes enclave comparisons and a replica's enclave holds no CEKs, so
-	// a missing key installs the tree invalidated instead of failing —
-	// promotion plus RebuildIndex restores it from the heap, which physical
-	// redo keeps complete.
+	// a missing key installs the tree invalidated instead of failing — after
+	// promotion, the first install of its keys rebuilds it from the heap,
+	// which physical redo keeps complete.
 	fillOrInvalidate
 )
 
@@ -148,10 +147,10 @@ const (
 //
 // The caller holds tbl.mu, except for a table not yet published: rows are
 // placed in the heap under tbl.mu, so none can slip in behind the scan.
-func (e *Engine) buildIndex(tbl *Table, idx *Index, fill indexFill) (invalidated bool, err error) {
+func (e *Engine) buildIndex(tbl *Table, idx *Index, fill indexFill) error {
 	tree, rangeCapable, ceks, err := e.buildIndexTree(tbl, idx.ColPos, idx.Unique)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if fill != fillNone {
 		err := tbl.Heap.Scan(func(rid storage.RowID, rec []byte) (bool, error) {
@@ -164,14 +163,13 @@ func (e *Engine) buildIndex(tbl *Table, idx *Index, fill indexFill) (invalidated
 		switch {
 		case err == nil:
 		case fill == fillOrInvalidate && IsKeyMissing(err):
-			tree.Invalidate()
-			invalidated = true
+			e.invalidateIndex(tree)
 		default:
-			return false, fmt.Errorf("engine: building index %s: %w", idx.Name, err)
+			return fmt.Errorf("engine: building index %s: %w", idx.Name, err)
 		}
 	}
 	idx.Tree, idx.RangeCapable, idx.CEKs = tree, rangeCapable, ceks
-	return invalidated, nil
+	return nil
 }
 
 // executeCreateCMK stores column master key metadata. The signature is
@@ -356,7 +354,7 @@ func (e *Engine) rewriteColumn(tbl *Table, col *Column, to sqltypes.EncType,
 		if !slices.Contains(idx.ColPos, col.Pos) {
 			continue
 		}
-		if _, err := e.buildIndex(tbl, idx, fillFromHeap); err != nil {
+		if err := e.buildIndex(tbl, idx, fillFromHeap); err != nil {
 			return err
 		}
 	}
@@ -405,12 +403,17 @@ func (s *Session) DescribeWithAttestation(query string, clientDHPub []byte) (*De
 }
 
 // InstallCEK forwards a sealed CEK envelope from the driver to the enclave
-// under this session's enclave session.
+// under this session's enclave session, then rebuilds the invalidated indexes
+// the enclave now holds every key for.
 func (s *Session) InstallCEK(name string, nonce uint64, sealed []byte) error {
-	if s.engine.cfg.Enclave == nil {
+	e := s.engine
+	if e.cfg.Enclave == nil {
 		return errors.New("engine: no enclave configured")
 	}
-	return s.engine.cfg.Enclave.InstallCEK(s.EnclaveSID, name, nonce, sealed)
+	if err := e.cfg.Enclave.InstallCEK(s.EnclaveSID, name, nonce, sealed); err != nil {
+		return err
+	}
+	return e.rebuildInvalidated()
 }
 
 // AuthorizeStatement forwards a sealed statement-hash authorization.

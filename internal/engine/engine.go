@@ -68,7 +68,6 @@ type Engine struct {
 	nextTxn  uint64
 	active   map[uint64]*Txn
 	deferred map[uint64]*deferredTxn
-	deferSeq uint64 // orders deferred registrations for in-order resolution
 
 	nextSession atomic.Uint64
 
@@ -409,26 +408,28 @@ func (e *Engine) undoOne(act *trace.Active, txn uint64, op *txnOp) error {
 		e.wal.Append(storage.Record{Txn: txn, Type: storage.RecHeapUpdate,
 			Table: op.table, Row: op.row, NewRow: rid2, Old: op.new, New: op.old, CLR: true})
 		return nil
-	case storage.RecIndexInsert:
+	case storage.RecIndexInsert, storage.RecIndexDelete:
 		idx, err := e.catalog.Index(op.table)
 		if err != nil {
 			return err
 		}
-		if err := idx.deleteKey(act, op.key, op.row); err != nil { // logical undo (§4.5)
-			return err
+		// Logical undo (§4.5); the CLR is the inverse operation.
+		clr := storage.RecIndexInsert
+		if op.typ == storage.RecIndexInsert {
+			clr = storage.RecIndexDelete
+			err = idx.deleteKey(act, op.key, op.row)
+		} else {
+			err = idx.insertKey(act, op.key, op.row)
 		}
-		e.wal.Append(storage.Record{Txn: txn, Type: storage.RecIndexDelete,
-			Table: op.table, Row: op.row, Key: op.key, CLR: true})
-		return nil
-	case storage.RecIndexDelete:
-		idx, err := e.catalog.Index(op.table)
+		if errors.Is(err, btree.ErrInvalidated) {
+			// Nothing to undo: an invalidated index holds no entries, and its
+			// rebuild reads the heap this undo restores.
+			return nil
+		}
 		if err != nil {
 			return err
 		}
-		if err := idx.insertKey(act, op.key, op.row); err != nil {
-			return err
-		}
-		e.wal.Append(storage.Record{Txn: txn, Type: storage.RecIndexInsert,
+		e.wal.Append(storage.Record{Txn: txn, Type: clr,
 			Table: op.table, Row: op.row, Key: op.key, CLR: true})
 		return nil
 	default:
@@ -474,6 +475,10 @@ func (e *Engine) updateRow(t *Txn, tbl *Table, rid storage.RowID, oldCells, newC
 	e.versions.Record(t.id, tbl.Name, rid, oldRec)
 
 	tbl.mu.Lock()
+	if err := tbl.maintainable(); err != nil {
+		tbl.mu.Unlock()
+		return 0, err
+	}
 	// If the update relocates the row, the new slot gets a nil pre-image
 	// chain under the page latch (invisible to concurrent snapshots until
 	// commit), matching the insert path.
@@ -510,7 +515,8 @@ func (e *Engine) updateRow(t *Txn, tbl *Table, rid storage.RowID, oldCells, newC
 }
 
 // deleteRow removes a row under the transaction; failures are undone by
-// withTxn, as for updateRow.
+// withTxn, as for updateRow. Index entries go before the heap row, so an
+// invalidated index fails the statement before the heap changes.
 func (e *Engine) deleteRow(t *Txn, tbl *Table, rid storage.RowID, cells [][]byte) error {
 	if err := e.locks.Lock(t.id, tbl.Name, rid); err != nil {
 		return err

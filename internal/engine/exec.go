@@ -161,7 +161,7 @@ func (s *Session) execute(act *trace.Active, plan *Plan, query string, params Pa
 		return &ResultSet{}, nil
 	case CreateIndexStmt:
 		logDDL := func() { e.wal.Append(storage.Record{Type: storage.RecDDL, DDL: query}) }
-		if _, err := e.executeCreateIndex(st, fillFromHeap, logDDL); err != nil {
+		if err := e.executeCreateIndex(st, fillFromHeap, logDDL); err != nil {
 			return nil, err
 		}
 		return &ResultSet{}, nil

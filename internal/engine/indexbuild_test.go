@@ -35,7 +35,8 @@ func selIDs(t *testing.T, s *Session, query string, params Params) []int64 {
 // TestAlterIndexedColumnRebuildsIndex: ALTER COLUMN … ENCRYPTED on a column
 // that HAS an index leaves that index complete, whichever way the rewrite
 // ran — through the enclave, through the client-side tool, or replayed on a
-// replica that is then promoted and rebuilds — for initial encryption and
+// replica that is then promoted and rebuilds on the key install — for
+// initial encryption and
 // for key rotation. The index must hold every row, be well-formed, and
 // answer an equality and a range query with the shadow's rows.
 func TestAlterIndexedColumnRebuildsIndex(t *testing.T) {
@@ -87,12 +88,9 @@ func TestAlterIndexedColumnRebuildsIndex(t *testing.T) {
 				if path == "replica" {
 					// A second deployment with its own enclave and no keys
 					// replays the primary's log, is promoted, and only then
-					// receives CEKs from a client.
-					rep := newTestEnv(t, true)
-					rep.cekRoots, rep.cellKeys = env.cekRoots, env.cellKeys
-					rep.engine.SetReadOnly(true)
-					ra := NewRedoApplier(rep.engine)
-					applyAll(t, rep.engine, ra, env.engine.WAL().Records())
+					// receives CEKs from a client — whose install rebuilds.
+					rep := replicaOf(t, env)
+					applyAll(t, rep.engine, NewRedoApplier(rep.engine), env.engine.WAL().Records())
 					idx, err := rep.engine.Catalog().Index("ix_av")
 					if err != nil {
 						t.Fatal(err)
@@ -100,14 +98,7 @@ func TestAlterIndexedColumnRebuildsIndex(t *testing.T) {
 					if !idx.Tree.Invalidated() {
 						t.Fatal("replica rebuilt an enclave-ordered index without keys")
 					}
-					ra.DropInflightPending()
-					rep.engine.Recover()
-					rep.engine.SetReadOnly(false)
-					rep.attest("SELECT id FROM a WHERE v = @v")
-					rep.installCEKs("CEK2")
-					if err := rep.engine.RebuildIndex("ix_av"); err != nil {
-						t.Fatal(err)
-					}
+					rep.promote("SELECT id FROM a WHERE v = @v", "CEK2")
 					target = rep
 				}
 

@@ -64,7 +64,9 @@ func lex(src string) ([]token, error) {
 				return nil, err
 			}
 		case c == '@':
-			l.lexParam()
+			if err := l.lexParam(); err != nil {
+				return nil, err
+			}
 		case c == 'N' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'':
 			l.pos++ // N'...' national string literal
 			if err := l.lexString(); err != nil {
@@ -126,13 +128,17 @@ func (l *lexer) lexString() error {
 	return fmt.Errorf("engine: unterminated string literal at %d", start)
 }
 
-func (l *lexer) lexParam() {
+func (l *lexer) lexParam() error {
 	start := l.pos
 	l.pos++ // @
 	for l.pos < len(l.src) && isIdentChar(l.src[l.pos]) {
 		l.pos++
 	}
+	if l.pos == start+1 {
+		return fmt.Errorf("engine: parameter without a name at %d", start)
+	}
 	l.emit(token{kind: tokParam, text: l.src[start+1 : l.pos], pos: start})
+	return nil
 }
 
 func (l *lexer) lexHex() {

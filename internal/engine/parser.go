@@ -58,7 +58,16 @@ type parser struct {
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+
+// next consumes a token. The closing EOF is never consumed, so a statement
+// cut short anywhere ends in a syntax error, not a read past the tokens.
+func (p *parser) next() token {
+	t := p.toks[p.pos]
+	if t.kind != tokEOF {
+		p.pos++
+	}
+	return t
+}
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s (near position %d in %q)", ErrSyntax,
 		fmt.Sprintf(format, args...), p.peek().pos, truncate(p.src, 80))

@@ -220,6 +220,9 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t ORDER BY a", // ORDER BY unsupported (§5.3)
 		"SELECT a FROM t; SELECT b FROM t",
 		"SELECT a FROM t WHERE a = 'unterminated",
+		"SELECT id FROM t WHERE x = @",     // a parameter needs a name
+		"SELECT id FROM t WHERE x = @@x",   // so does the first of these
+		"CREATE COLUMN MASTER KEY A WITH(", // cut short after a consumed token
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

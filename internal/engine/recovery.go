@@ -2,10 +2,10 @@ package engine
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
+	"alwaysencrypted/internal/btree"
 	"alwaysencrypted/internal/enclave"
 	"alwaysencrypted/internal/storage"
 )
@@ -32,18 +32,17 @@ import (
 //     of the index and mark it invalid in the metadata. It runs
 //     automatically when no enclave is configured (e.g. restoring a backup
 //     on an enclave-less machine).
+//
+// Deferral is for undo only. Index work this server cannot do going forward
+// — replica redo without keys — uses the escape hatch directly: the index is
+// invalidated, is neither read nor written, and the first install of its
+// keys on a writable engine rebuilds it from the heap (rebuildInvalidated).
+// Undo of an invalidated index is a no-op for the same reason.
 
 // deferredTxn is a transaction recovery could not finish.
 type deferredTxn struct {
 	txn     *Txn
-	pending []txnOp // operations still to undo (or, for redo, apply), oldest first
-	// redo marks replication-redo deferral: the pending ops are *forward*
-	// encrypted-index operations a replica could not apply for lack of keys.
-	// Resolution applies them in order instead of undoing them.
-	redo bool
-	// seq orders deferred registrations; resolution runs in seq order so
-	// cross-transaction operations on the same index replay as logged.
-	seq uint64
+	pending []txnOp // operations still to undo, oldest first
 }
 
 // RecoveryReport summarizes a Recover run.
@@ -133,10 +132,7 @@ func (e *Engine) undoTxnForRecovery(t *Txn, rep *RecoveryReport) bool {
 		return true
 	}
 
-	e.txnMu.Lock()
-	e.deferSeq++
-	d := &deferredTxn{txn: t, pending: pending, seq: e.deferSeq}
-	e.txnMu.Unlock()
+	d := &deferredTxn{txn: t, pending: pending}
 	e.wal.PinTxn(t.id, t.beginLSN)
 	if e.cfg.CTR {
 		// Under constant-time recovery the database comes up with all locks
@@ -186,39 +182,6 @@ func (e *Engine) undoStrict(txn uint64, ops []txnOp) ([]txnOp, error) {
 	return nil, nil
 }
 
-// applyStrict applies forward operations in order, stopping at the first
-// failure and returning everything not yet applied. It is the resolution
-// path for replication-redo deferrals: once keys arrive, the queued
-// encrypted-index work replays exactly as the primary logged it.
-func (e *Engine) applyStrict(ops []txnOp) ([]txnOp, error) {
-	for i := range ops {
-		if err := e.applyOne(&ops[i]); err != nil {
-			return append([]txnOp(nil), ops[i:]...), err
-		}
-	}
-	return nil, nil
-}
-
-func (e *Engine) applyOne(op *txnOp) error {
-	switch op.typ {
-	case storage.RecIndexInsert:
-		idx, err := e.catalog.Index(op.table)
-		if err != nil {
-			return err
-		}
-		return idx.Tree.Insert(op.key, op.row)
-	case storage.RecIndexDelete:
-		idx, err := e.catalog.Index(op.table)
-		if err != nil {
-			return err
-		}
-		_, err = idx.Tree.Delete(op.key, op.row)
-		return err
-	default:
-		return nil
-	}
-}
-
 // DeferredCount reports how many transactions await resolution.
 func (e *Engine) DeferredCount() int {
 	e.txnMu.Lock()
@@ -231,34 +194,12 @@ func (e *Engine) DeferredCount() int {
 // (§4.5). It doubles as the CTR version cleaner's pass. Returns how many
 // transactions were fully resolved.
 func (e *Engine) ResolveDeferred() (resolved int, firstErr error) {
-	e.txnMu.Lock()
-	ids := make([]uint64, 0, len(e.deferred))
-	for id := range e.deferred {
-		ids = append(ids, id)
-	}
-	// Resolve in registration order: redo deferrals carry forward operations
-	// whose cross-transaction order on a shared index must match the log.
-	sort.Slice(ids, func(i, j int) bool {
-		return e.deferred[ids[i]].seq < e.deferred[ids[j]].seq
-	})
-	e.txnMu.Unlock()
-
-	for _, id := range ids {
-		e.txnMu.Lock()
-		d, ok := e.deferred[id]
-		e.txnMu.Unlock()
-		if !ok {
-			continue
-		}
-		var pending []txnOp
-		var err error
-		if d.redo {
-			pending, err = e.applyStrict(d.pending)
-		} else {
-			pending, err = e.undoStrict(d.txn.id, d.pending)
-		}
+	for _, d := range e.deferredTxns() {
+		pending, err := e.undoStrict(d.txn.id, d.pending)
 		if err != nil {
+			e.txnMu.Lock()
 			d.pending = pending
+			e.txnMu.Unlock()
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -270,13 +211,19 @@ func (e *Engine) ResolveDeferred() (resolved int, firstErr error) {
 	return resolved, firstErr
 }
 
-func (e *Engine) finishDeferred(d *deferredTxn) {
-	if !d.redo {
-		// Redo deferrals stem from the primary's log, which already carries
-		// the transaction's commit/abort record; logging another would fork
-		// the replica's copy of the log.
-		e.wal.Append(storage.Record{Txn: d.txn.id, Type: storage.RecAbort})
+// deferredTxns snapshots the deferred set.
+func (e *Engine) deferredTxns() []*deferredTxn {
+	e.txnMu.Lock()
+	defer e.txnMu.Unlock()
+	ds := make([]*deferredTxn, 0, len(e.deferred))
+	for _, d := range e.deferred {
+		ds = append(ds, d)
 	}
+	return ds
+}
+
+func (e *Engine) finishDeferred(d *deferredTxn) {
+	e.wal.Append(storage.Record{Txn: d.txn.id, Type: storage.RecAbort})
 	e.wal.UnpinTxn(d.txn.id)
 	e.versions.Drop(d.txn.id)
 	e.locks.ReleaseAll(d.txn.id)
@@ -287,43 +234,28 @@ func (e *Engine) finishDeferred(d *deferredTxn) {
 
 // ForceResolveDeferred resolves deferred transactions without keys by
 // skipping recovery of the affected index pages and marking those indexes
-// invalid in the metadata (§4.5). Heap undo still runs (physical). Returns
-// the invalidated index names. This is the policy escape hatch — triggered
+// invalid in the metadata (§4.5); the next install of their keys rebuilds
+// them. Heap undo still runs (physical). Returns the invalidated index
+// names. This is the policy escape hatch — triggered
 // by timeouts or log-space consumption — and the automatic behaviour when
 // no enclave is configured.
 func (e *Engine) ForceResolveDeferred() []string {
-	e.txnMu.Lock()
-	ds := make([]*deferredTxn, 0, len(e.deferred))
-	for _, d := range e.deferred {
-		ds = append(ds, d)
-	}
-	e.txnMu.Unlock()
-
 	invalidated := make(map[string]bool)
-	for _, d := range ds {
-		pending := d.pending
-		if !d.redo {
-			// Retry once more: undos that can complete without keys do.
-			pending, _ = e.tryUndo(d.txn.id, d.pending)
-		}
-		// Redo deferrals hold *unapplied* forward index ops: never undo
-		// those — the indexes they target are simply invalidated below.
-		for i := range pending {
-			op := &pending[i]
-			if op.typ != storage.RecIndexInsert && op.typ != storage.RecIndexDelete {
-				continue
-			}
+	for _, d := range e.deferredTxns() {
+		// Retry once more: undos that can complete without keys do. What
+		// remains is index work; those indexes are invalidated.
+		pending, _ := e.tryUndo(d.txn.id, d.pending)
+		for _, op := range pending {
 			if invalidated[op.table] {
 				continue
 			}
 			if idx, err := e.catalog.Index(op.table); err == nil {
-				idx.Tree.Invalidate()
+				e.invalidateIndex(idx.Tree)
 				invalidated[op.table] = true
 			}
 		}
 		e.finishDeferred(d)
 	}
-	e.InvalidatePlans()
 	out := make([]string, 0, len(invalidated))
 	for name := range invalidated {
 		out = append(out, name)
@@ -355,8 +287,19 @@ func (e *Engine) StartCleaner(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// RebuildIndex reconstructs an invalidated index from the heap (requires
-// keys in the enclave for encrypted range indexes).
+// invalidateIndex is the one way an index is given up (§4.5's escape hatch):
+// the tree empties and refuses every operation, and cached plans that seek it
+// are dropped, so reads scan and writes to its table fail until a rebuild.
+func (e *Engine) invalidateIndex(tree *btree.Tree) {
+	tree.Invalidate()
+	e.InvalidatePlans()
+}
+
+// RebuildIndex reconstructs an index from the heap (requires keys in the
+// enclave for encrypted range indexes). The fresh tree is filled and replaces
+// the published one in one tbl.mu critical section; writers check for an
+// invalidated index in theirs before they touch the heap, so the scan never
+// meets a row whose index work was skipped.
 func (e *Engine) RebuildIndex(name string) error {
 	idx, err := e.catalog.Index(name)
 	if err != nil {
@@ -366,14 +309,75 @@ func (e *Engine) RebuildIndex(name string) error {
 	if err != nil {
 		return err
 	}
+	fresh := &Index{Name: idx.Name, ColPos: idx.ColPos, Unique: idx.Unique}
 	tbl.mu.Lock()
-	_, err = e.buildIndex(tbl, idx, fillFromHeap)
+	if err = e.buildIndex(tbl, fresh, fillFromHeap); err == nil {
+		idx.Tree.Replace(fresh.Tree)
+	}
 	tbl.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	e.InvalidatePlans()
 	return nil
+}
+
+// rebuildInvalidated rebuilds every invalidated index whose keys the enclave
+// now holds; Session.InstallCEK calls it, so the statement that shipped the
+// keys already finds the index usable. A rebuild that still misses a key
+// leaves the index invalidated for a later install.
+//
+// A read-only replica rebuilds nothing: its redo loop applies a statement's
+// heap and index records at different LSNs, and a rebuild between them would
+// index a row twice or miss it. Its reads scan until promotion. An index
+// whose table or tree a deferred transaction still has undo work on waits
+// too: non-CTR undo stops at its first failure, and the heap it would scan
+// is about to change.
+func (e *Engine) rebuildInvalidated() error {
+	if e.ReadOnly() {
+		return nil
+	}
+	var stale []*Index
+	e.catalog.mu.RLock()
+	for _, idx := range e.catalog.indexes {
+		if idx.Tree.Invalidated() && e.hasCEKs(idx.CEKs) {
+			stale = append(stale, idx)
+		}
+	}
+	e.catalog.mu.RUnlock()
+	for _, idx := range stale {
+		if e.undoPending(idx) {
+			continue
+		}
+		if err := e.RebuildIndex(idx.Name); err != nil && !IsKeyMissing(err) {
+			return err
+		}
+	}
+	return nil
+}
+
+func (e *Engine) hasCEKs(names []string) bool {
+	for _, name := range names {
+		if !e.cfg.Enclave.HasCEK(name) {
+			return false
+		}
+	}
+	return true
+}
+
+// undoPending reports whether a deferred transaction still has work to undo
+// on idx or its table.
+func (e *Engine) undoPending(idx *Index) bool {
+	e.txnMu.Lock()
+	defer e.txnMu.Unlock()
+	for _, d := range e.deferred {
+		for _, op := range d.pending {
+			if op.table == idx.Name || op.table == idx.Table {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // IsKeyMissing reports whether an error chain indicates absent enclave keys

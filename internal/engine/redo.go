@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"alwaysencrypted/internal/btree"
 	"alwaysencrypted/internal/sqltypes"
 	"alwaysencrypted/internal/storage"
 )
@@ -17,13 +18,13 @@ import (
 // Heap records are applied physically — the replica's pages end up
 // byte-identical to the primary's, ciphertext included; the replica never
 // decrypts anything. Index records are logical: plaintext and DET indexes
-// apply immediately, but encrypted range indexes need enclave comparisons and
-// the replica's enclave holds no CEKs (clients only release keys to an
-// attested enclave they talk to directly). Those operations are queued and,
-// at transaction commit, registered as §4.5 deferred transactions with
-// redo=true — the same machinery that parks un-undoable transactions after a
-// crash parks un-applyable index work on a replica, and the same resolution
-// path (keys arrive after promotion, ResolveDeferred) drains it.
+// apply immediately, and so does encrypted range-index work while the
+// enclave holds the key. A replica's enclave usually holds none (clients only
+// release keys to an attested enclave they talk to directly), so the first
+// operation that needs a missing key invalidates the index and every later
+// one on it is dropped: an index this server cannot maintain is neither read
+// nor written. The heap stays complete, and after promotion the first key
+// install rebuilds the index from it (Session.InstallCEK).
 //
 // In-flight transactions are mirrored into the engine's active-transaction
 // table with their applied operations, so promotion is exactly crash
@@ -31,26 +32,9 @@ import (
 //
 // The applier is not safe for concurrent use; the replication loop owns it.
 type RedoApplier struct {
-	e    *Engine
-	txns map[uint64]*redoTxn
-	// blockedIdx is the per-index "sticky" defer set: once one operation on
-	// an index is deferred, every later operation on that index defers too,
-	// preserving log order within the index.
-	blockedIdx map[string]bool
-	// invalidIdx marks indexes registered in invalidated state (a CREATE
-	// INDEX over existing encrypted data cannot be built without keys).
-	// Operations on them are dropped: RebuildIndex after promotion
-	// reconstructs from the heap, which already contains every change.
-	invalidIdx map[string]bool
-	applied    atomic.Uint64 // highest LSN applied
-}
-
-// redoTxn tracks one in-flight primary transaction on the replica.
-type redoTxn struct {
-	txn *Txn
-	// pending holds forward operations that could not be applied (encrypted
-	// index work), in log order.
-	pending []txnOp
+	e       *Engine
+	txns    map[uint64]*Txn
+	applied atomic.Uint64 // highest LSN applied
 }
 
 // ErrRedoDiverged mirrors storage.ErrRedoDiverged for non-heap divergence.
@@ -58,12 +42,7 @@ var ErrRedoDiverged = errors.New("engine: redo diverged from primary log")
 
 // NewRedoApplier builds an applier over a replica engine.
 func NewRedoApplier(e *Engine) *RedoApplier {
-	return &RedoApplier{
-		e:          e,
-		txns:       make(map[uint64]*redoTxn),
-		blockedIdx: make(map[string]bool),
-		invalidIdx: make(map[string]bool),
-	}
+	return &RedoApplier{e: e, txns: make(map[uint64]*Txn)}
 }
 
 // AppliedLSN returns the highest LSN applied so far (0 before the first).
@@ -83,7 +62,7 @@ func (ra *RedoApplier) applyRecord(rec *storage.Record) error {
 	switch rec.Type {
 	case storage.RecBegin:
 		t := &Txn{id: rec.Txn, beginLSN: rec.LSN, engine: e}
-		ra.txns[rec.Txn] = &redoTxn{txn: t}
+		ra.txns[rec.Txn] = t
 		e.txnMu.Lock()
 		e.active[rec.Txn] = t
 		if e.nextTxn <= rec.Txn {
@@ -93,26 +72,10 @@ func (ra *RedoApplier) applyRecord(rec *storage.Record) error {
 		return nil
 
 	case storage.RecCommit, storage.RecAbort:
-		rt := ra.txns[rec.Txn]
-		if rt == nil {
-			return nil // txn began before our copy of the log starts
-		}
 		delete(ra.txns, rec.Txn)
 		e.txnMu.Lock()
 		delete(e.active, rec.Txn)
 		e.txnMu.Unlock()
-		if len(rt.pending) == 0 {
-			return nil
-		}
-		// Encrypted-index work the replica could not perform: park it as a
-		// redo deferral (§4.5). For aborts the pending list holds forward
-		// op + CLR pairs that net to zero, but applying them in order is
-		// still the faithful replay once keys arrive.
-		e.txnMu.Lock()
-		e.deferSeq++
-		e.deferred[rec.Txn] = &deferredTxn{txn: rt.txn, pending: rt.pending, redo: true, seq: e.deferSeq}
-		e.txnMu.Unlock()
-		e.wal.PinTxn(rec.Txn, rt.txn.beginLSN)
 		return nil
 
 	case storage.RecHeapInsert, storage.RecHeapDelete, storage.RecHeapUpdate:
@@ -169,8 +132,8 @@ func (ra *RedoApplier) applyHeap(rec *storage.Record) error {
 	if err != nil {
 		return err
 	}
-	if rt := ra.txns[rec.Txn]; rt != nil {
-		rt.txn.ops = append(rt.txn.ops, txnOp{
+	if t := ra.txns[rec.Txn]; t != nil {
+		t.ops = append(t.ops, txnOp{
 			typ: rec.Type, table: rec.Table,
 			row: rec.Row, newRow: rec.NewRow, old: rec.Old, new: rec.New,
 		})
@@ -200,9 +163,9 @@ func (ra *RedoApplier) applyHeapMulti(rec *storage.Record) error {
 		}
 	}
 	tbl.mu.Unlock()
-	if rt := ra.txns[rec.Txn]; rt != nil {
+	if t := ra.txns[rec.Txn]; t != nil {
 		for i, rid := range rids {
-			rt.txn.ops = append(rt.txn.ops, txnOp{
+			t.ops = append(t.ops, txnOp{
 				typ: storage.RecHeapInsert, table: rec.Table, row: rid, new: rows[i],
 			})
 		}
@@ -210,16 +173,15 @@ func (ra *RedoApplier) applyHeapMulti(rec *storage.Record) error {
 	return nil
 }
 
-// applyIndex performs logical redo of one index record, deferring encrypted
-// work the replica's key-less enclave cannot do.
+// applyIndex performs logical redo of one index record.
 func (ra *RedoApplier) applyIndex(rec *storage.Record) error {
 	op := txnOp{typ: rec.Type, table: rec.Table, row: rec.Row, key: rec.Key}
 	return ra.applyIndexOp(rec.Txn, op)
 }
 
 // applyIndexMulti unpacks an insert statement's index record and replays each
-// entry through the same path as a single-entry record, so per-index deferral
-// and invalidation behave identically however the primary batched.
+// entry through the same path as a single-entry record, so invalidation
+// behaves identically however the primary batched.
 func (ra *RedoApplier) applyIndexMulti(rec *storage.Record) error {
 	keys, rids, err := storage.DecodeIndexEntries(rec.New)
 	if err != nil {
@@ -234,31 +196,30 @@ func (ra *RedoApplier) applyIndexMulti(rec *storage.Record) error {
 	return nil
 }
 
+// applyIndexOp applies one index operation and mirrors it into its
+// transaction's undo list. An operation on an invalidated index is dropped;
+// one that needs a key the enclave lacks invalidates the index and is dropped
+// too — the heap, which redo keeps complete, is what a rebuild reads.
 func (ra *RedoApplier) applyIndexOp(txn uint64, op txnOp) error {
-	e := ra.e
-	if ra.invalidIdx[op.table] {
-		return nil // index will be rebuilt from the heap after promotion
+	idx, err := ra.e.catalog.Index(op.table)
+	if err != nil {
+		return err
 	}
-	rt := ra.txns[txn]
-	if !ra.blockedIdx[op.table] {
-		err := e.applyOne(&op)
-		if err == nil {
-			if rt != nil {
-				rt.txn.ops = append(rt.txn.ops, op)
-			}
-			return nil
+	if op.typ == storage.RecIndexInsert {
+		err = idx.Tree.Insert(op.key, op.row)
+	} else {
+		_, err = idx.Tree.Delete(op.key, op.row)
+	}
+	switch {
+	case err == nil:
+		if t := ra.txns[txn]; t != nil {
+			t.ops = append(t.ops, op)
 		}
-		if !IsKeyMissing(err) {
-			return err
-		}
-		ra.blockedIdx[op.table] = true
+	case IsKeyMissing(err):
+		ra.e.invalidateIndex(idx.Tree)
+	case !errors.Is(err, btree.ErrInvalidated):
+		return err
 	}
-	if rt == nil {
-		// Keyed work outside any mirrored transaction: nothing to attach the
-		// deferral to (should not happen — index records are transactional).
-		return fmt.Errorf("%w: keyless index op outside a transaction", ErrRedoDiverged)
-	}
-	rt.pending = append(rt.pending, op)
 	return nil
 }
 
@@ -278,7 +239,10 @@ func (ra *RedoApplier) applyDDL(rec *storage.Record) error {
 		_, err := e.createTable(st, rec.Row.Page(), nil)
 		return err
 	case CreateIndexStmt:
-		return ra.applyCreateIndex(st)
+		// Backfilling an encrypted range index takes enclave comparisons the
+		// replica may not be able to make: such an index is registered
+		// invalidated.
+		return ra.e.executeCreateIndex(st, fillOrInvalidate, nil)
 	case CreateCMKStmt:
 		return e.executeCreateCMK(st, nil)
 	case CreateCEKStmt:
@@ -288,21 +252,10 @@ func (ra *RedoApplier) applyDDL(rec *storage.Record) error {
 	}
 }
 
-// applyCreateIndex replays CREATE INDEX. Backfilling an encrypted range index
-// requires enclave comparisons the replica cannot make; such an index is
-// registered invalidated (buildIndex's fillOrInvalidate).
-func (ra *RedoApplier) applyCreateIndex(st CreateIndexStmt) error {
-	invalidated, err := ra.e.executeCreateIndex(st, fillOrInvalidate, nil)
-	if invalidated {
-		ra.invalidIdx[st.Name] = true
-	}
-	return err
-}
-
 // applyAlterEnc replays the catalog half of ALTER COLUMN encryption: the
 // per-cell rewrites arrived as physical Txn-0 heap updates; this record flips
 // the column's encryption type and rebuilds affected indexes. Rebuilds that
-// need enclave keys leave the index invalidated for post-promotion rebuild.
+// need enclave keys leave the index invalidated.
 func (ra *RedoApplier) applyAlterEnc(rec *storage.Record) error {
 	e := ra.e
 	colName, to, err := decodeAlterEnc(rec.DDL)
@@ -324,33 +277,12 @@ func (ra *RedoApplier) applyAlterEnc(rec *storage.Record) error {
 		if !slices.Contains(idx.ColPos, col.Pos) {
 			continue
 		}
-		invalidated, err := e.buildIndex(tbl, idx, fillOrInvalidate)
-		if err != nil {
+		if err := e.buildIndex(tbl, idx, fillOrInvalidate); err != nil {
 			return err
-		}
-		if invalidated {
-			ra.invalidIdx[idx.Name] = true
-		} else {
-			delete(ra.invalidIdx, idx.Name)
 		}
 	}
 	e.InvalidatePlans()
 	return nil
-}
-
-// DropInflightPending discards the queued (never-applied) encrypted-index
-// work of transactions still in flight, returning how many operations were
-// dropped. Promotion calls this before Recover(): an in-flight transaction is
-// about to be rolled back, and operations that were never applied need no
-// undo — keeping them would corrupt the indexes when resolution "applied"
-// them after the rollback.
-func (ra *RedoApplier) DropInflightPending() int {
-	n := 0
-	for _, rt := range ra.txns {
-		n += len(rt.pending)
-		rt.pending = nil
-	}
-	return n
 }
 
 // encodeAlterEnc packs a column's new encryption type for a RecAlterEnc

@@ -8,16 +8,12 @@ import (
 	"alwaysencrypted/internal/sqltypes"
 )
 
-// TestRedoKeylessDefersIngestShapedLog: a key-less replica replaying a log of
-// the benchmark's enc_ingest shape — two enclave-ordered indexes; row
+// TestRedoKeylessInvalidatesIngestShapedLog: a key-less replica replaying a
+// log of the benchmark's enc_ingest shape — two enclave-ordered indexes; row
 // inserts, a 64-row bulk, key-moving updates, deletes and a rollback —
-// defers exactly the transactions it deferred when the index made one
-// enclave call per comparison. The node-search path must reach the enclave
-// (and so hit ErrKeyNotInEnclave) in precisely the operations the
-// per-comparison path did: wantDeferred was recorded on the commit before
-// the change with this same script.
-func TestRedoKeylessDefersIngestShapedLog(t *testing.T) {
-	const wantDeferred = 188
+// invalidates both indexes and parks no transaction. After promotion, the
+// first key install rebuilds each to the primary's entries, byte for byte.
+func TestRedoKeylessInvalidatesIngestShapedLog(t *testing.T) {
 	env := newTestEnv(t, true)
 	env.provisionKeys("CMK1", "CEK1", true)
 	encCol := "ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = CEK1, ENCRYPTION_TYPE = Randomized, ALGORITHM = 'AEAD_AES_256_CBC_HMAC_SHA_256')"
@@ -57,9 +53,22 @@ func TestRedoKeylessDefersIngestShapedLog(t *testing.T) {
 	env.mustExec("ROLLBACK", nil)
 	insert(2001)
 
-	rep, _ := newReplicaEngine(t)
-	applyAll(t, rep, NewRedoApplier(rep), env.engine.WAL().Records())
-	if got := rep.DeferredCount(); got != wantDeferred {
-		t.Fatalf("key-less replica deferred %d transactions, the per-comparison index %d", got, wantDeferred)
+	rep := replicaOf(t, env)
+	applyAll(t, rep.engine, NewRedoApplier(rep.engine), env.engine.WAL().Records())
+	for _, name := range []string{"accounts_balance", "accounts_acct"} {
+		idx, err := rep.engine.Catalog().Index(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !idx.Tree.Invalidated() {
+			t.Fatalf("key-less replica kept %s, which it could not maintain", name)
+		}
+	}
+	if n := rep.engine.DeferredCount(); n != 0 {
+		t.Fatalf("key-less replica parked %d transactions", n)
+	}
+	rep.promote("SELECT id FROM accounts WHERE balance = @b", "CEK1")
+	for _, name := range []string{"pk_accounts", "accounts_balance", "accounts_acct"} {
+		sameEntries(t, env.engine, rep.engine, name)
 	}
 }

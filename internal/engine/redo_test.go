@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"alwaysencrypted/internal/aecrypto"
 	"alwaysencrypted/internal/attestation"
+	"alwaysencrypted/internal/btree"
 	"alwaysencrypted/internal/enclave"
 	"alwaysencrypted/internal/sqltypes"
 	"alwaysencrypted/internal/storage"
@@ -235,44 +237,97 @@ func TestRedoCrashMidApplyRestart(t *testing.T) {
 	}
 }
 
-// TestRedoDeferredEncryptedIndexWork: index operations on an encrypted range
-// index cannot be applied without keys; they are parked as §4.5 deferred
-// (redo) transactions, and in-flight ones are dropped at promotion so
-// recovery's rollback is not corrupted.
-func TestRedoDeferredEncryptedIndexWork(t *testing.T) {
+// TestRedoKeylessInvalidatesThenRebuilds: a key-less replica cannot apply
+// encrypted range-index work, so it invalidates the index instead of queueing
+// the work, and parks no transaction. Promotion rolls the in-flight
+// transaction back, and the first key install rebuilds the index to exactly
+// the primary's entries.
+func TestRedoKeylessInvalidatesThenRebuilds(t *testing.T) {
 	env := setupRNDTable(t, true)
 	env.mustExec("CREATE INDEX ix_val ON T (value)", nil)
-	for i := int64(1); i <= 5; i++ {
+	insert := func(i int64) {
 		env.mustExec("INSERT INTO T (id, value) VALUES (@i, @v)", Params{
 			"i": intParam(i), "v": env.enc("CEK1", sqltypes.Int(i), aecrypto.Randomized)})
 	}
-	// One transaction left in flight on the primary.
+	for i := int64(1); i <= 5; i++ {
+		insert(i)
+	}
+	// One transaction left in flight in the shipped log; the primary then
+	// rolls it back, which is the state promotion must reach.
 	env.mustExec("BEGIN TRANSACTION", nil)
-	env.mustExec("INSERT INTO T (id, value) VALUES (@i, @v)", Params{
-		"i": intParam(100), "v": env.enc("CEK1", sqltypes.Int(100), aecrypto.Randomized)})
+	insert(100)
+	recs := env.engine.WAL().Records()
+	env.mustExec("ROLLBACK", nil)
 
-	rep, _ := newReplicaEngine(t)
-	ra := NewRedoApplier(rep)
-	applyAll(t, rep, ra, env.engine.WAL().Records())
-
-	// The committed inserts deferred their encrypted-index work.
-	if n := rep.DeferredCount(); n == 0 {
-		t.Fatal("no deferred transactions on the replica")
-	}
-	// Promotion: drop never-applied pending work of in-flight transactions,
-	// then run crash recovery, which rolls the in-flight transaction back.
-	if n := ra.DropInflightPending(); n == 0 {
-		t.Fatal("in-flight transaction had no pending index work to drop")
-	}
-	rep.Recover()
-	rep.SetReadOnly(false)
-
-	// The in-flight insert is gone from the heap after recovery.
-	rs, err := rep.NewSession().Execute("SELECT id FROM T WHERE id = @i", Params{"i": intParam(100)})
+	rep := replicaOf(t, env)
+	applyAll(t, rep.engine, NewRedoApplier(rep.engine), recs)
+	idx, err := rep.engine.Catalog().Index("ix_val")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rows) != 0 {
+	if !idx.Tree.Invalidated() {
+		t.Fatal("key-less replica kept an index it could not maintain")
+	}
+	if n := rep.engine.DeferredCount(); n != 0 {
+		t.Fatalf("replica parked %d transactions", n)
+	}
+
+	rep.promote("SELECT id FROM T WHERE value = @v", "CEK1")
+	if rs := rep.mustExec("SELECT id FROM T WHERE id = @i", Params{"i": intParam(100)}); len(rs.Rows) != 0 {
 		t.Fatal("rolled-back insert survived promotion")
+	}
+	for _, name := range []string{"pk_T", "ix_val"} {
+		sameEntries(t, env.engine, rep.engine, name)
+	}
+}
+
+// replicaOf builds a replica deployment of primary: its own enclave with no
+// keys, read-only, while the client-side secrets are the primary's, so a
+// client can attest it and install keys once it is promoted.
+func replicaOf(t *testing.T, primary *testEnv) *testEnv {
+	t.Helper()
+	rep := newTestEnv(t, true)
+	rep.cekRoots, rep.cellKeys = primary.cekRoots, primary.cellKeys
+	rep.engine.SetReadOnly(true)
+	return rep
+}
+
+// promote turns a replica deployment into a primary as core's Promote does —
+// crash recovery, then writes admitted — and has a client attest it for
+// query and install ceks.
+func (env *testEnv) promote(query string, ceks ...string) {
+	env.t.Helper()
+	env.engine.Recover()
+	env.engine.SetReadOnly(false)
+	env.attest(query)
+	env.installCEKs(ceks...)
+}
+
+// indexEntries returns an index's entries in tree order.
+func indexEntries(t *testing.T, e *Engine, name string) []btree.Entry {
+	t.Helper()
+	idx, err := e.Catalog().Index(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []btree.Entry
+	if err := idx.Tree.Ascend(func(en btree.Entry) bool {
+		out = append(out, en)
+		return true
+	}); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return out
+}
+
+// sameEntries asserts that two deployments' copies of an index hold the same
+// entries — key bytes and row ids — in the same order.
+func sameEntries(t *testing.T, primary, replica *Engine, name string) {
+	t.Helper()
+	want, got := indexEntries(t, primary, name), indexEntries(t, replica, name)
+	if !slices.EqualFunc(want, got, func(a, b btree.Entry) bool {
+		return a.Row == b.Row && slices.EqualFunc(a.Key, b.Key, bytes.Equal)
+	}) {
+		t.Fatalf("%s: replica holds %d entries, the primary %d, and they differ", name, len(got), len(want))
 	}
 }

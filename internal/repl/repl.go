@@ -7,10 +7,14 @@
 // The trust story mirrors the paper's: the replication stream is served by
 // the untrusted server and carries exactly what the log carries — for
 // encrypted columns, ciphertext. A replica never receives CEKs with the
-// stream (its enclave is empty), so a compromised replica host learns
-// nothing beyond what the primary's host already exposes. The Primary
-// carries a Tap, like the TDS server, so the leakage harness can observe
-// every shipped byte and assert that invariant.
+// stream (its enclave starts empty), so a compromised replica host learns
+// nothing beyond what the primary's host already exposes. Keys reach a
+// replica's enclave only from a reader that attests it directly. Until then
+// redo invalidates every enclave-ordered index it cannot maintain
+// (engine.RedoApplier), reads over it scan, and after promotion the first
+// key install rebuilds it from the heap. The Primary carries a Tap, like the
+// TDS server, so the leakage harness can observe every shipped byte and
+// assert that invariant.
 //
 // Flow control is LSN-based: each replica acknowledges the highest LSN it
 // has durably applied, the primary records that progress in the WAL's

@@ -85,9 +85,6 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 	return r, nil
 }
 
-// Applier exposes the redo applier (promotion needs it).
-func (r *Replica) Applier() *engine.RedoApplier { return r.applier }
-
 // AppliedLSN is the highest LSN applied so far.
 func (r *Replica) AppliedLSN() uint64 { return r.applier.AppliedLSN() }
 
