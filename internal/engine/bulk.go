@@ -95,15 +95,14 @@ func (e *Engine) insertBatch(t *Txn, tbl *Table, cellRows [][][]byte) (*ResultSe
 		}
 		recs[r] = encodeRow(cells)
 	}
+	if err := t.admit(tbl, true); err != nil {
+		return nil, err
+	}
 	tbl.mu.Lock()
 	// The index list is taken in the same critical section that places the
 	// rows: CREATE INDEX backfills and publishes under tbl.mu too, so a new
 	// index either saw these rows in the heap or is in this list.
 	indexes := tbl.Indexes
-	if err := tbl.maintainable(); err != nil {
-		tbl.mu.Unlock()
-		return nil, err
-	}
 	// The undo list grows by one op per row per structure; reserving that in
 	// one step keeps the appends below from re-copying it.
 	t.ops = slices.Grow(t.ops, len(recs)*(1+len(indexes)))

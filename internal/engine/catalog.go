@@ -36,6 +36,11 @@ type Table struct {
 	Heap    *storage.Heap
 	Indexes []*Index
 	mu      sync.Mutex
+	// busy counts statements and rollbacks between their first change to
+	// the table and the end of their undo (Txn.admit); a rebuild waits on
+	// idle, under mu, until none is left.
+	busy int
+	idle sync.Cond
 }
 
 // Col resolves a column by (case-insensitive) name.
@@ -52,19 +57,6 @@ func (t *Table) PrimaryKeyIndex() *Index {
 	for _, idx := range t.Indexes {
 		if idx.IsPrimary {
 			return idx
-		}
-	}
-	return nil
-}
-
-// maintainable fails a write to a table with an invalidated index, which the
-// write could not maintain. Writers call it under t.mu before they change the
-// heap: a rebuild scans the heap and publishes under t.mu, so it never meets
-// a row whose index work was skipped.
-func (t *Table) maintainable() error {
-	for _, idx := range t.Indexes {
-		if idx.Tree.Invalidated() {
-			return fmt.Errorf("engine: index %s: %w", idx.Name, btree.ErrInvalidated)
 		}
 	}
 	return nil

@@ -38,6 +38,7 @@ func (e *Engine) createTable(st CreateTableStmt, firstPage storage.PageID, logDD
 		}
 	}
 	tbl := &Table{Name: st.Name, Cols: cols}
+	tbl.idle.L = &tbl.mu
 	if len(pkCols) > 0 {
 		names := make([]string, len(pkCols))
 		for i, pos := range pkCols {
@@ -404,7 +405,8 @@ func (s *Session) DescribeWithAttestation(query string, clientDHPub []byte) (*De
 
 // InstallCEK forwards a sealed CEK envelope from the driver to the enclave
 // under this session's enclave session, then rebuilds the invalidated indexes
-// the enclave now holds every key for.
+// the enclave now holds every key for. Once the enclave holds the key the
+// install has succeeded, whatever the rebuilds report.
 func (s *Session) InstallCEK(name string, nonce uint64, sealed []byte) error {
 	e := s.engine
 	if e.cfg.Enclave == nil {
@@ -413,7 +415,8 @@ func (s *Session) InstallCEK(name string, nonce uint64, sealed []byte) error {
 	if err := e.cfg.Enclave.InstallCEK(s.EnclaveSID, name, nonce, sealed); err != nil {
 		return err
 	}
-	return e.rebuildInvalidated()
+	e.rebuildInvalidated()
+	return nil
 }
 
 // AuthorizeStatement forwards a sealed statement-hash authorization.

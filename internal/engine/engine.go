@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,6 +81,7 @@ type Engine struct {
 	// per-row hot paths never touch the registry's lock.
 	obs                 *obs.Registry
 	scans, seeks, execs *obs.Counter
+	unbuilt             *obs.Counter
 	spanLex             *obs.Histogram // statement lifecycle decomposition
 	spanParse           *obs.Histogram
 	spanBind            *obs.Histogram
@@ -130,6 +133,7 @@ func New(cfg Config) *Engine {
 		scans:     reg.Counter("engine.scans"),
 		seeks:     reg.Counter("engine.seeks"),
 		execs:     reg.Counter("engine.execs"),
+		unbuilt:   reg.Counter("engine.rebuild_failures"),
 		spanLex:   reg.Histogram("engine.stmt.lex_ns"),
 		spanParse: reg.Histogram("engine.stmt.parse_ns"),
 		spanBind:  reg.Histogram("engine.stmt.bind_ns"),
@@ -212,6 +216,39 @@ type Txn struct {
 	// per statement). WAL records logged through the txn carry its trace
 	// ID, and appends record wal.append spans against it. nil is fine.
 	act *trace.Active
+
+	held    []*Table // the tables the running statement or rollback holds busy
+	heldBuf [1]*Table
+}
+
+// admit holds tbl busy from a statement's first change to it until withTxn
+// releases it after the statement and any undo. A write is refused while an
+// index of tbl is invalidated: it could not maintain it.
+func (t *Txn) admit(tbl *Table, write bool) error {
+	if slices.Contains(t.held, tbl) {
+		return nil
+	}
+	tbl.mu.Lock()
+	defer tbl.mu.Unlock()
+	for _, idx := range tbl.Indexes {
+		if write && idx.Tree.Invalidated() {
+			return fmt.Errorf("engine: index %s: %w", idx.Name, btree.ErrInvalidated)
+		}
+	}
+	tbl.busy++
+	t.held = append(t.held, tbl)
+	return nil
+}
+
+// release ends the running statement's or rollback's hold on its tables.
+func (t *Txn) release() {
+	for _, tbl := range t.held {
+		tbl.mu.Lock()
+		tbl.busy--
+		tbl.idle.Broadcast()
+		tbl.mu.Unlock()
+	}
+	t.held = t.held[:0]
 }
 
 // snapshot returns the transaction's read snapshot, acquiring it on first
@@ -290,6 +327,7 @@ func (e *Engine) beginTxn(act *trace.Active) *Txn {
 	e.nextTxn++
 	e.txnMu.Unlock()
 	txn := &Txn{id: id, engine: e, act: act}
+	txn.held = txn.heldBuf[:0]
 	sp := act.StartSpan("wal.append")
 	txn.beginLSN = e.wal.Append(storage.Record{Txn: id, Type: storage.RecBegin, Trace: act.ID()})
 	sp.End()
@@ -324,7 +362,16 @@ func (e *Engine) commitTxn(t *Txn) error {
 // physically via before-images.
 func (e *Engine) rollbackTxn(t *Txn) error {
 	t.releaseSnapshot()
+	for _, op := range t.ops {
+		// Every table the transaction changed has a heap operation.
+		if op.typ < storage.RecIndexInsert {
+			if tbl, err := e.catalog.Table(op.table); err == nil {
+				t.admit(tbl, false)
+			}
+		}
+	}
 	err := e.undoOps(t.act, t.id, t.ops)
+	t.release()
 	e.wal.Append(storage.Record{Txn: t.id, Type: storage.RecAbort, Trace: t.act.ID()})
 	e.versions.Drop(t.id)
 	e.locks.ReleaseAll(t.id)
@@ -474,11 +521,10 @@ func (e *Engine) updateRow(t *Txn, tbl *Table, rid storage.RowID, oldCells, newC
 	newRec := encodeRow(newCells)
 	e.versions.Record(t.id, tbl.Name, rid, oldRec)
 
-	tbl.mu.Lock()
-	if err := tbl.maintainable(); err != nil {
-		tbl.mu.Unlock()
+	if err := t.admit(tbl, true); err != nil {
 		return 0, err
 	}
+	tbl.mu.Lock()
 	// If the update relocates the row, the new slot gets a nil pre-image
 	// chain under the page latch (invisible to concurrent snapshots until
 	// commit), matching the insert path.
@@ -496,7 +542,7 @@ func (e *Engine) updateRow(t *Txn, tbl *Table, rid storage.RowID, oldCells, newC
 		oldKey := idx.indexKeyFor(oldCells)
 		newKey := idx.indexKeyFor(newCells)
 		moved := newRID != rid
-		changed := moved || !keysEqualBytes(oldKey, newKey)
+		changed := moved || !slices.EqualFunc(oldKey, newKey, bytes.Equal)
 		if !changed {
 			continue
 		}
@@ -515,10 +561,12 @@ func (e *Engine) updateRow(t *Txn, tbl *Table, rid storage.RowID, oldCells, newC
 }
 
 // deleteRow removes a row under the transaction; failures are undone by
-// withTxn, as for updateRow. Index entries go before the heap row, so an
-// invalidated index fails the statement before the heap changes.
+// withTxn, as for updateRow.
 func (e *Engine) deleteRow(t *Txn, tbl *Table, rid storage.RowID, cells [][]byte) error {
 	if err := e.locks.Lock(t.id, tbl.Name, rid); err != nil {
+		return err
+	}
+	if err := t.admit(tbl, true); err != nil {
 		return err
 	}
 	rec := encodeRow(cells)
@@ -537,25 +585,6 @@ func (e *Engine) deleteRow(t *Txn, tbl *Table, rid storage.RowID, cells [][]byte
 	}
 	t.log(txnOp{typ: storage.RecHeapDelete, table: tbl.Name, row: rid, old: rec})
 	return nil
-}
-
-// keysEqualBytes compares composite keys byte-wise (sufficient for change
-// detection: unchanged cells have identical bytes).
-func keysEqualBytes(a, b [][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // buildIndexTree constructs the comparator for an index over the given

@@ -24,7 +24,7 @@ import (
 // driver's half of the protocols (attestation, CEK install, parameter
 // encryption).
 type testEnv struct {
-	t         *testing.T
+	t         testing.TB
 	engine    *Engine
 	store     *storage.MemStore
 	encl      *enclave.Enclave
@@ -43,7 +43,7 @@ type testEnv struct {
 	policy   attestation.Policy
 }
 
-func newTestEnv(t *testing.T, ctr bool) *testEnv {
+func newTestEnv(t testing.TB, ctr bool) *testEnv {
 	t.Helper()
 	env := &testEnv{t: t, cekRoots: map[string][]byte{}, cellKeys: map[string]*aecrypto.CellKey{}}
 
@@ -153,6 +153,35 @@ func (env *testEnv) attest(query string) *DescribeResult {
 	}
 	env.secret = secret
 	return desc
+}
+
+// cekInstaller attests a fresh session and returns a function that ships
+// the named CEK to the enclave through it, as each pooled connection of a
+// client does.
+func (env *testEnv) cekInstaller(name string) func() error {
+	env.t.Helper()
+	sess := env.engine.NewSession()
+	dh, err := attestation.NewClientDH()
+	if err != nil {
+		env.t.Fatal(err)
+	}
+	_, info, _, err := sess.DescribeWithAttestation("SELECT * FROM T WHERE value = @v", dh.PublicKey().Bytes())
+	if err != nil {
+		env.t.Fatal(err)
+	}
+	secret, err := env.policy.Verify(info, dh)
+	if err != nil {
+		env.t.Fatal(err)
+	}
+	var nonce uint64
+	return func() error {
+		nonce++
+		sealed, err := enclave.SealForSession(secret, nonce, "cek:"+name, env.cekRoots[name])
+		if err != nil {
+			return err
+		}
+		return sess.InstallCEK(name, nonce, sealed)
+	}
 }
 
 // installCEKs ships the named CEKs to the enclave over the secure channel.
@@ -476,7 +505,7 @@ func TestDescribeParameterEncryption(t *testing.T) {
 
 // setupRNDTable provisions an enclave-enabled RND column, attests and
 // installs keys, returning the env.
-func setupRNDTable(t *testing.T, ctr bool) *testEnv {
+func setupRNDTable(t testing.TB, ctr bool) *testEnv {
 	env := newTestEnv(t, ctr)
 	env.provisionKeys("CMK1", "CEK1", true)
 	env.mustExec(`CREATE TABLE T (id int PRIMARY KEY,

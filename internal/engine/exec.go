@@ -189,10 +189,12 @@ func (s *Session) execute(act *trace.Active, plan *Plan, query string, params Pa
 // withTxn runs a mutating statement's body in the session's transaction, or
 // an autocommit one, and makes the statement atomic: if fn fails, everything
 // it logged is undone (with CLRs) before the error returns. The row
-// primitives below therefore never clean up after themselves.
+// primitives below therefore never clean up after themselves. The tables
+// they admitted stay busy until then, so no rebuild scans a half-done row.
 func (s *Session) withTxn(fn func(t *Txn) (*ResultSet, error)) (*ResultSet, error) {
 	e := s.engine
 	if t := s.txn; t != nil {
+		defer t.release()
 		opStart := len(t.ops)
 		rs, err := fn(t)
 		if err != nil {
@@ -206,6 +208,7 @@ func (s *Session) withTxn(fn func(t *Txn) (*ResultSet, error)) (*ResultSet, erro
 		return rs, nil
 	}
 	t := e.beginTxn(s.act)
+	defer t.release()
 	rs, err := fn(t)
 	if err != nil {
 		if rbErr := e.rollbackTxn(t); rbErr != nil {

@@ -295,11 +295,12 @@ func (e *Engine) invalidateIndex(tree *btree.Tree) {
 	e.InvalidatePlans()
 }
 
-// RebuildIndex reconstructs an index from the heap (requires keys in the
-// enclave for encrypted range indexes). The fresh tree is filled and replaces
-// the published one in one tbl.mu critical section; writers check for an
-// invalidated index in theirs before they touch the heap, so the scan never
-// meets a row whose index work was skipped.
+// RebuildIndex reconstructs an invalidated index from the heap (requires
+// keys in the enclave for encrypted range indexes); a valid one is left as
+// it is. Under tbl.mu it waits for the table's statements and rollbacks in
+// flight to finish (Table.busy), then fills a fresh tree and replaces the
+// published one. Writers are refused while the index is invalidated, so the
+// wait is bounded; a concurrent rebuild that publishes first ends it.
 func (e *Engine) RebuildIndex(name string) error {
 	idx, err := e.catalog.Index(name)
 	if err != nil {
@@ -311,8 +312,13 @@ func (e *Engine) RebuildIndex(name string) error {
 	}
 	fresh := &Index{Name: idx.Name, ColPos: idx.ColPos, Unique: idx.Unique}
 	tbl.mu.Lock()
-	if err = e.buildIndex(tbl, fresh, fillFromHeap); err == nil {
-		idx.Tree.Replace(fresh.Tree)
+	for tbl.busy > 0 && idx.Tree.Invalidated() {
+		tbl.idle.Wait()
+	}
+	if idx.Tree.Invalidated() {
+		if err = e.buildIndex(tbl, fresh, fillFromHeap); err == nil {
+			idx.Tree.Replace(fresh.Tree)
+		}
 	}
 	tbl.mu.Unlock()
 	if err != nil {
@@ -324,8 +330,9 @@ func (e *Engine) RebuildIndex(name string) error {
 
 // rebuildInvalidated rebuilds every invalidated index whose keys the enclave
 // now holds; Session.InstallCEK calls it, so the statement that shipped the
-// keys already finds the index usable. A rebuild that still misses a key
-// leaves the index invalidated for a later install.
+// keys already finds the index usable. A rebuild that fails leaves that index
+// invalidated for a later install — a missing key silently, anything else
+// counted in engine.rebuild_failures — and the others still rebuild.
 //
 // A read-only replica rebuilds nothing: its redo loop applies a statement's
 // heap and index records at different LSNs, and a rebuild between them would
@@ -333,9 +340,9 @@ func (e *Engine) RebuildIndex(name string) error {
 // whose table or tree a deferred transaction still has undo work on waits
 // too: non-CTR undo stops at its first failure, and the heap it would scan
 // is about to change.
-func (e *Engine) rebuildInvalidated() error {
+func (e *Engine) rebuildInvalidated() {
 	if e.ReadOnly() {
-		return nil
+		return
 	}
 	var stale []*Index
 	e.catalog.mu.RLock()
@@ -350,10 +357,9 @@ func (e *Engine) rebuildInvalidated() error {
 			continue
 		}
 		if err := e.RebuildIndex(idx.Name); err != nil && !IsKeyMissing(err) {
-			return err
+			e.unbuilt.Inc()
 		}
 	}
-	return nil
 }
 
 func (e *Engine) hasCEKs(names []string) bool {

@@ -85,7 +85,7 @@ func (ra *RedoApplier) applyRecord(rec *storage.Record) error {
 		return ra.applyHeapMulti(rec)
 
 	case storage.RecIndexInsert, storage.RecIndexDelete:
-		return ra.applyIndex(rec)
+		return ra.applyIndexOp(rec.Txn, txnOp{typ: rec.Type, table: rec.Table, row: rec.Row, key: rec.Key})
 
 	case storage.RecIndexInsertMulti:
 		return ra.applyIndexMulti(rec)
@@ -96,8 +96,6 @@ func (ra *RedoApplier) applyRecord(rec *storage.Record) error {
 	case storage.RecAlterEnc:
 		return ra.applyAlterEnc(rec)
 
-	case storage.RecCheckpoint:
-		return nil
 	default:
 		return nil
 	}
@@ -155,28 +153,18 @@ func (ra *RedoApplier) applyHeapMulti(rec *storage.Record) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrRedoDiverged, err)
 	}
+	t := ra.txns[rec.Txn]
 	tbl.mu.Lock()
+	defer tbl.mu.Unlock()
 	for i, rid := range rids {
 		if err := tbl.Heap.ApplyInsert(rid, rows[i]); err != nil {
-			tbl.mu.Unlock()
 			return err
 		}
-	}
-	tbl.mu.Unlock()
-	if t := ra.txns[rec.Txn]; t != nil {
-		for i, rid := range rids {
-			t.ops = append(t.ops, txnOp{
-				typ: storage.RecHeapInsert, table: rec.Table, row: rid, new: rows[i],
-			})
+		if t != nil {
+			t.ops = append(t.ops, txnOp{typ: storage.RecHeapInsert, table: rec.Table, row: rid, new: rows[i]})
 		}
 	}
 	return nil
-}
-
-// applyIndex performs logical redo of one index record.
-func (ra *RedoApplier) applyIndex(rec *storage.Record) error {
-	op := txnOp{typ: rec.Type, table: rec.Table, row: rec.Row, key: rec.Key}
-	return ra.applyIndexOp(rec.Txn, op)
 }
 
 // applyIndexMulti unpacks an insert statement's index record and replays each
@@ -196,10 +184,11 @@ func (ra *RedoApplier) applyIndexMulti(rec *storage.Record) error {
 	return nil
 }
 
-// applyIndexOp applies one index operation and mirrors it into its
-// transaction's undo list. An operation on an invalidated index is dropped;
-// one that needs a key the enclave lacks invalidates the index and is dropped
-// too — the heap, which redo keeps complete, is what a rebuild reads.
+// applyIndexOp performs logical redo of one index operation and mirrors it
+// into its transaction's undo list. An operation on an invalidated index is
+// dropped; one that needs a key the enclave lacks invalidates the index and
+// is dropped too — the heap, which redo keeps complete, is what a rebuild
+// reads.
 func (ra *RedoApplier) applyIndexOp(txn uint64, op txnOp) error {
 	idx, err := ra.e.catalog.Index(op.table)
 	if err != nil {
