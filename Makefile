@@ -37,14 +37,15 @@ race:
 	$(GO) test -race ./...
 
 # Ten seconds of coverage-guided fuzzing per byte-level decoder on the read,
-# redo and wire paths, as package:target pairs (go test accepts one package
+# redo and wire paths, and of random batches into the B-tree against a
+# sorted-slice shadow, as package:target pairs (go test accepts one package
 # and one -fuzz target per run). A crasher is written to the package's
 # testdata/fuzz and fails the build.
 FUZZ_TARGETS = internal/storage:FuzzDecodeHeapRows internal/storage:FuzzDecodeIndexEntries \
 	internal/storage:FuzzLoadWAL internal/engine:FuzzDecodeRow internal/tds:FuzzDecodeCellRows \
 	internal/tds:FuzzDecodeRequest internal/tds:FuzzDecodeResponse \
 	internal/repl:FuzzDecodeReplMessage internal/exprsvc:FuzzDeserializeProgram \
-	internal/aesql:FuzzParseDSN internal/engine:FuzzParse
+	internal/aesql:FuzzParseDSN internal/engine:FuzzParse internal/btree:FuzzInsertBatch
 
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \

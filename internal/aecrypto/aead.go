@@ -20,8 +20,10 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
+	"encoding"
 	"errors"
 	"fmt"
+	"hash"
 )
 
 // EncryptionType selects between the two cell encryption schemes of §2.3.
@@ -91,11 +93,15 @@ func deriveKey(root []byte, purpose string) []byte {
 }
 
 // CellKey holds the three derived keys for one CEK root. Deriving once and
-// reusing the CellKey amortizes the three HMAC invocations across cells.
+// reusing the CellKey amortizes the three HMAC invocations across cells; the
+// two HMAC keys are also kept scheduled, so a cell's MAC and a deterministic
+// IV cost no re-keying either.
 type CellKey struct {
 	encKey []byte // AES-256 key
 	macKey []byte // HMAC-SHA256 key for the authentication tag
 	ivKey  []byte // HMAC-SHA256 key for deterministic IVs
+	mac    hmacKey
+	iv     hmacKey
 }
 
 // NewCellKey derives the encryption, MAC and IV keys from a 32-byte CEK root.
@@ -103,11 +109,93 @@ func NewCellKey(root []byte) (*CellKey, error) {
 	if len(root) != KeySize {
 		return nil, ErrInvalidKeySize
 	}
-	return &CellKey{
+	k := &CellKey{
 		encKey: deriveKey(root, "encryption"),
 		macKey: deriveKey(root, "MAC"),
 		ivKey:  deriveKey(root, "IV"),
-	}, nil
+	}
+	k.mac, k.iv = newHMACKey(k.macKey), newHMACKey(k.ivKey)
+	return k, nil
+}
+
+// hmacKey is an HMAC-SHA256 key scheduled once: the SHA-256 states after
+// the key's inner and outer pads are absorbed, marshalled to plain bytes so
+// that Zeroize can wipe them. Every MAC under the key resumes from them;
+// hmac.New would hash both pads again for every cell.
+type hmacKey struct{ inner, outer []byte }
+
+func newHMACKey(key []byte) hmacKey {
+	var pad [sha256.BlockSize]byte
+	defer Zeroize(pad[:])
+	state := func(b byte) []byte {
+		for i := range pad {
+			pad[i] = b
+			if i < len(key) {
+				pad[i] ^= key[i]
+			}
+		}
+		h := sha256.New()
+		h.Write(pad[:])
+		st, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+		if err != nil {
+			panic("aecrypto: sha256 state does not marshal: " + err.Error())
+		}
+		return st
+	}
+	return hmacKey{inner: state(0x36), outer: state(0x5c)}
+}
+
+// New starts one MAC computation under the key. It fails once the key has
+// been wiped.
+func (k hmacKey) New() (keyedMAC, error) {
+	h := sha256.New()
+	if err := resume(h, k.inner); err != nil {
+		return keyedMAC{}, err
+	}
+	return keyedMAC{h: h, outer: k.outer}, nil
+}
+
+// Zeroize wipes the scheduled states.
+func (k hmacKey) Zeroize() {
+	Zeroize(k.inner)
+	Zeroize(k.outer)
+}
+
+// keyedMAC is one HMAC-SHA256 computation resumed from an hmacKey.
+type keyedMAC struct {
+	h     hash.Hash
+	outer []byte
+}
+
+// Write adds p to the message.
+func (m keyedMAC) Write(p []byte) { m.h.Write(p) }
+
+// Sum appends the MAC of the message written so far to b. It finishes the
+// computation: call it once. It fails if the key was wiped meanwhile.
+func (m keyedMAC) Sum(b []byte) ([]byte, error) {
+	n := len(b)
+	b = m.h.Sum(b) // the inner hash, where the MAC goes
+	if err := resume(m.h, m.outer); err != nil {
+		return nil, err
+	}
+	m.h.Write(b[n:])
+	return m.h.Sum(b[:n]), nil
+}
+
+// keyedHash marks keyedMAC as a keyed hash for the ivsanity analyzer: its
+// Sum over a plaintext is a deterministically derived IV, as hmac.New's is.
+func (keyedMAC) keyedHash() {}
+
+// ErrKeyWiped is returned by a CellKey used after Zeroize.
+var ErrKeyWiped = errors.New("aecrypto: cell key used after Zeroize")
+
+// resume restores h to a state newHMACKey marshalled; a wiped state does not
+// restore.
+func resume(h hash.Hash, state []byte) error {
+	if h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state) != nil {
+		return ErrKeyWiped
+	}
+	return nil
 }
 
 // MustCellKey is NewCellKey for keys known to be well-formed (tests, fixtures).
@@ -134,12 +222,19 @@ func GenerateKey() ([]byte, error) {
 // IV generation and consumption live in this one function so the IV's
 // provenance is locally provable (enforced by the ivsanity analyzer).
 func (k *CellKey) Encrypt(plaintext []byte, typ EncryptionType) ([]byte, error) {
-	iv := make([]byte, blockSize)
+	iv := make([]byte, blockSize, tagSize)
 	switch typ {
 	case Deterministic:
-		m := hmac.New(sha256.New, k.ivKey)
+		m, err := k.iv.New()
+		if err != nil {
+			return nil, err
+		}
 		m.Write(plaintext)
-		copy(iv, m.Sum(nil))
+		sum, err := m.Sum(iv[:0])
+		if err != nil {
+			return nil, err
+		}
+		iv = sum[:blockSize]
 	case Randomized:
 		if _, err := rand.Read(iv); err != nil {
 			return nil, fmt.Errorf("aecrypto: generating IV: %w", err)
@@ -155,24 +250,34 @@ func (k *CellKey) Encrypt(plaintext []byte, typ EncryptionType) ([]byte, error) 
 	ct := make([]byte, len(padded))
 	cipher.NewCBCEncrypter(block, iv).CryptBlocks(ct, padded)
 
-	out := make([]byte, 0, 1+tagSize+blockSize+len(ct))
-	out = append(out, versionByte)
-	out = append(out, make([]byte, tagSize)...) // tag placeholder
-	out = append(out, iv...)
-	out = append(out, ct...)
-	copy(out[1:1+tagSize], k.tag(iv, ct))
+	out := make([]byte, 1+tagSize+blockSize+len(ct))
+	out[0] = versionByte
+	copy(out[1+tagSize:], iv)
+	copy(out[1+tagSize+blockSize:], ct)
+	if _, err := k.tag(out[1:1], iv, ct); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
-// tag computes the authentication tag over version || IV || ciphertext ||
-// versionByteLength, exactly as the shipped algorithm does.
-func (k *CellKey) tag(iv, ct []byte) []byte {
-	m := hmac.New(sha256.New, k.macKey)
-	m.Write([]byte{versionByte})
+// Constant parts of the tagged message.
+var (
+	versionField    = []byte{versionByte}
+	versionFieldLen = []byte{0x01} // length of the version byte field
+)
+
+// tag appends to b the authentication tag over version || IV || ciphertext
+// || versionByteLength, exactly as the shipped algorithm computes it.
+func (k *CellKey) tag(b, iv, ct []byte) ([]byte, error) {
+	m, err := k.mac.New()
+	if err != nil {
+		return nil, err
+	}
+	m.Write(versionField)
 	m.Write(iv)
 	m.Write(ct)
-	m.Write([]byte{0x01}) // length of the version byte field
-	return m.Sum(nil)
+	m.Write(versionFieldLen)
+	return m.Sum(b)
 }
 
 // Decrypt authenticates and opens an envelope produced by Encrypt. The HMAC
@@ -189,7 +294,12 @@ func (k *CellKey) Decrypt(envelope []byte) ([]byte, error) {
 	if len(ct)%blockSize != 0 || len(ct) == 0 {
 		return nil, ErrInvalidCiphertext
 	}
-	if subtle.ConstantTimeCompare(tag, k.tag(iv, ct)) != 1 {
+	var buf [tagSize]byte
+	want, err := k.tag(buf[:0], iv, ct)
+	if err != nil {
+		return nil, err
+	}
+	if subtle.ConstantTimeCompare(tag, want) != 1 {
 		return nil, ErrAuthFailed
 	}
 	block, err := aes.NewCipher(k.encKey)
@@ -213,7 +323,9 @@ func (k *CellKey) Verify(envelope []byte) bool {
 	if len(ct)%blockSize != 0 || len(ct) == 0 {
 		return false
 	}
-	return subtle.ConstantTimeCompare(tag, k.tag(iv, ct)) == 1
+	var buf [tagSize]byte
+	want, err := k.tag(buf[:0], iv, ct)
+	return err == nil && subtle.ConstantTimeCompare(tag, want) == 1
 }
 
 // WellFormedCiphertext reports whether the bytes have the structure of a

@@ -12,11 +12,13 @@ func Zeroize(b []byte) {
 	}
 }
 
-// Zeroize wipes the three derived keys. After the call the CellKey can no
+// Zeroize wipes the three derived keys and the two HMAC keys' schedules. After the call the CellKey can no
 // longer encrypt or decrypt; use it only when retiring a key (cache
 // eviction, enclave teardown).
 func (k *CellKey) Zeroize() {
 	Zeroize(k.encKey)
 	Zeroize(k.macKey)
 	Zeroize(k.ivKey)
+	k.mac.Zeroize()
+	k.iv.Zeroize()
 }

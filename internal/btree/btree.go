@@ -32,6 +32,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -52,14 +53,52 @@ func (c Cells) Len() int { return len(c.run) }
 // At returns cell i.
 func (c Cells) At(i int) []byte { return c.run[i].Key[c.col] }
 
-// ColumnOrder orders one key component. Its single question is the one a
-// node search asks: where does the probe cell fall in a run of cells?
+// same reports whether c and d are the same cells of the same node.
+func (c Cells) same(d Cells) bool {
+	return c.col == d.col && len(c.run) == len(d.run) && (len(c.run) == 0 || &c.run[0] == &d.run[0])
+}
+
+// nulls counts the run's NULL cells, which form a prefix of it.
+func (c Cells) nulls() int {
+	if len(c.run) == 0 || len(c.run[0].Key[c.col]) != 0 {
+		return 0 // the common case, kept small enough to inline
+	}
+	return c.nullPrefix()
+}
+
+// nullPrefix is nulls for a run that starts with a NULL cell.
+func (c Cells) nullPrefix() int {
+	nulls := 1
+	for end := c.Len(); nulls < end; {
+		mid := int(uint(nulls+end) >> 1)
+		if len(c.At(mid)) == 0 {
+			nulls = mid + 1
+		} else {
+			end = mid
+		}
+	}
+	return nulls
+}
+
+// ColumnOrder orders one key component. It answers the questions a node
+// search asks: where does a probe cell fall in a run of cells — for one
+// probe, or for a batch of probes each against its own run — and, for a
+// batch insert, how do the batch's own cells order among themselves?
 type ColumnOrder interface {
 	// EqualRange returns lo <= hi such that cells [0,lo) sort below probe,
 	// [lo,hi) equal it and [hi,Len) sort above it. The cells ascend under
 	// this order; neither they nor probe are NULL (the tree keeps NULLs,
 	// recognisable by length, to itself).
 	EqualRange(probe []byte, cells Cells) (lo, hi int, err error)
+	// EqualRanges answers len(probes) searches at once: search i is
+	// EqualRange(probes[i], runs[i]), its answer written to bounds[2i] and
+	// bounds[2i+1]. A batch insert asks it once per tree level.
+	EqualRanges(probes [][]byte, runs []Cells, bounds []int) error
+	// Rank orders a batch's cells (none NULL) among themselves: ranks[i] <
+	// ranks[j] exactly when cell i sorts below cell j, equal ranks for equal
+	// cells. An order whose cells sort as their bytes returns nil ranks, and
+	// the host compares the bytes itself.
+	Rank(cells [][]byte) (ranks []int, err error)
 }
 
 // BinaryOrder compares raw bytes: the order of plaintext canonical encodings
@@ -94,12 +133,31 @@ func (BinaryOrder) EqualRange(probe []byte, cells Cells) (int, int, error) {
 	return lo, hi, nil
 }
 
+// EqualRanges implements ColumnOrder: one host search per probe.
+func (o BinaryOrder) EqualRanges(probes [][]byte, runs []Cells, bounds []int) error {
+	for i, probe := range probes {
+		bounds[2*i], bounds[2*i+1], _ = o.EqualRange(probe, runs[i])
+	}
+	return nil
+}
+
+// Rank implements ColumnOrder: the cells' bytes are their own ranks.
+func (BinaryOrder) Rank([][]byte) ([]int, error) { return nil, nil }
+
 // EnclaveComparer is the slice of the enclave API the tree needs; satisfied
 // by *enclave.Enclave.
 type EnclaveComparer interface {
 	// EqualRange is ColumnOrder.EqualRange over ciphertext cells of the
 	// column encrypted under cekName, answered inside the enclave.
 	EqualRange(cekName string, probe []byte, cells [][]byte) (lo, hi int, err error)
+	// EqualRanges is EqualRange for many probes, each against its own run of
+	// cells, answered in one enclave task: bounds[2i], bounds[2i+1] receive
+	// probe i's (lo, hi).
+	EqualRanges(cekName string, probes [][]byte, runs [][][]byte, bounds []int) error
+	// Sort orders cells inside the enclave and returns only the permutation
+	// (perm[k] is the cell in sorted position k) and tie marks (ties[k]: the
+	// cell at position k equals the one at k-1).
+	Sort(cekName string, cells [][]byte) (perm []int, ties []bool, err error)
 }
 
 // EnclaveOrder routes a component's node searches to the enclave, which
@@ -119,6 +177,49 @@ func (o EnclaveOrder) EqualRange(probe []byte, cells Cells) (int, int, error) {
 		cts[i] = cells.At(i)
 	}
 	return o.Enclave.EqualRange(o.CEK, probe, cts)
+}
+
+// EqualRanges implements ColumnOrder with one enclave call for all probes.
+// Consecutive searches of the same run — a batch's keys in one node — share
+// one copy of its cells.
+func (o EnclaveOrder) EqualRanges(probes [][]byte, runs []Cells, bounds []int) error {
+	cts := make([][][]byte, len(runs))
+	for i, r := range runs {
+		if i > 0 && r.same(runs[i-1]) {
+			cts[i] = cts[i-1]
+			continue
+		}
+		cts[i] = make([][]byte, r.Len())
+		for j := range cts[i] {
+			cts[i][j] = r.At(j)
+		}
+	}
+	return o.Enclave.EqualRanges(o.CEK, probes, cts, bounds)
+}
+
+// Rank implements ColumnOrder with one enclave sort of the cells.
+func (o EnclaveOrder) Rank(cells [][]byte) ([]int, error) {
+	perm, ties, err := o.Enclave.Sort(o.CEK, cells)
+	if err != nil {
+		return nil, err
+	}
+	n := len(cells)
+	if len(perm) != n || len(ties) != n {
+		return nil, fmt.Errorf("btree: enclave sorted %d of %d cells", len(perm), n)
+	}
+	ranks := make([]int, n)
+	placed := make([]bool, n)
+	rank := 0
+	for k, i := range perm {
+		if i < 0 || i >= n || placed[i] {
+			return nil, errors.New("btree: enclave sort is not a permutation")
+		}
+		if k > 0 && !ties[k] {
+			rank++
+		}
+		ranks[i], placed[i] = rank, true
+	}
+	return ranks, nil
 }
 
 // KeyComparator orders composite keys component-wise. A key with fewer
@@ -143,19 +244,7 @@ func (kc *KeyComparator) equalRun(key [][]byte, run []Entry) (lo, hi, searches i
 	for c := 0; c < len(key) && lo < hi; c++ {
 		cells := Cells{run: run[lo:hi], col: c}
 		n := cells.Len()
-		// NULL cells form a prefix of the run.
-		nulls := 0
-		if len(cells.At(0)) == 0 {
-			nulls = 1
-			for end := n; nulls < end; {
-				mid := int(uint(nulls+end) >> 1)
-				if len(cells.At(mid)) == 0 {
-					nulls = mid + 1
-				} else {
-					end = mid
-				}
-			}
-		}
+		nulls := cells.nulls()
 		l, h := nulls, nulls
 		switch {
 		case len(key[c]) == 0:
@@ -164,17 +253,87 @@ func (kc *KeyComparator) equalRun(key [][]byte, run []Entry) (lo, hi, searches i
 			searches++
 			cells.run = cells.run[nulls:]
 			l, h, err = kc.Cols[c].EqualRange(key[c], cells)
+			if err == nil && !validAnswer(l, h, n-nulls) {
+				err = badAnswer(c, l, h, n-nulls)
+			}
 			if err != nil {
 				return 0, 0, searches, err
-			}
-			if l < 0 || l > h || h > n-nulls {
-				return 0, 0, searches, fmt.Errorf("btree: component %d order answered (%d,%d) over %d cells", c, l, h, n-nulls)
 			}
 			l, h = l+nulls, h+nulls
 		}
 		lo, hi = lo+l, lo+h
 	}
 	return lo, hi, searches, nil
+}
+
+// equalRuns is equalRun for a batch of full keys, each in its own run:
+// bounds[2i] and bounds[2i+1] receive key i's range. Each component's order
+// is asked once for every key its leading components left undecided — for
+// an enclave-ordered component, one enclave task per call, however many keys
+// and nodes it covers. searches counts the keys put to an order, as equalRun
+// counts them one at a time.
+func (kc *KeyComparator) equalRuns(keys [][][]byte, runs [][]Entry, bounds []int, s *runSearch) (searches int, err error) {
+	for i := range keys {
+		bounds[2*i], bounds[2*i+1] = 0, len(runs[i])
+	}
+	probes, cells, who, answers := s.probes, s.cells, s.who, s.answers
+	defer func() { s.probes, s.cells, s.who, s.answers = probes, cells, who, answers }()
+	for c, col := range kc.Cols {
+		probes, cells, who = probes[:0], cells[:0], who[:0]
+		for i, key := range keys {
+			lo, hi := bounds[2*i], bounds[2*i+1]
+			if lo == hi {
+				continue
+			}
+			run := Cells{run: runs[i][lo:hi], col: c}
+			nulls := run.nulls()
+			switch {
+			case len(key[c]) == 0:
+				bounds[2*i+1] = lo + nulls
+			case nulls == run.Len():
+				bounds[2*i] = hi
+			default:
+				bounds[2*i] = lo + nulls
+				probes = append(probes, key[c])
+				cells = append(cells, Cells{run: run.run[nulls:], col: c})
+				who = append(who, i)
+			}
+		}
+		if len(probes) == 0 {
+			continue
+		}
+		searches += len(probes)
+		answers = slices.Grow(answers[:0], 2*len(probes))[:2*len(probes)]
+		if err := col.EqualRanges(probes, cells, answers); err != nil {
+			return searches, err
+		}
+		for j, i := range who {
+			l, h := answers[2*j], answers[2*j+1]
+			if !validAnswer(l, h, cells[j].Len()) {
+				return searches, badAnswer(c, l, h, cells[j].Len())
+			}
+			bounds[2*i], bounds[2*i+1] = bounds[2*i]+l, bounds[2*i]+h
+		}
+	}
+	return searches, nil
+}
+
+// runSearch holds the buffers equalRuns gathers each component's searches
+// in, kept across the calls of one batch.
+type runSearch struct {
+	probes  [][]byte
+	cells   []Cells
+	who     []int
+	answers []int
+}
+
+// validAnswer reports whether (lo, hi) is a range of a run of n cells.
+func validAnswer(lo, hi, n int) bool {
+	return uint(lo) <= uint(hi) && uint(hi) <= uint(n)
+}
+
+func badAnswer(c, lo, hi, n int) error {
+	return fmt.Errorf("btree: component %d order answered (%d,%d) over %d cells", c, lo, hi, n)
 }
 
 // Entry is one index record: a composite key plus the heap row it points to.
@@ -306,6 +465,13 @@ func (t *Tree) searchRow(run []Entry, key [][]byte, row storage.RowID) (i int, f
 	if err != nil {
 		return 0, false, err
 	}
+	i, found = rowSlot(run, lo, hi, row)
+	return i, found, nil
+}
+
+// rowSlot finishes a search on the host: within run[lo:hi), the entries
+// equal to the key, the first slot not below row, and whether it holds row.
+func rowSlot(run []Entry, lo, hi int, row storage.RowID) (int, bool) {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		switch r := run[mid].Row; {
@@ -314,10 +480,10 @@ func (t *Tree) searchRow(run []Entry, key [][]byte, row storage.RowID) (i int, f
 		case r > row:
 			hi = mid
 		default:
-			return mid, true, nil
+			return mid, true
 		}
 	}
-	return lo, false, nil
+	return lo, false
 }
 
 // childFor picks the child of inner node n that holds (or would hold) the
@@ -330,17 +496,17 @@ func (t *Tree) childFor(n *node, key [][]byte, row storage.RowID) (int, error) {
 	return i, err
 }
 
-// Insert adds an entry. For unique indexes a key collision (regardless of
-// row) returns ErrDuplicate. A failed Insert leaves the tree as it was.
+// Insert adds an entry: the one-key case of InsertBatch. For unique indexes
+// a key collision (regardless of row) returns ErrDuplicate. A failed Insert
+// leaves the tree as it was.
 func (t *Tree) Insert(key [][]byte, row storage.RowID) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.invalidated.Load() {
-		return ErrInvalidated
-	}
-	if len(key) != len(t.cmp.Cols) {
-		return fmt.Errorf("btree: key has %d components, comparator %d", len(key), len(t.cmp.Cols))
-	}
+	return t.InsertBatch([][][]byte{key}, []storage.RowID{row})
+}
+
+// insertOne is InsertBatch for one key: a unique tree first looks for a
+// holder with a point scan, then one descent places the entry, one node
+// search per level. Must be called with the exclusive latch held.
+func (t *Tree) insertOne(key [][]byte, row storage.RowID) error {
 	if t.unique {
 		var buf [1]Entry
 		held, err := t.scan(buf[:0], key, key, true, true, true, 1)
@@ -354,72 +520,113 @@ func (t *Tree) Insert(key [][]byte, row storage.RowID) error {
 			return nil
 		}
 	}
-	newChild, newSep, err := t.insertNode(t.root, key, row)
+	right, seps, err := t.insertNode(t.root, key, row)
 	if err != nil {
 		return err
 	}
-	if newChild != nil {
-		t.root = &node{
-			leaf:     false,
-			seps:     []Entry{newSep},
-			children: []*node{t.root, newChild},
-		}
-	}
+	t.growRoot(right, seps)
 	t.size++
 	return nil
 }
 
 // insertNode descends, splitting full children on the way back up. Returns
-// the new right sibling and its separator when this node split. Every node
-// is searched before anything below it changes.
-func (t *Tree) insertNode(n *node, key [][]byte, row storage.RowID) (*node, Entry, error) {
+// the new right siblings and their separators when this node split. Every
+// node is searched before anything below it changes.
+func (t *Tree) insertNode(n *node, key [][]byte, row storage.RowID) ([]*node, []Entry, error) {
 	if n.leaf {
 		i, _, err := t.searchRow(n.entries, key, row)
 		if err != nil {
-			return nil, Entry{}, err
+			return nil, nil, err
 		}
-		n.entries = append(n.entries, Entry{})
-		copy(n.entries[i+1:], n.entries[i:])
-		n.entries[i] = Entry{Key: key, Row: row}
-		if len(n.entries) <= maxEntries {
-			return nil, Entry{}, nil
-		}
-		// Split the leaf.
-		mid := len(n.entries) / 2
-		right := &node{leaf: true, entries: append([]Entry(nil), n.entries[mid:]...), next: n.next}
-		n.entries = n.entries[:mid]
-		n.next = right
-		return right, right.entries[0], nil
+		n.entries = slices.Insert(n.entries, i, Entry{Key: key, Row: row})
+		right, seps := split(n)
+		return right, seps, nil
 	}
-
 	ci, err := t.childFor(n, key, row)
 	if err != nil {
-		return nil, Entry{}, err
+		return nil, nil, err
 	}
-	newChild, newSep, err := t.insertNode(n.children[ci], key, row)
-	if err != nil || newChild == nil {
-		return nil, Entry{}, err
+	right, seps, err := t.insertNode(n.children[ci], key, row)
+	if err != nil || right == nil {
+		return nil, nil, err
 	}
-	n.seps = append(n.seps, Entry{})
-	copy(n.seps[ci+1:], n.seps[ci:])
-	n.seps[ci] = newSep
-	n.children = append(n.children, nil)
-	copy(n.children[ci+2:], n.children[ci+1:])
-	n.children[ci+1] = newChild
-	if len(n.children) <= maxEntries {
-		return nil, Entry{}, nil
+	n.adopt(ci, right, seps)
+	right, seps = split(n)
+	return right, seps, nil
+}
+
+// adopt enters the right siblings a split of children[ci] produced, each
+// after the separator it came with.
+func (n *node) adopt(ci int, right []*node, seps []Entry) {
+	n.seps = slices.Insert(n.seps, ci, seps...)
+	n.children = slices.Insert(n.children, ci+1, right...)
+}
+
+// split cuts an overfull node into as many nodes as it needs — n keeps the
+// first part — and returns the others in order, each with the separator
+// its parent enters it under. A node that fits returns nothing. Parts differ
+// in size by at most one, so a node one over the fan-out halves, as a single
+// insert splits it, and a batch's overflow fills whole nodes.
+func split(n *node) (right []*node, seps []Entry) {
+	size, capacity := len(n.children), cap(n.children)
+	if n.leaf {
+		size, capacity = len(n.entries), cap(n.entries)
 	}
-	// Split the inner node.
-	midSep := len(n.seps) / 2
-	promoted := n.seps[midSep]
-	right := &node{
-		leaf:     false,
-		seps:     append([]Entry(nil), n.seps[midSep+1:]...),
-		children: append([]*node(nil), n.children[midSep+1:]...),
+	if size <= maxEntries {
+		return nil, nil
 	}
-	n.seps = n.seps[:midSep]
-	n.children = n.children[:midSep+1]
-	return right, promoted, nil
+	parts := (size + maxEntries - 1) / maxEntries
+	// Part k spans [bound(k), bound(k+1)); the last size%parts parts take one
+	// more than the others.
+	bound := func(k int) int { return k*(size/parts) + max(0, k-(parts-size%parts)) }
+	// A node grown by single inserts keeps its array and copies the other
+	// parts out. An array a batch grew far past a node's size is cut in place
+	// instead, each part capped at its end so that an insert into one
+	// reallocates it rather than overwriting the next.
+	inPlace := capacity > 2*(maxEntries+1)
+	right, seps = make([]*node, parts-1), make([]Entry, parts-1)
+	if n.leaf {
+		next := n.next
+		for k := parts - 1; k > 0; k-- {
+			r := &node{leaf: true, entries: cut(n.entries, bound(k), bound(k+1), inPlace), next: next}
+			right[k-1], seps[k-1], next = r, r.entries[0], r
+		}
+		n.entries, n.next = first(n.entries, bound(1), inPlace), next
+		return right, seps
+	}
+	for k := 1; k < parts; k++ {
+		lo, hi := bound(k), bound(k+1)
+		right[k-1] = &node{seps: cut(n.seps, lo, hi-1, inPlace), children: cut(n.children, lo, hi, inPlace)}
+		seps[k-1] = n.seps[lo-1]
+	}
+	n.seps, n.children = first(n.seps, bound(1)-1, inPlace), first(n.children, bound(1), inPlace)
+	return right, seps
+}
+
+// cut is s[lo:hi] as a part of a split node: in place, capped at its end, or
+// copied out.
+func cut[E any](s []E, lo, hi int, inPlace bool) []E {
+	if inPlace {
+		return s[lo:hi:hi]
+	}
+	return slices.Clone(s[lo:hi])
+}
+
+// first is the part of a split node's array the node keeps.
+func first[E any](s []E, n int, inPlace bool) []E {
+	if inPlace {
+		return s[:n:n]
+	}
+	return s[:n]
+}
+
+// growRoot puts a new root above the old one and the right siblings its
+// split produced, as many levels as that takes.
+func (t *Tree) growRoot(right []*node, seps []Entry) {
+	for right != nil {
+		t.root = &node{seps: seps, children: append([]*node{t.root}, right...)}
+		right, seps = split(t.root)
+	}
 }
 
 // Delete removes the entry (key, row); it reports whether it was present.

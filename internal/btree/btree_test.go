@@ -227,6 +227,44 @@ func (f *fakeEnclave) EqualRange(cek string, probe []byte, cells [][]byte) (lo, 
 	return lo, hi, nil
 }
 
+func (f *fakeEnclave) EqualRanges(cek string, probes [][]byte, runs [][][]byte, bounds []int) error {
+	for i, probe := range probes {
+		lo, hi, err := f.EqualRange(cek, probe, runs[i])
+		if err != nil {
+			return err
+		}
+		bounds[2*i], bounds[2*i+1] = lo, hi
+	}
+	return nil
+}
+
+// Sort orders the cells by definition: every pair compared.
+func (f *fakeEnclave) Sort(cek string, cells [][]byte) ([]int, []bool, error) {
+	if f.missing {
+		return nil, nil, errors.New("enclave: required CEK not installed")
+	}
+	f.calls++
+	vals := make([]sqltypes.Value, len(cells))
+	perm := make([]int, len(cells))
+	for i, cell := range cells {
+		v, err := f.open(cell)
+		if err != nil {
+			return nil, nil, err
+		}
+		vals[i], perm[i] = v, i
+	}
+	sort.SliceStable(perm, func(a, b int) bool {
+		c, _ := sqltypes.Compare(vals[perm[a]], vals[perm[b]])
+		return c < 0
+	})
+	ties := make([]bool, len(cells))
+	for k := 1; k < len(perm); k++ {
+		c, _ := sqltypes.Compare(vals[perm[k-1]], vals[perm[k]])
+		ties[k] = c == 0
+	}
+	return perm, ties, nil
+}
+
 // TestFigure4RangeIndex reproduces Figure 4: a range index over RND
 // ciphertext is ordered by plaintext, maintained via enclave comparisons.
 func TestFigure4RangeIndex(t *testing.T) {

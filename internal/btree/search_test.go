@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -38,6 +39,29 @@ func TestUniqueRejectsDuplicateLeftOfStaleSeparator(t *testing.T) {
 	}
 	if es, err := tr.SeekExact(sep.Key, 0); err != nil || len(es) != 1 || es[0].Row != sep.Row-50 {
 		t.Fatalf("seek: %v %v", es, err)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// The same holds for a batch: the key descends right of the stale
+	// separator, its holder sits left of it.
+	fresh := intKey(1000)
+	if err := tr.InsertBatch([][][]byte{fresh, sep.Key}, []storage.RowID{1, sep.Row + 50}); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("batch insert of the key: err = %v, want ErrDuplicate", err)
+	}
+	if es, err := tr.SeekExact(fresh, 0); err != nil || len(es) != 0 || tr.Len() != maxEntries+1 {
+		t.Fatalf("failed batch left %v (%v), %d entries", es, err, tr.Len())
+	}
+	// And a batch re-inserting the key left of the stale separator is what
+	// a later batch must find.
+	if ok, err := tr.Delete(sep.Key, sep.Row-50); err != nil || !ok {
+		t.Fatalf("delete the re-inserted entry: %v %v", ok, err)
+	}
+	if err := tr.InsertBatch([][][]byte{sep.Key, fresh}, []storage.RowID{sep.Row - 50, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.InsertBatch([][][]byte{sep.Key, intKey(1001)}, []storage.RowID{sep.Row + 50, 2}); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("second batch insert of the key: err = %v, want ErrDuplicate", err)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -122,6 +146,33 @@ func (o *tokenOrder) EqualRange(probe []byte, cells Cells) (int, int, error) {
 	return lo, hi, nil
 }
 
+// EqualRanges answers each search as EqualRange does.
+func (o *tokenOrder) EqualRanges(probes [][]byte, runs []Cells, bounds []int) error {
+	return equalRangesEach(o, probes, runs, bounds)
+}
+
+// Rank ranks cells by the values their tokens stand for.
+func (o *tokenOrder) Rank(cells [][]byte) ([]int, error) {
+	o.calls++
+	ranks := make([]int, len(cells))
+	for i, cell := range cells {
+		ranks[i] = o.value(cell)
+	}
+	return ranks, nil
+}
+
+// equalRangesEach answers a batch of searches one EqualRange at a time.
+func equalRangesEach(o ColumnOrder, probes [][]byte, runs []Cells, bounds []int) error {
+	for i, probe := range probes {
+		lo, hi, err := o.EqualRange(probe, runs[i])
+		if err != nil {
+			return err
+		}
+		bounds[2*i], bounds[2*i+1] = lo, hi
+	}
+	return nil
+}
+
 // modelEntry is one entry of the sorted-slice model: component values with
 // -1 for NULL, which sorts first.
 type modelEntry struct {
@@ -150,13 +201,17 @@ type diffConfig struct {
 	nulls   float64
 	unique  bool
 	inserts int
+	// batch > 0 mixes InsertBatch calls of up to batch keys into the script,
+	// the first of them into the empty tree.
+	batch int
 }
 
-// TestDifferentialAgainstSortedSlice drives seeded scripts of Insert, Delete,
-// SeekExact, SeekGE and ScanRange (both inclusivities, open bounds, prefixes,
-// limits) against a sorted-slice model, over plaintext-ordered and
-// opaque-ordered components, checking the tree's shape after every mutation
-// and the number of searches every operation put to an opaque order.
+// TestDifferentialAgainstSortedSlice drives seeded scripts of Insert,
+// InsertBatch, Delete, SeekExact, SeekGE and ScanRange (both inclusivities,
+// open bounds, prefixes, limits) against a sorted-slice model, over
+// plaintext-ordered and opaque-ordered components, checking the tree's shape
+// after every mutation and the number of searches every operation put to an
+// opaque order.
 func TestDifferentialAgainstSortedSlice(t *testing.T) {
 	shapes := []diffConfig{
 		{name: "single", opaque: []bool{true}, domain: []int{600}, inserts: 900},
@@ -164,6 +219,10 @@ func TestDifferentialAgainstSortedSlice(t *testing.T) {
 		{name: "nulls", opaque: []bool{true, true}, domain: []int{7, 7}, nulls: 0.25, inserts: 700},
 		{name: "duplicates-straddling-splits", opaque: []bool{true}, domain: []int{4}, inserts: 700},
 		{name: "unique", opaque: []bool{true, false}, domain: []int{40, 40}, unique: true, inserts: 900},
+		{name: "batches", opaque: []bool{true}, domain: []int{100000}, inserts: 300, batch: 300},
+		{name: "batches-mixed-nulls", opaque: []bool{false, true, false}, domain: []int{3, 40, 6}, nulls: 0.2, inserts: 300, batch: 120},
+		{name: "batches-duplicates", opaque: []bool{true}, domain: []int{4}, inserts: 300, batch: 100},
+		{name: "batches-unique", opaque: []bool{true, false}, domain: []int{40, 40}, unique: true, inserts: 400, batch: 12},
 	}
 	for _, shape := range shapes {
 		for _, opaque := range []bool{false, true} {
@@ -304,8 +363,78 @@ func runDifferential(t *testing.T, cfg diffConfig, seed int64) {
 
 	nextRow := storage.RowID(1000)
 	ncols := len(cfg.opaque)
+	// held reports whether the model or the pending batch holds the pair.
+	held := func(batch []modelEntry, vals []int, row storage.RowID) bool {
+		for _, set := range [][]modelEntry{model, batch} {
+			for _, m := range set {
+				if m.row == row && cmpPrefix(m.vals, vals) == 0 {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	insertBatch := func(size int) {
+		t.Helper()
+		var batch []modelEntry
+		for len(batch) < size {
+			vals := randVals(ncols)
+			row := nextRow - storage.RowID(rng.Intn(2000))
+			nextRow += 3
+			if !held(batch, vals, row) { // never the same (key, row) twice
+				batch = append(batch, modelEntry{vals: vals, row: row, key: mkKey(vals)})
+			}
+		}
+		dup := false
+		for i, e := range batch {
+			for _, set := range [][]modelEntry{model, batch[:i]} {
+				for _, m := range set {
+					dup = dup || cfg.unique && cmpPrefix(m.vals, e.vals) == 0
+				}
+			}
+		}
+		keys := make([][][]byte, len(batch))
+		rows := make([]storage.RowID, len(batch))
+		for i, e := range batch {
+			keys[i], rows[i] = e.key, e.row
+		}
+		begin() // many probes: no lead check
+		err := tr.InsertBatch(keys, rows)
+		descents := len(batch)
+		if cfg.unique {
+			descents *= 2 // a key equal to a separator is checked by a point scan too
+		}
+		budget(fmt.Sprintf("InsertBatch of %d", len(batch)), descents, 0)
+		if dup {
+			if !errors.Is(err, ErrDuplicate) {
+				t.Fatalf("InsertBatch of %d keys, one held: %v", len(batch), err)
+			}
+		} else {
+			if err != nil {
+				t.Fatalf("InsertBatch of %d keys: %v", len(batch), err)
+			}
+			for _, e := range batch {
+				at := sort.Search(len(model), func(i int) bool {
+					c := cmpPrefix(model[i].vals, e.vals)
+					return c > 0 || (c == 0 && model[i].row >= e.row)
+				})
+				model = slices.Insert(model, at, e)
+			}
+		}
+		mutated("InsertBatch")
+		got, err := tr.ScanRange(nil, nil, true, true, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEntries(fmt.Sprintf("after InsertBatch of %d (dup %v)", len(batch), dup), got, model)
+	}
+	if cfg.batch > 0 {
+		insertBatch(cfg.batch) // into the empty tree: a bottom-up build
+	}
 	for step := 0; step < cfg.inserts*2; step++ {
 		switch r := rng.Intn(10); {
+		case r < 4 && step < cfg.inserts*2*3/4 && cfg.batch > 0 && rng.Intn(3) == 0:
+			insertBatch(1 + rng.Intn(1+rng.Intn(cfg.batch)))
 		case r < 4 && step < cfg.inserts*2*3/4: // Insert
 			vals := randVals(ncols)
 			row := nextRow - storage.RowID(rng.Intn(2000)) // rows arrive out of order too
@@ -444,7 +573,8 @@ func runDifferential(t *testing.T, cfg diffConfig, seed int64) {
 
 // TestFailedSearchLeavesTreeUnchanged: an operation whose node search fails
 // (here: the enclave lost its key) changes nothing, whichever node it fails
-// in — the property that lets a deferred transaction be retried later.
+// in — for a batch, whichever of its searches fails — the property that lets
+// a failed statement leave its indexes as they were.
 func TestFailedSearchLeavesTreeUnchanged(t *testing.T) {
 	values := map[string]int{}
 	order := &failingOrder{tokenOrder: tokenOrder{t: t, values: values, perRun: 1}}
@@ -470,11 +600,24 @@ func TestFailedSearchLeavesTreeUnchanged(t *testing.T) {
 	}
 	before := snapshot()
 	victim := before[len(before)/2]
-	for failAt := 1; failAt <= 3; failAt++ { // root, inner node, leaf
-		for _, op := range []string{"insert", "delete", "seek", "scan"} {
+	// A batch of 20 asks for one rank and then, per level, one search per
+	// key: failing at its first, tenth, 31st and 60th call fails it at the
+	// sort, in the middle of the root, the inner and the leaf level.
+	batchKeys := make([][][]byte, 20)
+	batchRows := make([]storage.RowID, 20)
+	for i := range batchKeys {
+		batchKeys[i], batchRows[i] = cell(rng.Intn(100000)), storage.RowID(1000000+i)
+	}
+	for _, failAt := range []int{1, 2, 3, 10, 31, 60} {
+		for _, op := range []string{"insert", "delete", "seek", "scan", "batch"} {
+			if op != "batch" && failAt > 3 {
+				continue
+			}
 			order.seen, order.calls, order.failAt = map[runKey]int{}, 0, failAt
 			var err error
 			switch op {
+			case "batch":
+				err = tr.InsertBatch(batchKeys, batchRows)
 			case "insert":
 				err = tr.Insert(cell(50000), 999999)
 			case "delete":
@@ -503,6 +646,9 @@ func TestFailedSearchLeavesTreeUnchanged(t *testing.T) {
 	if ok, err := tr.Delete(victim.Key, victim.Row); err != nil || !ok {
 		t.Fatalf("delete once the key is back: %v %v", ok, err)
 	}
+	if err := tr.InsertBatch(batchKeys, batchRows); err != nil || tr.Len() != len(before)-1+len(batchKeys) {
+		t.Fatalf("batch once the key is back: %v, %d entries", err, tr.Len())
+	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -522,6 +668,18 @@ func (o *failingOrder) EqualRange(probe []byte, cells Cells) (int, int, error) {
 		return 0, 0, errKeyGone
 	}
 	return o.tokenOrder.EqualRange(probe, cells)
+}
+
+func (o *failingOrder) EqualRanges(probes [][]byte, runs []Cells, bounds []int) error {
+	return equalRangesEach(o, probes, runs, bounds)
+}
+
+func (o *failingOrder) Rank(cells [][]byte) ([]int, error) {
+	if o.calls+1 == o.failAt {
+		o.calls++
+		return nil, errKeyGone
+	}
+	return o.tokenOrder.Rank(cells)
 }
 
 // TestComparisonsCountsComponentSearches pins what Tree.Comparisons reports:

@@ -1,46 +1,86 @@
 package enclave
 
 import (
+	"fmt"
+	"slices"
+
 	"alwaysencrypted/internal/aecrypto"
 	"alwaysencrypted/internal/sqltypes"
 )
 
 // This file is the enclave side of range-index navigation (§3.1.2, Figure 4).
-// The unit of work that crosses the boundary is one node search — a probe
-// cell against one key component's cells of one B-tree node — not one
-// comparison (§4.6: transitions amortized over larger units of work).
+// The unit of work that crosses the boundary is a whole search — one probe
+// cell against one key component's cells of one B-tree node, or a batch's
+// probes each against its own node at one tree level, or the ordering of a
+// batch's own cells — never one comparison (§4.6: transitions amortized over
+// larger units of work).
 
 // EqualRange reports where probe falls among cells, all ciphertext of one
 // column under the named CEK and ascending by plaintext: cells [0,lo) sort
-// below the probe, [lo,hi) equal it, [hi,len) sort above. That pair is all
-// that returns to the host — a function of the −1/0/+1 relations between the
-// probe and the cells, the ordering disclosure Figure 5 declares for RND
+// below the probe, [lo,hi) equal it, [hi,len) sort above. It is the
+// one-probe case of EqualRanges.
+func (e *Enclave) EqualRange(cekName string, probe []byte, cells [][]byte) (lo, hi int, err error) {
+	// One heap object carries the search across the boundary and back.
+	one := new(struct {
+		task   searchTask
+		probes [1][]byte
+		runs   [1][][]byte
+		bounds [2]int
+	})
+	one.probes[0], one.runs[0] = probe, cells
+	one.task = searchTask{probes: one.probes[:], runs: one.runs[:], bounds: one.bounds[:]}
+	if err := e.search(cekName, &one.task); err != nil {
+		return 0, 0, err
+	}
+	return one.bounds[0], one.bounds[1], nil
+}
+
+// EqualRanges answers len(probes) searches, probe i against runs[i], writing
+// its (lo, hi) to bounds[2i] and bounds[2i+1]. Those pairs are all that
+// returns to the host — each a function of the −1/0/+1 relations between a
+// probe and its cells, the ordering disclosure Figure 5 declares for RND
 // comparisons; no plaintext, no length and no count of the work done.
 //
-// The whole search is ONE enclave task. Inside it the key is resolved first
+// All the searches are ONE enclave task. Inside it the key is resolved first
 // (a missing key is ErrKeyNotInEnclave before any cell is touched, which is
-// what lets key-less redo defer, §4.5), the probe is decrypted once, and the
-// search opens only the cells it lands on, each at most once. Every
-// plaintext buffer is wiped before the task ends; nothing is remembered
-// across calls.
-func (e *Enclave) EqualRange(cekName string, probe []byte, cells [][]byte) (lo, hi int, err error) {
+// what lets a key-less replica invalidate the index), each probe is
+// decrypted once, and the searches open only the cells they land on — a
+// cell that several searches share (a node that several probes reached) at
+// most once. Every plaintext buffer is wiped before the task ends; nothing
+// is remembered across calls.
+func (e *Enclave) EqualRanges(cekName string, probes [][]byte, runs [][][]byte, bounds []int) error {
+	if len(runs) != len(probes) || len(bounds) < 2*len(probes) {
+		return fmt.Errorf("enclave: %d probes, %d runs, %d bounds", len(probes), len(runs), len(bounds))
+	}
+	return e.search(cekName, &searchTask{probes: probes, runs: runs, bounds: bounds})
+}
+
+// searchTask is one EqualRanges call on its way through the boundary.
+type searchTask struct {
+	probes [][]byte
+	runs   [][][]byte
+	bounds []int
+	err    error
+}
+
+// search runs t as one enclave task.
+func (e *Enclave) search(cekName string, t *searchTask) error {
 	if e.closed.Load() {
-		return 0, 0, ErrClosed
+		return ErrClosed
 	}
 	sp := e.evalCall.StartSpan()
-	e.indexCells.Observe(int64(len(cells)))
-	// One heap object carries the task's results back, not one per result.
-	var res struct {
-		lo, hi int
-		err    error
+	cells := 0
+	for _, run := range t.runs {
+		cells += len(run)
 	}
-	e.enter(func() { res.lo, res.hi, res.err = e.searchCells(cekName, probe, cells) })
+	e.indexCells.Observe(int64(cells))
+	e.enter(func() { t.err = e.searchRuns(cekName, t.probes, t.runs, t.bounds) })
 	sp.End()
-	if res.err != nil {
-		return 0, 0, res.err
+	if t.err != nil {
+		return t.err
 	}
 	e.evals.Inc()
-	return res.lo, res.hi, nil
+	return nil
 }
 
 // Compare returns the three-way plaintext ordering of two ciphertexts under
@@ -55,33 +95,151 @@ func (e *Enclave) Compare(cekName string, a, b []byte) (int, error) {
 	return lo + hi - 1, nil
 }
 
-// searchCells runs inside an enclave thread. Panics are converted into the
+// Sort orders cells — ciphertext of one column under the named CEK — by
+// plaintext, in one enclave task that decrypts each cell once. What returns
+// is the permutation (perm[k] is the index of the cell in sorted position
+// k, equal cells in the order given) and the tie marks (ties[k]: the cell at
+// position k equals the one at k-1): the order of the caller's own cells,
+// which the index lays out anyway once they are inserted.
+func (e *Enclave) Sort(cekName string, cells [][]byte) (perm []int, ties []bool, err error) {
+	if e.closed.Load() {
+		return nil, nil, ErrClosed
+	}
+	sp := e.evalCall.StartSpan()
+	e.indexCells.Observe(int64(len(cells)))
+	perm, ties = make([]int, len(cells)), make([]bool, len(cells))
+	e.enter(func() { err = e.sortCells(cekName, cells, perm, ties) })
+	sp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	e.evals.Inc()
+	return perm, ties, nil
+}
+
+// searchRuns runs inside an enclave thread. Panics are converted into the
 // coarse ErrFault, as for expression evaluation: no plaintext detail escapes
 // the boundary.
-func (e *Enclave) searchCells(cekName string, probe []byte, cells [][]byte) (lo, hi int, err error) {
+func (e *Enclave) searchRuns(cekName string, probes [][]byte, runs [][][]byte, bounds []int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.faults.Inc()
-			lo, hi, err = 0, 0, ErrFault
+			err = ErrFault
 		}
 	}()
 	key, err := (*enclaveKeyRing)(e).CellKey(cekName)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
-	pv, err := openCell(key, probe)
-	if err != nil {
-		return 0, 0, err
+	opened := openedCells{key: key}
+	if len(probes) > 1 {
+		opened.memo = make(map[cellRef]sqltypes.Value)
 	}
-	defer aecrypto.Zeroize(pv.B)
-	return equalRange(len(cells), func(i int) (int, error) {
-		cv, err := openCell(key, cells[i])
+	defer opened.wipe()
+	for i, probe := range probes {
+		pv, err := openCell(key, probe)
+		if err != nil {
+			return err
+		}
+		run := runs[i]
+		bounds[2*i], bounds[2*i+1], err = equalRange(len(run), func(j int) (int, error) {
+			return opened.compare(run[j], pv)
+		})
+		aecrypto.Zeroize(pv.B)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// openedCells opens the cells of one task. With a memo — a task of several
+// searches — each cell is decrypted once and wiped when the task ends;
+// without one, each is wiped as soon as it has been ordered.
+type openedCells struct {
+	key  *aecrypto.CellKey
+	memo map[cellRef]sqltypes.Value
+}
+
+// cellRef identifies a ciphertext by where it lives, so a cell the host
+// hands over for several searches is recognised without hashing it.
+type cellRef struct {
+	p *byte
+	n int
+}
+
+// compare orders cell against the decrypted probe pv.
+func (o *openedCells) compare(cell []byte, pv sqltypes.Value) (int, error) {
+	if o.memo == nil || len(cell) == 0 {
+		cv, err := openCell(o.key, cell)
 		if err != nil {
 			return 0, err
 		}
 		defer aecrypto.Zeroize(cv.B)
 		return sqltypes.Compare(cv, pv)
+	}
+	ref := cellRef{&cell[0], len(cell)}
+	cv, ok := o.memo[ref]
+	if !ok {
+		var err error
+		if cv, err = openCell(o.key, cell); err != nil {
+			return 0, err
+		}
+		o.memo[ref] = cv
+	}
+	return sqltypes.Compare(cv, pv)
+}
+
+// wipe zeroes every plaintext the memo holds.
+func (o *openedCells) wipe() {
+	for _, v := range o.memo {
+		aecrypto.Zeroize(v.B)
+	}
+}
+
+// sortCells runs inside an enclave thread, converting panics as searchRuns
+// does.
+func (e *Enclave) sortCells(cekName string, cells [][]byte, perm []int, ties []bool) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.faults.Inc()
+			err = ErrFault
+		}
+	}()
+	key, err := (*enclaveKeyRing)(e).CellKey(cekName)
+	if err != nil {
+		return err
+	}
+	vals := make([]sqltypes.Value, len(cells))
+	defer func() {
+		for _, v := range vals {
+			aecrypto.Zeroize(v.B)
+		}
+	}()
+	for i, cell := range cells {
+		if vals[i], err = openCell(key, cell); err != nil {
+			return err
+		}
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, func(a, b int) int {
+		c, cerr := sqltypes.Compare(vals[a], vals[b])
+		if cerr != nil && err == nil {
+			err = cerr
+		}
+		return c
 	})
+	if err != nil {
+		return err
+	}
+	for k := 1; k < len(perm); k++ {
+		c, err := sqltypes.Compare(vals[perm[k-1]], vals[perm[k]])
+		if err != nil {
+			return err
+		}
+		ties[k] = c == 0
+	}
+	return nil
 }
 
 // openCell decrypts one cell and decodes it, wiping the plaintext buffer on

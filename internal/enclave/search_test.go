@@ -192,3 +192,97 @@ func BenchmarkEqualRangeNode(b *testing.B) {
 		}
 	}
 }
+
+// TestEnclaveEqualRangesAndSort: the batch entry points over real
+// ciphertext, queued and synchronous. One EqualRanges call answers every
+// probe against its own run exactly as EqualRange answers it alone, probes
+// sharing a run included, in one task; one Sort call returns the stable
+// permutation and tie marks of the cells, in one task.
+func TestEnclaveEqualRangesAndSort(t *testing.T) {
+	for _, sync := range []bool{false, true} {
+		reg := obs.New("test")
+		e, _, key, _, cells := searchFixture(t, Options{Threads: 1, Synchronous: sync, Obs: reg}, 64)
+		cells[21], cells[22] = encInt(t, key, 200), encInt(t, key, 200)
+		values := []int64{-5, 0, 200, 5, 630, 1000, 200}
+		probes := make([][]byte, len(values))
+		runs := make([][][]byte, len(values))
+		for i, v := range values {
+			probes[i] = encInt(t, key, v)
+			runs[i] = cells // one node reached by every probe
+		}
+		runs[3] = cells[1:9]
+		tasks := reg.Counter("enclave.queue.tasks").Value()
+		evals := reg.Counter("enclave.evals").Value()
+		bounds := make([]int, 2*len(probes))
+		if err := e.EqualRanges("K", probes, runs, bounds); err != nil {
+			t.Fatal(err)
+		}
+		if d := reg.Counter("enclave.queue.tasks").Value() - tasks; !sync && d != 1 {
+			t.Fatalf("one batch search made %d queue submits", d)
+		}
+		if d := reg.Counter("enclave.evals").Value() - evals; d != 1 {
+			t.Fatalf("one batch search bumped enclave.evals by %d", d)
+		}
+		for i := range probes {
+			lo, hi, err := e.EqualRange("K", probes[i], runs[i])
+			if err != nil || bounds[2*i] != lo || bounds[2*i+1] != hi {
+				t.Fatalf("sync=%v probe %d: batch (%d,%d), alone (%d,%d,%v)", sync, values[i], bounds[2*i], bounds[2*i+1], lo, hi, err)
+			}
+		}
+
+		// Sort: 30, 200, 10, 200, 200, 0 under fresh IVs.
+		sortVals := []int64{30, 200, 10, 200, 200, 0}
+		in := make([][]byte, len(sortVals))
+		for i, v := range sortVals {
+			in[i] = encInt(t, key, v)
+		}
+		evals = reg.Counter("enclave.evals").Value()
+		perm, ties, err := e.Sort("K", in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := reg.Counter("enclave.evals").Value() - evals; d != 1 {
+			t.Fatalf("one sort bumped enclave.evals by %d", d)
+		}
+		wantPerm, wantTies := []int{5, 2, 0, 1, 3, 4}, []bool{false, false, false, false, true, true}
+		for k := range wantPerm {
+			if perm[k] != wantPerm[k] || ties[k] != wantTies[k] {
+				t.Fatalf("sync=%v sort: perm %v ties %v, want %v %v", sync, perm, ties, wantPerm, wantTies)
+			}
+		}
+		e.Close()
+	}
+}
+
+// TestBatchEntryPointsFailWhole: a missing key is ErrKeyNotInEnclave before
+// any cell is opened, a corrupt cell anywhere fails the whole call, and a
+// torn-down enclave answers ErrClosed.
+func TestBatchEntryPointsFailWhole(t *testing.T) {
+	e, _, key, _, cells := searchFixture(t, Options{Threads: 1}, 16)
+	garbage := [][]byte{[]byte("not a cell"), {1, 2, 3}}
+	if err := e.EqualRanges("Missing", garbage, [][][]byte{garbage, garbage}, make([]int, 4)); !errors.Is(err, ErrKeyNotInEnclave) {
+		t.Fatalf("EqualRanges, missing key: %v", err)
+	}
+	if _, _, err := e.Sort("Missing", garbage); !errors.Is(err, ErrKeyNotInEnclave) {
+		t.Fatalf("Sort, missing key: %v", err)
+	}
+	bad := append([][]byte(nil), cells...)
+	bad[8] = []byte("corrupt")
+	probes := [][]byte{encInt(t, key, 35), encInt(t, key, 75)}
+	if err := e.EqualRanges("K", probes, [][][]byte{cells, bad}, make([]int, 4)); err == nil {
+		t.Fatal("EqualRanges over a corrupt cell succeeded")
+	}
+	if _, _, err := e.Sort("K", bad); err == nil {
+		t.Fatal("Sort of a corrupt cell succeeded")
+	}
+	if err := e.EqualRanges("K", probes, [][][]byte{cells}, make([]int, 4)); err == nil {
+		t.Fatal("EqualRanges with fewer runs than probes succeeded")
+	}
+	e.Close()
+	if err := e.EqualRanges("K", probes, [][][]byte{cells, cells}, make([]int, 4)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("EqualRanges after Close: %v", err)
+	}
+	if _, _, err := e.Sort("K", cells); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Sort after Close: %v", err)
+	}
+}

@@ -11,10 +11,13 @@ import (
 // The insert path. A row INSERT statement and a client bulk batch differ only
 // in how their rows arrive — bound from SQL parameters, or N pre-encrypted
 // rows in one request; both hand their cell rows to insertBatch, which appends
-// them to the heap under a single table-mutex/heap-mutex acquisition and logs
-// ONE multi-row WAL record per structure (heap, each index). The
-// transaction's undo list mirrors per-row operations, so rollback, crash
-// recovery and replica promotion are oblivious to batching.
+// them to the heap under a single table-mutex/heap-mutex acquisition, puts
+// them into each index with ONE Tree.InsertBatch (the statement's keys sorted
+// once and positioned one tree level at a time — for an enclave-ordered
+// index, one enclave task per level instead of one per row per level — all
+// or nothing), and logs ONE multi-row WAL record per structure (heap, each
+// index). The transaction's undo list mirrors per-row operations, so
+// rollback, crash recovery and replica promotion are oblivious to batching.
 //
 // Trust boundary (§3): cells of encrypted columns arrive as ciphertext
 // envelopes whichever way the rows came — the server validates envelope
@@ -79,9 +82,13 @@ func (s *Session) bulkInsert(table string, cols []string, rows [][][]byte) (*Res
 
 // insertBatch inserts one statement's rows — full-width cell slices in table
 // column order — under an open transaction, maintaining all indexes. Every
-// row is validated and encoded before the first one is placed. A later
-// failure (lock, uniqueness) leaves the applied prefix in the undo list and
-// withTxn undoes the statement through the normal CLR-logging path.
+// row is validated and encoded before the first one is placed. Each index
+// takes the statement's keys in one Tree.InsertBatch, which orders them once
+// and positions them one tree level at a time (for an enclave-ordered index,
+// a handful of enclave tasks however many rows), and applies all of them or
+// none. A later failure (lock, uniqueness) leaves the heap rows and the
+// indexes already done in the undo list, and withTxn undoes the statement
+// through the normal CLR-logging path.
 func (e *Engine) insertBatch(t *Txn, tbl *Table, cellRows [][][]byte) (*ResultSet, error) {
 	recs := make([][]byte, len(cellRows))
 	for r, cells := range cellRows {
@@ -167,19 +174,14 @@ func (e *Engine) insertBatch(t *Txn, tbl *Table, cellRows [][][]byte) (*ResultSe
 			}
 			keys[i] = key
 		}
+		// One tree operation per index: a failed batch leaves the tree as it
+		// was, so only the indexes done before it are in the undo list.
 		sp := idx.crossingSpan(t.act, len(rids))
-		for i := range rids {
-			if err := idx.Tree.Insert(keys[i], rids[i]); err != nil {
-				sp.End()
-				// Mirror what the tree already holds, so the statement undo
-				// removes exactly the applied prefix.
-				for j := 0; j < i; j++ {
-					t.ops = append(t.ops, txnOp{typ: storage.RecIndexInsert, table: idx.Name, row: rids[j], key: keys[j]})
-				}
-				return nil, err
-			}
-		}
+		err := idx.Tree.InsertBatch(keys, rids)
 		sp.End()
+		if err != nil {
+			return nil, err
+		}
 		t.logRecord(storage.Record{
 			Type: storage.RecIndexInsertMulti, Table: idx.Name,
 			Row: rids[0], New: storage.EncodeIndexEntries(keys, rids),

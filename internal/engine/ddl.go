@@ -142,9 +142,10 @@ const (
 // columns call for under their current encryption types, fills it from the
 // heap as fill directs, and installs it (with RangeCapable and CEKs) on idx.
 // CREATE TABLE, CREATE INDEX, both ALTER COLUMN paths, their replica redo and
-// RebuildIndex all build through it. Filling an index over an encrypted range
-// column sorts the data via enclave comparisons — the index-build ordering
-// leakage of Figure 5.
+// RebuildIndex all build through it. The fill is one Tree.InsertBatch of
+// every heap row into the empty tree — a bottom-up build; over an encrypted
+// range column it sorts the keys in one enclave task — the index-build
+// ordering leakage of Figure 5.
 //
 // The caller holds tbl.mu, except for a table not yet published: rows are
 // placed in the heap under tbl.mu, so none can slip in behind the scan.
@@ -154,13 +155,19 @@ func (e *Engine) buildIndex(tbl *Table, idx *Index, fill indexFill) error {
 		return err
 	}
 	if fill != fillNone {
+		var keys [][][]byte
+		var rids []storage.RowID
 		err := tbl.Heap.Scan(func(rid storage.RowID, rec []byte) (bool, error) {
 			cells, err := decodeRow(rec)
 			if err != nil {
 				return false, err
 			}
-			return true, tree.Insert(copyKey(idx.indexKeyFor(cells)), rid)
+			keys, rids = append(keys, copyKey(idx.indexKeyFor(cells))), append(rids, rid)
+			return true, nil
 		})
+		if err == nil {
+			err = tree.InsertBatch(keys, rids)
+		}
 		switch {
 		case err == nil:
 		case fill == fillOrInvalidate && IsKeyMissing(err):

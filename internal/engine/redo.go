@@ -167,21 +167,27 @@ func (ra *RedoApplier) applyHeapMulti(rec *storage.Record) error {
 	return nil
 }
 
-// applyIndexMulti unpacks an insert statement's index record and replays each
-// entry through the same path as a single-entry record, so invalidation
-// behaves identically however the primary batched.
+// applyIndexMulti replays an insert statement's index record as one batch
+// into the tree and mirrors its entries into the owning transaction's undo
+// list. Invalidation behaves as for a single-entry record: a batch that
+// needs a key the enclave lacks fails at its first enclave task, changes
+// nothing, and invalidates the index.
 func (ra *RedoApplier) applyIndexMulti(rec *storage.Record) error {
 	keys, rids, err := storage.DecodeIndexEntries(rec.New)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrRedoDiverged, err)
 	}
-	for i := range rids {
-		op := txnOp{typ: storage.RecIndexInsert, table: rec.Table, row: rids[i], key: keys[i]}
-		if err := ra.applyIndexOp(rec.Txn, op); err != nil {
-			return err
+	idx, err := ra.e.catalog.Index(rec.Table)
+	if err != nil {
+		return err
+	}
+	applied, err := ra.settle(idx, idx.Tree.InsertBatch(keys, rids))
+	if t := ra.txns[rec.Txn]; applied && t != nil {
+		for i := range rids {
+			t.ops = append(t.ops, txnOp{typ: storage.RecIndexInsert, table: rec.Table, row: rids[i], key: keys[i]})
 		}
 	}
-	return nil
+	return err
 }
 
 // applyIndexOp performs logical redo of one index operation and mirrors it
@@ -199,17 +205,27 @@ func (ra *RedoApplier) applyIndexOp(txn uint64, op txnOp) error {
 	} else {
 		_, err = idx.Tree.Delete(op.key, op.row)
 	}
+	applied, err := ra.settle(idx, err)
+	if t := ra.txns[txn]; applied && t != nil {
+		t.ops = append(t.ops, op)
+	}
+	return err
+}
+
+// settle sorts out what a redo tree operation's error means: nil, the
+// operation applied; a missing key, it did not, and the index is
+// invalidated; an index already invalidated, it is dropped. Anything else
+// fails redo.
+func (ra *RedoApplier) settle(idx *Index, err error) (applied bool, _ error) {
 	switch {
 	case err == nil:
-		if t := ra.txns[txn]; t != nil {
-			t.ops = append(t.ops, op)
-		}
+		return true, nil
 	case IsKeyMissing(err):
 		ra.e.invalidateIndex(idx.Tree)
 	case !errors.Is(err, btree.ErrInvalidated):
-		return err
+		return false, err
 	}
-	return nil
+	return false, nil
 }
 
 // applyDDL re-executes a DDL statement from its logged text. CREATE TABLE

@@ -10,16 +10,21 @@ import (
 	"alwaysencrypted/internal/storage"
 )
 
-// indexScript runs a fixed insert / seek / range / delete script over a
-// range index on RND ciphertext of values and returns everything the
-// adversary saw cross the enclave boundary in the clear.
-func indexScript(t *testing.T, values []int64) []searchObs {
+// indexScript runs a fixed insert / seek / range / delete / batch insert
+// script over a range index on RND ciphertext of values, then builds a
+// second index over all of them in one batch, and returns everything the
+// adversary saw cross the enclave boundary in the clear. single is the
+// length of the transcript's prefix that the one-key operations made.
+func indexScript(t *testing.T, values []int64) (transcript []any, single int) {
 	t.Helper()
 	key := testKey(t)
 	encl := &enclaveCmp{key: key}
-	tree := btree.New(&btree.KeyComparator{
-		Cols: []btree.ColumnOrder{btree.EnclaveOrder{CEK: "K", Enclave: encl}},
-	}, false)
+	newTree := func() *btree.Tree {
+		return btree.New(&btree.KeyComparator{
+			Cols: []btree.ColumnOrder{btree.EnclaveOrder{CEK: "K", Enclave: encl}},
+		}, false)
+	}
+	tree := newTree()
 	enc := func(i int) [][]byte {
 		ct, err := key.Encrypt(sqltypes.Int(values[i]).Encode(), aecrypto.Randomized) // fresh IV every time
 		if err != nil {
@@ -59,7 +64,22 @@ func indexScript(t *testing.T, values []int64) []searchObs {
 	}
 	_, err := tree.ScanRange(nil, enc(n/2), true, false, 0)
 	must(err)
-	return encl.transcript
+	single = len(encl.transcript)
+	// The values again under new rows, in batches of 1, 3, ..., 37 keys.
+	batch := func(tr *btree.Tree, from, to int) {
+		keys := make([][][]byte, 0, to-from)
+		rows := make([]storage.RowID, 0, to-from)
+		for i := from; i < to; i++ {
+			keys, rows = append(keys, enc(i)), append(rows, storage.RowID(n+1+i))
+		}
+		must(tr.InsertBatch(keys, rows))
+	}
+	for i, size := 0, 1; i < n; i, size = i+size, size%37+2 {
+		batch(tree, i, min(i+size, n))
+	}
+	// A build: every value into an empty tree in one batch.
+	batch(newTree(), 0, n)
+	return encl.transcript, single
 }
 
 // scriptValues is a value set with ties, large enough that the index splits
@@ -78,12 +98,16 @@ func scriptValues() []int64 {
 // stand-in on the parent commit.
 const pairwiseOutcomes = 19406
 
-// outcomes is the number of −1/0/+1 relations between probe and cells that
-// an observation (cells, lo, hi) discloses beyond what the node's own sort
-// order — which the adversary reads off the index — already implies: the
-// cell just below the probe, the cell just above it, and the two ends of a
-// run of ties.
-func (o searchObs) outcomes() int {
+// outcomes is the number of −1/0/+1 relations an observation discloses. For
+// a search (cells, lo, hi), those between probe and cells beyond what the
+// node's own sort order — which the adversary reads off the index — already
+// implies: the cell just below the probe, the cell just above it, and the
+// two ends of a run of ties. For a sort, one between each cell and the next.
+func outcomes(obs any) int {
+	if s, ok := obs.(sortObs); ok {
+		return max(len(s.perm)-1, 0)
+	}
+	o := obs.(searchObs)
 	n := 0
 	if o.lo > 0 {
 		n++
@@ -111,7 +135,8 @@ func TestIndexTranscriptDependsOnlyOnOrder(t *testing.T) {
 	for i, v := range a {
 		b[i] = v*v*31 - 1_000_000 // strictly increasing on v >= 0: same ranks, same ties
 	}
-	ta, tb := indexScript(t, a), indexScript(t, b)
+	ta, single := indexScript(t, a)
+	tb, _ := indexScript(t, b)
 	if len(ta) == 0 {
 		t.Fatal("script made no boundary calls")
 	}
@@ -127,15 +152,19 @@ func TestIndexTranscriptDependsOnlyOnOrder(t *testing.T) {
 	// comparison above is not vacuous.
 	c := append([]int64(nil), a...)
 	c[0], c[1] = c[1]+500, c[0]
-	if reflect.DeepEqual(ta, indexScript(t, c)) {
+	if tc, _ := indexScript(t, c); reflect.DeepEqual(ta, tc) {
 		t.Fatal("transcript ignores the order of the values")
 	}
 
-	revealed := 0
-	for _, o := range ta {
-		revealed += o.outcomes()
+	revealed, revealedSingle := 0, 0
+	for i, o := range ta {
+		revealed += outcomes(o)
+		if i < single {
+			revealedSingle += outcomes(o)
+		}
 	}
-	t.Logf("%d boundary calls disclosing %d outcomes (pairwise path: %d calls, one outcome each)", len(ta), revealed, pairwiseOutcomes)
+	t.Logf("%d searches and sorts disclosing %d outcomes; the one-key operations %d and %d (pairwise path: %d calls, one outcome each)",
+		len(ta), revealed, single, revealedSingle, pairwiseOutcomes)
 	if revealed > pairwiseOutcomes {
 		t.Fatalf("node searches disclosed %d outcomes, the pairwise path %d", revealed, pairwiseOutcomes)
 	}

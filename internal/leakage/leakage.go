@@ -102,17 +102,26 @@ func FrequencyAttackRND(plaintexts []string, key *aecrypto.CellKey) (recovered H
 }
 
 // enclaveCmp is a minimal enclave stand-in for index experiments: it answers
-// the node searches (so the index gets built) while the adversary observes
-// only the resulting structure and what each call returned in the clear.
+// the node searches and batch sorts (so the index gets built) while the
+// adversary observes only the resulting structure and what each call
+// returned in the clear.
 type enclaveCmp struct {
 	key *aecrypto.CellKey
-	// transcript records, per call, what the adversary saw cross the
-	// boundary in the clear: how many cells went in, and (lo, hi) coming out.
-	transcript []searchObs
+	// transcript records, per search or sort, what the adversary saw cross
+	// the boundary in the clear: a searchObs or a sortObs.
+	transcript []any
 }
 
-// searchObs is one boundary observation of a node search.
+// searchObs is one boundary observation of a node search: how many cells
+// went in, and (lo, hi) coming out.
 type searchObs struct{ cells, lo, hi int }
+
+// sortObs is one boundary observation of a batch sort: the permutation and
+// tie marks coming out (the cells going in are the host's own).
+type sortObs struct {
+	perm []int
+	ties []bool
+}
 
 func (e *enclaveCmp) open(cell []byte) (sqltypes.Value, error) {
 	pt, err := e.key.Decrypt(cell)
@@ -148,6 +157,41 @@ func (e *enclaveCmp) EqualRange(_ string, probe []byte, cells [][]byte) (lo, hi 
 	}
 	e.transcript = append(e.transcript, searchObs{len(cells), lo, hi})
 	return lo, hi, nil
+}
+
+// EqualRanges answers each search of the batch as EqualRange does: the real
+// enclave runs them in one task, but what comes back is the same pairs.
+func (e *enclaveCmp) EqualRanges(cek string, probes [][]byte, runs [][][]byte, bounds []int) error {
+	for i, probe := range probes {
+		lo, hi, err := e.EqualRange(cek, probe, runs[i])
+		if err != nil {
+			return err
+		}
+		bounds[2*i], bounds[2*i+1] = lo, hi
+	}
+	return nil
+}
+
+// Sort answers by definition: a stable sort of the decrypted cells.
+func (e *enclaveCmp) Sort(_ string, cells [][]byte) (perm []int, ties []bool, err error) {
+	vals := make([]sqltypes.Value, len(cells))
+	perm, ties = make([]int, len(cells)), make([]bool, len(cells))
+	for i, cell := range cells {
+		if vals[i], err = e.open(cell); err != nil {
+			return nil, nil, err
+		}
+		perm[i] = i
+	}
+	sort.SliceStable(perm, func(a, b int) bool {
+		c, _ := sqltypes.Compare(vals[perm[a]], vals[perm[b]])
+		return c < 0
+	})
+	for k := 1; k < len(perm); k++ {
+		c, _ := sqltypes.Compare(vals[perm[k-1]], vals[perm[k]])
+		ties[k] = c == 0
+	}
+	e.transcript = append(e.transcript, sortObs{perm, ties})
+	return perm, ties, nil
 }
 
 // OrderRecoveryRND builds a range index over RND ciphertext (comparisons in

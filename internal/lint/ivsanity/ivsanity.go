@@ -10,6 +10,7 @@
 //	make([]byte, n)                      -> unknown (allocated, unfilled)
 //	rand.Read(iv), io.ReadFull(rand.Reader, iv) -> random
 //	hmac.New(...)                        -> keyed-hash object
+//	f(...) returning a type with a keyedHash() marker method -> keyed-hash object
 //	h.Sum(...) of a keyed-hash object    -> derived
 //	copy(iv, derived/random)             -> inherits the source state
 //	NewCBCEncrypter(block, iv)           -> used (a second use is reuse)
@@ -196,7 +197,7 @@ func (c *checker) exprState(f fact, e ast.Expr) ivState {
 		return c.exprState(f, e.X)
 	case *ast.CallExpr:
 		fn := taint.CalleeFunc(c.pass.TypesInfo, e)
-		if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "crypto/hmac" && fn.Name() == "New" {
+		if fn != nil && (fn.Pkg() != nil && fn.Pkg().Path() == "crypto/hmac" && fn.Name() == "New" || returnsKeyedHash(fn)) {
 			return ivHMAC
 		}
 		if fn != nil && fn.Name() == "Sum" {
@@ -215,6 +216,27 @@ func (c *checker) exprState(f fact, e ast.Expr) ivState {
 		}
 	}
 	return ivNone
+}
+
+// returnsKeyedHash reports whether fn's first result is a keyed hash other
+// than hmac.New's: a type with the marker method keyedHash, as aecrypto's
+// HMAC resumed from a scheduled key has.
+func returnsKeyedHash(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Results().Len() == 0 {
+		return false
+	}
+	t := sig.Results().At(0).Type()
+	if _, isPtr := t.(*types.Pointer); !isPtr {
+		t = types.NewPointer(t)
+	}
+	ms := types.NewMethodSet(t)
+	for i := 0; i < ms.Len(); i++ {
+		if ms.At(i).Obj().Name() == "keyedHash" {
+			return true
+		}
+	}
+	return false
 }
 
 // scanCalls walks n for provenance-changing calls and encrypter uses.

@@ -8,6 +8,7 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"hash"
 	"io"
 )
 
@@ -49,6 +50,44 @@ func DerivedIV(key, ivKey, pt []byte) []byte {
 	copy(iv, m.Sum(nil))
 	ct := make([]byte, len(pt))
 	cipher.NewCBCEncrypter(blockOf(key), iv).CryptBlocks(ct, pt)
+	return ct
+}
+
+// scheduledMAC stands in for an HMAC resumed from a scheduled key: the
+// keyedHash marker makes its Sum a derived IV.
+type scheduledMAC struct{ h hash.Hash }
+
+func (m scheduledMAC) Write(p []byte)      { m.h.Write(p) }
+func (m scheduledMAC) Sum(b []byte) []byte { return m.h.Sum(b) }
+func (scheduledMAC) keyedHash()            {}
+
+func newScheduledMAC(ivKey []byte) (scheduledMAC, error) {
+	return scheduledMAC{hmac.New(sha256.New, ivKey)}, nil
+}
+
+// ScheduledIV derives the IV from a marked keyed hash, summing into the IV's
+// own buffer.
+func ScheduledIV(key, ivKey, pt []byte) []byte {
+	iv := make([]byte, 16, 32)
+	m, err := newScheduledMAC(ivKey)
+	if err != nil {
+		return nil
+	}
+	m.Write(pt)
+	iv = m.Sum(iv[:0])[:16]
+	ct := make([]byte, len(pt))
+	cipher.NewCBCEncrypter(blockOf(key), iv).CryptBlocks(ct, pt)
+	return ct
+}
+
+// UnmarkedIV: a Sum of a hash without the marker is no derivation.
+func UnmarkedIV(key, pt []byte) []byte {
+	iv := make([]byte, 16, 32)
+	h := sha256.New()
+	h.Write(pt)
+	iv = h.Sum(iv[:0])[:16]
+	ct := make([]byte, len(pt))
+	cipher.NewCBCEncrypter(blockOf(key), iv).CryptBlocks(ct, pt) // want `CBC IV provenance is not locally provable`
 	return ct
 }
 
