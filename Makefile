@@ -3,9 +3,15 @@
 
 GO ?= go
 
-.PHONY: verify build vet lint test race fuzz-smoke ladder bench microbench
+.PHONY: verify fmt build vet lint test race fuzz-smoke ladder bench microbench
 
-verify: build vet lint test
+verify: fmt build vet lint test
+
+# gofmt over the whole tree, fixtures under testdata included: any file it
+# would rewrite is listed and fails the build.
+fmt:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -37,15 +43,17 @@ race:
 	$(GO) test -race ./...
 
 # Ten seconds of coverage-guided fuzzing per byte-level decoder on the read,
-# redo and wire paths, and of random batches into the B-tree against a
-# sorted-slice shadow, as package:target pairs (go test accepts one package
+# redo and wire paths, of random batches into the B-tree against a
+# sorted-slice shadow, and of arbitrary envelopes into a reused cell opener
+# against a standard-library oracle, as package:target pairs (go test accepts one package
 # and one -fuzz target per run). A crasher is written to the package's
 # testdata/fuzz and fails the build.
 FUZZ_TARGETS = internal/storage:FuzzDecodeHeapRows internal/storage:FuzzDecodeIndexEntries \
 	internal/storage:FuzzLoadWAL internal/engine:FuzzDecodeRow internal/tds:FuzzDecodeCellRows \
 	internal/tds:FuzzDecodeRequest internal/tds:FuzzDecodeResponse \
 	internal/repl:FuzzDecodeReplMessage internal/exprsvc:FuzzDeserializeProgram \
-	internal/aesql:FuzzParseDSN internal/engine:FuzzParse internal/btree:FuzzInsertBatch
+	internal/aesql:FuzzParseDSN internal/engine:FuzzParse internal/btree:FuzzInsertBatch \
+	internal/aecrypto:FuzzOpen
 
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \

@@ -15,7 +15,6 @@ package aecrypto
 
 import (
 	"crypto/aes"
-	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
@@ -24,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"strconv"
 )
 
 // EncryptionType selects between the two cell encryption schemes of §2.3.
@@ -66,7 +66,7 @@ const (
 	MinCiphertextSize = 1 + tagSize + blockSize + blockSize
 )
 
-// Errors returned by Decrypt and the envelope parsers.
+// Errors returned by Open, Decrypt and the envelope parsers.
 var (
 	ErrInvalidCiphertext = errors.New("aecrypto: malformed ciphertext envelope")
 	ErrAuthFailed        = errors.New("aecrypto: HMAC validation failed (ciphertext corrupt or wrong key)")
@@ -145,10 +145,10 @@ func newHMACKey(key []byte) hmacKey {
 	return hmacKey{inner: state(0x36), outer: state(0x5c)}
 }
 
-// New starts one MAC computation under the key. It fails once the key has
-// been wiped.
-func (k hmacKey) New() (keyedMAC, error) {
-	h := sha256.New()
+// resume starts one MAC computation under the key in h, a SHA-256 state
+// reused across computations: whatever h held is overwritten. It fails once
+// the key has been wiped.
+func (k hmacKey) resume(h hash.Hash) (keyedMAC, error) {
 	if err := resume(h, k.inner); err != nil {
 		return keyedMAC{}, err
 	}
@@ -216,48 +216,17 @@ func GenerateKey() ([]byte, error) {
 	return k, nil
 }
 
-// Encrypt seals plaintext under the cell key. For Deterministic the IV is
-// HMAC(ivKey, plaintext) truncated to the block size, so equal plaintexts
-// yield identical envelopes; for Randomized the IV is drawn from crypto/rand.
-// IV generation and consumption live in this one function so the IV's
-// provenance is locally provable (enforced by the ivsanity analyzer).
+// Encrypt seals plaintext under the cell key: the one-cell case of a
+// Sealer. For Deterministic the IV is HMAC(ivKey, plaintext) truncated to
+// the block size, so equal plaintexts yield identical envelopes; for
+// Randomized the IV is drawn from crypto/rand.
 func (k *CellKey) Encrypt(plaintext []byte, typ EncryptionType) ([]byte, error) {
-	iv := make([]byte, blockSize, tagSize)
-	switch typ {
-	case Deterministic:
-		m, err := k.iv.New()
-		if err != nil {
-			return nil, err
-		}
-		m.Write(plaintext)
-		sum, err := m.Sum(iv[:0])
-		if err != nil {
-			return nil, err
-		}
-		iv = sum[:blockSize]
-	case Randomized:
-		if _, err := rand.Read(iv); err != nil {
-			return nil, fmt.Errorf("aecrypto: generating IV: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("aecrypto: unknown encryption type %d", typ)
-	}
-	block, err := aes.NewCipher(k.encKey)
+	s, err := k.NewSealer()
 	if err != nil {
 		return nil, err
 	}
-	padded := pkcs7Pad(plaintext, blockSize)
-	ct := make([]byte, len(padded))
-	cipher.NewCBCEncrypter(block, iv).CryptBlocks(ct, padded)
-
-	out := make([]byte, 1+tagSize+blockSize+len(ct))
-	out[0] = versionByte
-	copy(out[1+tagSize:], iv)
-	copy(out[1+tagSize+blockSize:], ct)
-	if _, err := k.tag(out[1:1], iv, ct); err != nil {
-		return nil, err
-	}
-	return out, nil
+	defer s.Zeroize()
+	return s.Seal(plaintext, typ)
 }
 
 // Constant parts of the tagged message.
@@ -267,65 +236,59 @@ var (
 )
 
 // tag appends to b the authentication tag over version || IV || ciphertext
-// || versionByteLength, exactly as the shipped algorithm computes it.
-func (k *CellKey) tag(b, iv, ct []byte) ([]byte, error) {
-	m, err := k.mac.New()
+// || versionByteLength, exactly as the shipped algorithm computes it; body
+// is the envelope's IV and ciphertext, which are adjacent. h is the SHA-256
+// state to compute it in; whatever it held is overwritten.
+func (k *CellKey) tag(h hash.Hash, b, body []byte) ([]byte, error) {
+	m, err := k.mac.resume(h)
 	if err != nil {
 		return nil, err
 	}
 	m.Write(versionField)
-	m.Write(iv)
-	m.Write(ct)
+	m.Write(body)
 	m.Write(versionFieldLen)
 	return m.Sum(b)
 }
 
-// Decrypt authenticates and opens an envelope produced by Encrypt. The HMAC
-// is verified in constant time before any decryption happens; per §2.3 the
-// HMAC is a usability feature that lets clients tell legitimate ciphertext
-// from garbage.
+// Decrypt authenticates and opens an envelope produced by Encrypt: the
+// one-cell case of an Opener, returning a plaintext buffer the caller owns.
+// The HMAC is verified in constant time before any decryption happens; per
+// §2.3 the HMAC is a usability feature that lets clients tell legitimate
+// ciphertext from garbage.
 func (k *CellKey) Decrypt(envelope []byte) ([]byte, error) {
-	if len(envelope) < MinCiphertextSize || envelope[0] != versionByte {
-		return nil, ErrInvalidCiphertext
-	}
-	tag := envelope[1 : 1+tagSize]
-	iv := envelope[1+tagSize : 1+tagSize+blockSize]
-	ct := envelope[1+tagSize+blockSize:]
-	if len(ct)%blockSize != 0 || len(ct) == 0 {
-		return nil, ErrInvalidCiphertext
-	}
-	var buf [tagSize]byte
-	want, err := k.tag(buf[:0], iv, ct)
+	o, err := k.NewOpener()
 	if err != nil {
 		return nil, err
 	}
-	if subtle.ConstantTimeCompare(tag, want) != 1 {
-		return nil, ErrAuthFailed
-	}
-	block, err := aes.NewCipher(k.encKey)
-	if err != nil {
-		return nil, err
-	}
-	padded := make([]byte, len(ct))
-	cipher.NewCBCDecrypter(block, iv).CryptBlocks(padded, ct)
-	return pkcs7Unpad(padded, blockSize)
+	defer o.Zeroize()
+	return o.Open(nil, envelope)
 }
 
 // Verify reports whether the envelope is well formed and authenticates under
 // the cell key without decrypting it.
 func (k *CellKey) Verify(envelope []byte) bool {
-	if len(envelope) < MinCiphertextSize || envelope[0] != versionByte {
-		return false
-	}
-	tag := envelope[1 : 1+tagSize]
-	iv := envelope[1+tagSize : 1+tagSize+blockSize]
-	ct := envelope[1+tagSize+blockSize:]
-	if len(ct)%blockSize != 0 || len(ct) == 0 {
+	tag, body, ok := splitEnvelope(envelope)
+	if !ok {
 		return false
 	}
 	var buf [tagSize]byte
-	want, err := k.tag(buf[:0], iv, ct)
+	want, err := k.tag(sha256.New(), buf[:0], body)
 	return err == nil && subtle.ConstantTimeCompare(tag, want) == 1
+}
+
+// splitEnvelope checks the shape of an envelope — version byte, tag, IV,
+// non-empty block-aligned ciphertext — and returns its tag and its body, the
+// IV followed by the ciphertext. It is the one shape check every reader of
+// an envelope goes through.
+func splitEnvelope(envelope []byte) (tag, body []byte, ok bool) {
+	if len(envelope) < MinCiphertextSize || envelope[0] != versionByte {
+		return nil, nil, false
+	}
+	ct := envelope[1+tagSize+blockSize:]
+	if len(ct)%blockSize != 0 || len(ct) == 0 {
+		return nil, nil, false
+	}
+	return envelope[1 : 1+tagSize], envelope[1+tagSize:], true
 }
 
 // WellFormedCiphertext reports whether the bytes have the structure of a
@@ -335,11 +298,8 @@ func (k *CellKey) Verify(envelope []byte) bool {
 // stale: a plaintext value bound to an encrypted column is never a
 // well-formed envelope, so storing it would corrupt the column.
 func WellFormedCiphertext(envelope []byte) bool {
-	if len(envelope) < MinCiphertextSize || envelope[0] != versionByte {
-		return false
-	}
-	ct := envelope[1+tagSize+blockSize:]
-	return len(ct) > 0 && len(ct)%blockSize == 0
+	_, _, ok := splitEnvelope(envelope)
+	return ok
 }
 
 // CiphertextLen reports the envelope size produced for a plaintext of n bytes.
@@ -348,22 +308,22 @@ func CiphertextLen(n int) int {
 	return 1 + tagSize + blockSize + padded
 }
 
+// pkcs7Pad appends PKCS#7 padding to b — 1 to size bytes, each holding the
+// pad length — in place when b has the capacity.
 func pkcs7Pad(b []byte, size int) []byte {
 	n := size - len(b)%size
-	out := make([]byte, len(b)+n)
-	copy(out, b)
-	for i := len(b); i < len(out); i++ {
-		out[i] = byte(n)
+	for range n {
+		b = append(b, byte(n))
 	}
-	return out
+	return b
 }
 
 // pkcs7Unpad validates and strips PKCS#7 padding in constant time with
 // respect to the padding CONTENT: the pad length byte, the range check and
-// the filler bytes are all folded into a single mask via crypto/subtle, and
-// every malformed padding exits through the same single check with the same
-// error. Only the (public) total length influences timing. The HMAC check
-// in Decrypt runs first, so this is defense in depth against padding-oracle
+// the filler bytes are all folded into a single mask without branching on
+// them, and every malformed padding exits through the same single check
+// with the same error. Only the (public) total length influences timing. The HMAC check
+// in Open runs first, so this is defense in depth against padding-oracle
 // shapes rather than a reachable oracle — but the discipline costs nothing
 // and the ctcompare analyzer enforces it uniformly.
 func pkcs7Unpad(b []byte, size int) ([]byte, error) {
@@ -374,13 +334,16 @@ func pkcs7Unpad(b []byte, size int) ([]byte, error) {
 	// good stays 1 only if 1 <= n <= size.
 	good := subtle.ConstantTimeLessOrEq(1, n) & subtle.ConstantTimeLessOrEq(n, size)
 	// Examine the final block unconditionally (len(b) >= size here). The
-	// byte at distance i from the end must equal n exactly when i < n; the
-	// select ignores bytes outside the claimed pad without branching on n.
+	// byte at distance i from the end must equal n exactly when i < n: the
+	// mask is all ones there and zero beyond, so bytes outside the claimed
+	// pad are ignored without branching on n, and any mismatch inside it
+	// leaves a bit set in diff.
+	var diff byte
 	for i := 0; i < size; i++ {
-		inPad := subtle.ConstantTimeLessOrEq(i+1, n)
-		matches := subtle.ConstantTimeByteEq(b[len(b)-1-i], byte(n))
-		good &= subtle.ConstantTimeSelect(inPad, matches, 1)
+		inPad := byte((i - n) >> (strconv.IntSize - 1))
+		diff |= (b[len(b)-1-i] ^ byte(n)) & inPad
 	}
+	good &= subtle.ConstantTimeByteEq(diff, 0)
 	if good != 1 {
 		return nil, ErrInvalidCiphertext
 	}

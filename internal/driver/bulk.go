@@ -66,9 +66,18 @@ func bulkDescribeQuery(table string, cols []string) string {
 
 func (c *Conn) bulkInsertOnce(table string, cols []string, rows [][]sqltypes.Value) (n int, applied bool, err error) {
 	c.cachedDescribe = ""
-	// Per-column encryption plan: nil key means plaintext encoding.
-	colKeys := make([]*aecrypto.CellKey, len(cols))
+	// Per-column encryption plan: a nil sealer means plaintext encoding. The
+	// sealers schedule each column's key once for the whole call and are
+	// retired when it returns.
+	colSealers := make([]*aecrypto.Sealer, len(cols))
 	colTypes := make([]aecrypto.EncryptionType, len(cols))
+	defer func() {
+		for _, s := range colSealers {
+			if s != nil {
+				s.Zeroize()
+			}
+		}
+	}()
 
 	if c.cfg.AlwaysEncrypted {
 		query := bulkDescribeQuery(table, cols)
@@ -98,7 +107,9 @@ func (c *Conn) bulkInsertOnce(table string, cols []string, rows [][]sqltypes.Val
 			if err != nil {
 				return 0, false, err
 			}
-			colKeys[i] = cell
+			if colSealers[i], err = cell.NewSealer(); err != nil {
+				return 0, false, err
+			}
 			colTypes[i] = aecrypto.Randomized
 			if enc.Scheme == sqltypes.SchemeDeterministic {
 				colTypes[i] = aecrypto.Deterministic
@@ -119,11 +130,11 @@ func (c *Conn) bulkInsertOnce(table string, cols []string, rows [][]sqltypes.Val
 				if v.IsNull() {
 					continue
 				}
-				if colKeys[i] == nil {
+				if colSealers[i] == nil {
 					cells[i] = v.Encode()
 					continue
 				}
-				ct, err := colKeys[i].Encrypt(v.Encode(), colTypes[i])
+				ct, err := colSealers[i].Seal(v.Encode(), colTypes[i])
 				if err != nil {
 					return n, applied, err
 				}

@@ -782,6 +782,18 @@ func (c *Conn) decodeResult(rs *engine.ResultSet, desc *tds.DescribeResp) (*Rows
 	for _, col := range rs.Columns {
 		out.Columns = append(out.Columns, col.Name)
 	}
+	// One opener per encrypted column and one plaintext arena serve the
+	// whole result set; all are retired, and the arena wiped, on return.
+	var openers []*aecrypto.Opener
+	var arena []byte
+	defer func() {
+		for _, op := range openers {
+			if op != nil {
+				op.Zeroize()
+			}
+		}
+		aecrypto.Zeroize(arena[:cap(arena)])
+	}()
 	for _, row := range rs.Rows {
 		vals := make([]sqltypes.Value, len(row))
 		for i, cell := range row {
@@ -798,14 +810,23 @@ func (c *Conn) decodeResult(rs *engine.ResultSet, desc *tds.DescribeResp) (*Rows
 			case desc == nil:
 				vals[i] = sqltypes.Bytes(cell) // no keys: raw ciphertext
 			default:
-				_, cellKey, err := c.resolveCEK(meta.Enc.CEKName, &desc.Desc, false)
-				if err != nil {
-					return nil, err
+				if openers == nil {
+					openers = make([]*aecrypto.Opener, len(rs.Columns))
 				}
-				pt, err := cellKey.Decrypt(cell)
+				if openers[i] == nil {
+					_, cellKey, err := c.resolveCEK(meta.Enc.CEKName, &desc.Desc, false)
+					if err != nil {
+						return nil, err
+					}
+					if openers[i], err = cellKey.NewOpener(); err != nil {
+						return nil, err
+					}
+				}
+				pt, err := openers[i].Open(arena, cell)
 				if err != nil {
 					return nil, fmt.Errorf("driver: decrypting column %s: %w", meta.Name, err)
 				}
+				arena = pt
 				v, err := sqltypes.Decode(pt)
 				if err != nil {
 					return nil, err

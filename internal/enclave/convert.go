@@ -125,23 +125,48 @@ func (e *Enclave) ConvertCells(sid uint64, proof *ConversionProof, from, to sqlt
 	}
 
 	out := make([][]byte, len(cells))
+	// One opener, one sealer and one plaintext arena serve the whole call;
+	// all are retired, and the arena wiped, before the enclave task ends.
 	convert := func() error {
+		var opener *aecrypto.Opener
+		var sealer *aecrypto.Sealer
+		var arena []byte
+		defer func() {
+			if opener != nil {
+				opener.Zeroize()
+			}
+			if sealer != nil {
+				sealer.Zeroize()
+			}
+			aecrypto.Zeroize(arena[:cap(arena)])
+		}()
+		if fromKey != nil {
+			if opener, err = fromKey.NewOpener(); err != nil {
+				return err
+			}
+		}
+		if toKey != nil {
+			if sealer, err = toKey.NewSealer(); err != nil {
+				return err
+			}
+		}
 		for i, cell := range cells {
 			if len(cell) == 0 {
 				continue // NULLs are stored unencrypted as absent values
 			}
 			pt := cell
-			if fromKey != nil {
-				pt, err = fromKey.Decrypt(cell)
-				if err != nil {
+			if opener != nil {
+				if pt, err = opener.Open(arena, cell); err != nil {
 					return err
 				}
+				arena = pt
 			}
-			if toKey == nil {
-				out[i] = pt
+			if sealer == nil {
+				// Decryption is the conversion: the plaintext is the result.
+				out[i] = append([]byte(nil), pt...)
 				continue
 			}
-			ct, err := toKey.Encrypt(pt, toType)
+			ct, err := sealer.Seal(pt, toType)
 			if err != nil {
 				return err
 			}

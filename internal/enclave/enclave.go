@@ -657,10 +657,11 @@ func (e *Enclave) evalLocked(re *registeredExpr, rows, outs [][][]byte, errs []e
 }
 
 // evalRun evaluates rows in order on ev as one boundary crossing's worth of
-// work, so a ciphertext repeated down a slot is decrypted once. It returns
-// how many rows it finished; faulted reports that the next one panicked.
-// Whatever the evaluator remembered is forgotten before evalRun returns, on
-// every path.
+// work, so a ciphertext repeated down a slot is decrypted once and each
+// cell key is scheduled once. It returns how many rows it finished; faulted
+// reports that the next one panicked. Whatever the evaluator remembered —
+// its openers and its plaintext arena included — is forgotten before
+// evalRun returns, on every path.
 func evalRun(ev *exprsvc.Evaluator, rows, outs [][][]byte, errs []error) (n int, faulted bool) {
 	defer func() {
 		ev.EndCrossing()
@@ -669,18 +670,31 @@ func evalRun(ev *exprsvc.Evaluator, rows, outs [][][]byte, errs []error) (n int,
 		}
 	}()
 	ev.BeginCrossing()
+	// The evaluator reuses its output buffers across calls, so the outputs
+	// are copied out: the row slices into one slab of slots, the bytes into
+	// one growing slab of data. A slot keeps pointing into the data slab it
+	// was copied to when the slab grows, and is capped so that appending to
+	// it cannot reach its neighbour.
+	width := len(ev.Program().Outputs)
+	slots := make([][]byte, width*len(rows))
+	var data []byte
 	for ; n < len(rows); n++ {
 		res, err := ev.Eval(rows[n])
 		if err != nil {
 			errs[n] = err
 			continue
 		}
-		// Copy: the evaluator reuses its output buffers across calls.
-		out := make([][]byte, len(res))
+		out := slots[n*width : (n+1)*width : (n+1)*width]
 		for i, b := range res {
-			if b != nil {
-				out[i] = append([]byte(nil), b...)
+			if len(b) == 0 {
+				continue // NULL
 			}
+			if data == nil {
+				data = make([]byte, 0, len(b)*width*(len(rows)-n))
+			}
+			at := len(data)
+			data = append(data, b...)
+			out[i] = data[at:len(data):len(data)]
 		}
 		outs[n] = out
 	}

@@ -127,17 +127,18 @@ func (e *Enclave) searchRuns(cekName string, probes [][]byte, runs [][][]byte, b
 			err = ErrFault
 		}
 	}()
-	key, err := (*enclaveKeyRing)(e).CellKey(cekName)
+	opener, err := e.taskOpener(cekName)
 	if err != nil {
 		return err
 	}
-	opened := openedCells{key: key}
+	defer opener.Zeroize()
+	opened := openedCells{opener: opener}
 	if len(probes) > 1 {
 		opened.memo = make(map[cellRef]sqltypes.Value)
 	}
 	defer opened.wipe()
 	for i, probe := range probes {
-		pv, err := openCell(key, probe)
+		pv, err := opener.open(probe)
 		if err != nil {
 			return err
 		}
@@ -157,8 +158,8 @@ func (e *Enclave) searchRuns(cekName string, probes [][]byte, runs [][][]byte, b
 // searches — each cell is decrypted once and wiped when the task ends;
 // without one, each is wiped as soon as it has been ordered.
 type openedCells struct {
-	key  *aecrypto.CellKey
-	memo map[cellRef]sqltypes.Value
+	opener *cellOpener
+	memo   map[cellRef]sqltypes.Value
 }
 
 // cellRef identifies a ciphertext by where it lives, so a cell the host
@@ -171,7 +172,7 @@ type cellRef struct {
 // compare orders cell against the decrypted probe pv.
 func (o *openedCells) compare(cell []byte, pv sqltypes.Value) (int, error) {
 	if o.memo == nil || len(cell) == 0 {
-		cv, err := openCell(o.key, cell)
+		cv, err := o.opener.open(cell)
 		if err != nil {
 			return 0, err
 		}
@@ -182,7 +183,7 @@ func (o *openedCells) compare(cell []byte, pv sqltypes.Value) (int, error) {
 	cv, ok := o.memo[ref]
 	if !ok {
 		var err error
-		if cv, err = openCell(o.key, cell); err != nil {
+		if cv, err = o.opener.open(cell); err != nil {
 			return 0, err
 		}
 		o.memo[ref] = cv
@@ -206,10 +207,11 @@ func (e *Enclave) sortCells(cekName string, cells [][]byte, perm []int, ties []b
 			err = ErrFault
 		}
 	}()
-	key, err := (*enclaveKeyRing)(e).CellKey(cekName)
+	opener, err := e.taskOpener(cekName)
 	if err != nil {
 		return err
 	}
+	defer opener.Zeroize()
 	vals := make([]sqltypes.Value, len(cells))
 	defer func() {
 		for _, v := range vals {
@@ -217,7 +219,7 @@ func (e *Enclave) sortCells(cekName string, cells [][]byte, perm []int, ties []b
 		}
 	}()
 	for i, cell := range cells {
-		if vals[i], err = openCell(key, cell); err != nil {
+		if vals[i], err = opener.open(cell); err != nil {
 			return err
 		}
 		perm[i] = i
@@ -242,16 +244,45 @@ func (e *Enclave) sortCells(cekName string, cells [][]byte, perm []int, ties []b
 	return nil
 }
 
-// openCell decrypts one cell and decodes it, wiping the plaintext buffer on
-// every path out. (A decoded string is an immutable copy the runtime owns;
-// it dies with the task's frame, as in the expression evaluator.)
-func openCell(key *aecrypto.CellKey, cell []byte) (sqltypes.Value, error) {
-	pt, err := key.Decrypt(cell)
+// cellOpener opens the cells of one enclave task, all under one CEK,
+// through one opener — one key schedule and MAC state for the task — and
+// one plaintext arena. Zeroize retires both when the task ends.
+type cellOpener struct {
+	op    *aecrypto.Opener
+	arena []byte
+}
+
+// taskOpener resolves the named CEK — a missing key is ErrKeyNotInEnclave
+// before any cell is touched — and makes the task's cellOpener for it.
+func (e *Enclave) taskOpener(cekName string) (*cellOpener, error) {
+	key, err := (*enclaveKeyRing)(e).CellKey(cekName)
+	if err != nil {
+		return nil, err
+	}
+	op, err := key.NewOpener()
+	if err != nil {
+		return nil, err
+	}
+	return &cellOpener{op: op}, nil
+}
+
+// open decrypts one cell and decodes it, wiping the plaintext on every path
+// out. (A decoded string is an immutable copy the runtime owns; it dies
+// with the task's frame, as in the expression evaluator.)
+func (c *cellOpener) open(cell []byte) (sqltypes.Value, error) {
+	pt, err := c.op.Open(c.arena, cell)
 	if err != nil {
 		return sqltypes.Value{}, err
 	}
+	c.arena = pt
 	defer aecrypto.Zeroize(pt)
 	return sqltypes.Decode(pt)
+}
+
+// Zeroize retires the task's opener and wipes its arena.
+func (c *cellOpener) Zeroize() {
+	c.op.Zeroize()
+	aecrypto.Zeroize(c.arena[:cap(c.arena)])
 }
 
 // equalRange finds the equal range of a probe among n ascending cells, given

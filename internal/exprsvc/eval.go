@@ -72,6 +72,15 @@ type Evaluator struct {
 	// decoded to, so a cell repeated down a batch — a statement's parameter —
 	// is decrypted once per crossing instead of once per row.
 	memo []slotMemo
+	// crossing is set between BeginCrossing and EndCrossing. Inside a
+	// crossing getData opens cells through openers, one per cell key, made
+	// on first use and retired by EndCrossing: a crossing schedules each
+	// key once instead of once per cell, and no opener outlives it.
+	crossing bool
+	openers  []keyOpener
+	// arena is the plaintext buffer getData decrypts into inside a
+	// crossing. EndCrossing wipes it; its storage is reused by the next.
+	arena []byte
 	// act, when non-nil, receives one "enclave.crossing" span per
 	// host→enclave boundary crossing. Installed by the engine around each
 	// statement (SetTrace) and cleared before the evaluator returns to its
@@ -81,6 +90,12 @@ type Evaluator struct {
 	// attributes, decoded lazily (only when tracing) and reused for the
 	// evaluator's lifetime — the sub-programs are immutable.
 	subOps [][]trace.Attr
+}
+
+// keyOpener is a crossing's opener for one cell key.
+type keyOpener struct {
+	key *aecrypto.CellKey
+	op  *aecrypto.Opener
 }
 
 // slotMemo is one input slot's remembered decryption. ct is the evaluator's
@@ -100,13 +115,56 @@ func (ev *Evaluator) BeginCrossing() {
 		ev.memo = make([]slotMemo, len(ev.prog.Inputs))
 	}
 	ev.memo = ev.memo[:cap(ev.memo)]
+	ev.crossing = true
 }
 
 // EndCrossing forgets everything BeginCrossing allowed the evaluator to
-// remember: no decrypted value outlives the crossing that produced it.
+// remember: no decrypted value outlives the crossing that produced it. It
+// retires the crossing's openers and wipes the plaintext arena.
 func (ev *Evaluator) EndCrossing() {
 	clear(ev.memo)
 	ev.memo = ev.memo[:0]
+	for _, ko := range ev.openers {
+		ko.op.Zeroize()
+	}
+	clear(ev.openers)
+	ev.openers = ev.openers[:0]
+	aecrypto.Zeroize(ev.arena[:cap(ev.arena)])
+	ev.crossing = false
+}
+
+// open decrypts cell under the named CEK. Inside a crossing it uses the
+// crossing's opener for the key and decrypts into the evaluator's arena, so
+// the plaintext is valid until the next open; outside one it is the
+// one-shot Decrypt. Either way the caller wipes the plaintext it is done
+// with.
+func (ev *Evaluator) open(cek string, cell []byte) ([]byte, error) {
+	key, err := ev.cellKey(cek)
+	if err != nil {
+		return nil, err
+	}
+	if !ev.crossing {
+		return key.Decrypt(cell)
+	}
+	var op *aecrypto.Opener
+	for _, ko := range ev.openers {
+		if ko.key == key {
+			op = ko.op
+			break
+		}
+	}
+	if op == nil {
+		if op, err = key.NewOpener(); err != nil {
+			return nil, err
+		}
+		ev.openers = append(ev.openers, keyOpener{key: key, op: op})
+	}
+	pt, err := op.Open(ev.arena, cell)
+	if err != nil {
+		return nil, err
+	}
+	ev.arena = pt
+	return pt, nil
 }
 
 // SetTrace installs (act non-nil) or clears (nil) the statement trace that
@@ -363,15 +421,12 @@ func (ev *Evaluator) getData(i int, inputs [][]byte) error {
 		ev.push(entry{v: ev.memo[i].v, label: info.Enc})
 		return nil
 	}
-	key, err := ev.cellKey(info.Enc.CEKName)
-	if err != nil {
-		return err
-	}
-	pt, err := key.Decrypt(raw)
+	pt, err := ev.open(info.Enc.CEKName, raw)
 	if err != nil {
 		return err
 	}
 	v, err := sqltypes.Decode(pt)
+	aecrypto.Zeroize(pt)
 	if err != nil {
 		return err
 	}

@@ -10,8 +10,9 @@
 //   - exported functions and methods (on exported receivers) must not accept
 //     or return sqltypes.Value, directly or inside any container or struct;
 //   - exported functions must not return key material (*aecrypto.CellKey,
-//     *rsa.PrivateKey, *ecdh.PrivateKey) — keys live and die inside their
-//     trust domain;
+//     the *aecrypto.Opener and *aecrypto.Sealer that carry a cell key's
+//     schedule, *rsa.PrivateKey, *ecdh.PrivateKey) — keys live and die
+//     inside their trust domain;
 //   - exported struct types (the wire messages in tds, whose exported fields
 //     the message codec puts on the wire, and the host-visible records in
 //     enclave) must not contain sqltypes.Value fields.
@@ -196,8 +197,8 @@ func keyMaterial(t types.Type) string {
 	}
 	name, pkg := n.Obj().Name(), n.Obj().Pkg().Path()
 	switch {
-	case name == "CellKey" && analysis.PackagePathIs(n.Obj().Pkg(), "aecrypto"):
-		return "aecrypto.CellKey"
+	case (name == "CellKey" || name == "Opener" || name == "Sealer") && analysis.PackagePathIs(n.Obj().Pkg(), "aecrypto"):
+		return "aecrypto." + name
 	case name == "PrivateKey" && (pkg == "crypto/rsa" || pkg == "crypto/ecdh"):
 		return pkg + ".PrivateKey"
 	}

@@ -32,3 +32,13 @@ func (e *Enclave) Ingest(v []sqltypes.Value) error { // want `exported Ingest ac
 func (e *Enclave) LeakKey(name string) *aecrypto.CellKey { // want `exported LeakKey returns key material \(aecrypto\.CellKey\)`
 	return e.ceks[name]
 }
+
+// OpenerFor hands the host an opener: the key schedule leaves with it.
+func (e *Enclave) OpenerFor(name string) (*aecrypto.Opener, error) { // want `exported OpenerFor returns key material \(aecrypto\.Opener\)`
+	return nil, nil
+}
+
+// SealerFor hands the host a sealer: an encryption oracle with its key.
+func (e *Enclave) SealerFor(name string) *aecrypto.Sealer { // want `exported SealerFor returns key material \(aecrypto\.Sealer\)`
+	return nil
+}

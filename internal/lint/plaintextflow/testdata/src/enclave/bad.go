@@ -39,3 +39,13 @@ func OpenAndLog(key *aecrypto.CellKey, cell []byte) string {
 	}
 	return msg
 }
+
+// OpenedIntoError interpolates a cell opened through a crossing's opener
+// into an error.
+func OpenedIntoError(op *aecrypto.Opener, arena, cell []byte) error {
+	pt, err := op.Open(arena, cell)
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("enclave: unexpected cell %x", pt) // want `plaintext-derived value reaches fmt\.Errorf`
+}

@@ -20,3 +20,17 @@ func GetCell(key *aecrypto.CellKey, cell []byte) ([]byte, error) {
 	out := append([]byte(nil), pt...)
 	return out, nil
 }
+
+// SealedIntoError: an envelope sealed from plaintext is ciphertext, so
+// naming it in an error leaks nothing — Seal is a trust-domain crossing.
+func SealedIntoError(op *aecrypto.Opener, s *aecrypto.Sealer, cell []byte) error {
+	pt, err := op.Open(nil, cell)
+	if err != nil {
+		return err
+	}
+	ct, err := s.Seal(pt, 1)
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("enclave: resealed into envelope %x", ct)
+}

@@ -115,6 +115,15 @@ func sourceName(pass *analysis.Pass) func(call *ast.CallExpr) string {
 			if recv == "AEAD" && fn.Pkg() != nil && fn.Pkg().Path() == "crypto/cipher" {
 				return "AEAD.Open"
 			}
+			if recv == "Opener" && analysis.PackagePathIs(fn.Pkg(), "aecrypto") {
+				return "Opener.Open"
+			}
+		case "NewOpener", "NewSealer":
+			// An opener or sealer carries its cell key's AES schedule and
+			// MAC state: it is key material for as long as it lives.
+			if recv == "CellKey" && analysis.PackagePathIs(fn.Pkg(), "aecrypto") {
+				return "CellKey." + fn.Name()
+			}
 		case "openSealed":
 			if recv == "session" && analysis.PackagePathIs(fn.Pkg(), "enclave") {
 				return "session.openSealed"

@@ -1,5 +1,6 @@
 // Package aecrypto is a fixture stub of the real cell-crypto package: the
-// analyzer matches CellKey.Decrypt and GenerateKey by package and receiver.
+// analyzer matches CellKey.Decrypt, CellKey.NewOpener, CellKey.NewSealer,
+// Opener.Open and GenerateKey by package and receiver.
 package aecrypto
 
 // CellKey mirrors the derived-key holder.
@@ -21,3 +22,23 @@ func Zeroize(b []byte) {
 		b[i] = 0
 	}
 }
+
+// Opener mirrors the per-crossing opener; it carries the key's schedule.
+type Opener struct{ k *CellKey }
+
+// NewOpener mirrors scheduling a cell key for opening.
+func (k *CellKey) NewOpener() (*Opener, error) { return &Opener{k: k}, nil }
+
+// Open stands in for opening into an arena; its first result is plaintext.
+func (o *Opener) Open(dst, envelope []byte) ([]byte, error) {
+	return envelope, nil
+}
+
+// Zeroize retires the opener.
+func (o *Opener) Zeroize() { o.k = nil }
+
+// Sealer mirrors the per-call sealer; it carries the key's schedule.
+type Sealer struct{ k *CellKey }
+
+// NewSealer mirrors scheduling a cell key for sealing.
+func (k *CellKey) NewSealer() (*Sealer, error) { return &Sealer{k: k}, nil }

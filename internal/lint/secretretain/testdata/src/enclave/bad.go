@@ -1,6 +1,10 @@
 package enclave
 
-import "sync"
+import (
+	"sync"
+
+	"aecrypto"
+)
 
 // cellKey declares the disposal protocol: it is secret-bearing.
 type cellKey struct{ k []byte }
@@ -45,4 +49,10 @@ type literalPool struct {
 
 func newLiteralPool() *literalPool {
 	return &literalPool{pool: sync.Pool{New: func() interface{} { return &entry{cell: &cellKey{}} }}}
+}
+
+// openerCache keeps openers — and the key schedules they carry — past the
+// crossing that made them, with nothing that ever retires them.
+type openerCache struct {
+	byKey map[string]*aecrypto.Opener // want `openerCache\.byKey holds secret-bearing .*Opener values with no Zeroize-on-evict path`
 }

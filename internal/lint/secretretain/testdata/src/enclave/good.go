@@ -3,6 +3,8 @@ package enclave
 import (
 	"crypto/rsa"
 	"sync"
+
+	"aecrypto"
 )
 
 // goodCache ranges its key map and zeroizes entries on close: the evict
@@ -55,4 +57,17 @@ func newBufPool() *bufPool {
 	p := &bufPool{}
 	p.pool.New = func() interface{} { return make([]byte, 64) }
 	return p
+}
+
+// crossingOpeners holds a crossing's openers and retires every one where
+// the crossing ends, as the expression evaluator does.
+type crossingOpeners struct {
+	openers []*aecrypto.Opener
+}
+
+func (c *crossingOpeners) end() {
+	for _, op := range c.openers {
+		op.Zeroize()
+	}
+	c.openers = c.openers[:0]
 }

@@ -534,7 +534,7 @@ func ExpandLabels(sum Labels, args []Labels) Labels {
 }
 
 // exprEffects applies side effects of calls nested in e: copy() into a
-// destination and CBC-decrypter CryptBlocks taint their target buffers.
+// destination and CBC decryption (decryptsInto) taint their target buffers.
 func (c *Checker) exprEffects(st State, e ast.Expr) {
 	WalkNoFuncLit(e, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
@@ -546,7 +546,7 @@ func (c *Checker) exprEffects(st State, e ast.Expr) {
 				c.weakAssign(st, call.Args[0], labels)
 			}
 		}
-		if c.isDecrypterCryptBlocks(call) && len(call.Args) == 2 {
+		if c.decryptsInto(call) && len(call.Args) == 2 {
 			c.weakAssign(st, call.Args[0], SrcPlaintext)
 		}
 	})
@@ -594,7 +594,7 @@ func (c *Checker) closureEffect(st State, lit *ast.FuncLit) {
 						changed = c.weakAssign(st, n.Args[0], labels) || changed
 					}
 				}
-				if c.isDecrypterCryptBlocks(n) && len(n.Args) == 2 {
+				if c.decryptsInto(n) && len(n.Args) == 2 {
 					changed = c.weakAssign(st, n.Args[0], SrcPlaintext) || changed
 				}
 			}
@@ -828,14 +828,15 @@ func RecvTypeName(fn *types.Func) string {
 // primitives whose results are plaintext or key material:
 //
 //   - (*aecrypto.CellKey).Decrypt results           -> SrcPlaintext
+//   - (*aecrypto.Opener).Open results               -> SrcPlaintext
 //   - (cipher.AEAD).Open results                    -> SrcPlaintext
 //   - (*session).openSealed results                 -> SrcPlaintext
 //   - (*ecdh.PrivateKey).ECDH results               -> SrcKeyMaterial
 //   - (*exprsvc.Evaluator).Eval/EvalBool results when called from the
 //     enclave package                               -> SrcPlaintext
 //
-// The CBC-decrypter CryptBlocks destination is handled by the checker's
-// propagation directly.
+// The CBC-decrypter CryptBlocks and cipher.Block Decrypt destinations are
+// handled by the checker's propagation directly.
 func EnclaveSources(pass *analysis.Pass) func(call *ast.CallExpr) Labels {
 	return func(call *ast.CallExpr) Labels {
 		fn := CalleeFunc(pass.TypesInfo, call)
@@ -850,6 +851,9 @@ func EnclaveSources(pass *analysis.Pass) func(call *ast.CallExpr) Labels {
 			}
 		case "Open":
 			if recv == "AEAD" && fn.Pkg() != nil && fn.Pkg().Path() == "crypto/cipher" {
+				return SrcPlaintext
+			}
+			if recv == "Opener" && analysis.PackagePathIs(fn.Pkg(), "aecrypto") {
 				return SrcPlaintext
 			}
 		case "openSealed":
@@ -924,11 +928,12 @@ func SecretSources(pass *analysis.Pass) func(call *ast.CallExpr) Labels {
 
 // CryptoBoundary reports whether call is a recognized seal/open primitive
 // whose results live in a different trust domain than its operands:
-// aecrypto CellKey.Encrypt/Decrypt/Verify, cipher.AEAD Seal/Open, and the
-// enclave session's sealed-channel helpers. Each taint policy's Sources
-// function states what these calls' results carry for that policy (e.g.
-// Decrypt results are SrcPlaintext under the enclave policy and nothing
-// under the secret policy); no generic propagation applies on top.
+// aecrypto CellKey.Encrypt/Decrypt/Verify, Opener.Open and Sealer.Seal,
+// cipher.AEAD Seal/Open, and the enclave session's sealed-channel helpers.
+// Each taint policy's Sources function states what these calls' results
+// carry for that policy (e.g. Decrypt results are SrcPlaintext under the
+// enclave policy and nothing under the secret policy); no generic
+// propagation applies on top.
 func CryptoBoundary(info *types.Info, call *ast.CallExpr) bool {
 	fn := CalleeFunc(info, call)
 	if fn == nil {
@@ -939,6 +944,9 @@ func CryptoBoundary(info *types.Info, call *ast.CallExpr) bool {
 	case "Encrypt", "Decrypt", "Verify":
 		return recv == "CellKey" && analysis.PackagePathIs(fn.Pkg(), "aecrypto")
 	case "Seal", "Open":
+		if (recv == "Opener" || recv == "Sealer") && analysis.PackagePathIs(fn.Pkg(), "aecrypto") {
+			return true
+		}
 		return recv == "AEAD" && fn.Pkg() != nil && fn.Pkg().Path() == "crypto/cipher"
 	case "openSealed", "sealFor":
 		return recv == "session" && analysis.PackagePathIs(fn.Pkg(), "enclave")
@@ -946,9 +954,16 @@ func CryptoBoundary(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-// isDecrypterCryptBlocks matches cipher.NewCBCDecrypter(...).CryptBlocks(dst, src).
-func (c *Checker) isDecrypterCryptBlocks(call *ast.CallExpr) bool {
+// decryptsInto matches the calls that decrypt into their first
+// argument: cipher.NewCBCDecrypter(...).CryptBlocks(dst, src), and
+// Decrypt(dst, src) on a cipher.Block, which CBC opened block by block
+// calls.
+func (c *Checker) decryptsInto(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if ok && sel.Sel.Name == "Decrypt" {
+		fn := CalleeFunc(c.cfg.Pass.TypesInfo, call)
+		return fn != nil && RecvTypeName(fn) == "Block" && fn.Pkg() != nil && fn.Pkg().Path() == "crypto/cipher"
+	}
 	if !ok || sel.Sel.Name != "CryptBlocks" {
 		return false
 	}

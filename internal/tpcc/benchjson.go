@@ -47,15 +47,15 @@ type TxStat struct {
 
 // EnclaveStat is the boundary-traffic section (§4.6, Fig. 5).
 type EnclaveStat struct {
-	Evals         uint64 `json:"evals"`
-	Crossings     uint64 `json:"crossings"`
-	QueueTasks    uint64 `json:"queue_tasks"`
-	QueueParks    uint64 `json:"queue_parks"`
-	QueueSpinHits uint64 `json:"queue_spin_hits"`
-	QueueWaitP50US int64 `json:"queue_wait_p50_us"`
-	QueueWaitP99US int64 `json:"queue_wait_p99_us"`
-	EvalCallP50US  int64 `json:"eval_call_p50_us"`
-	EvalCallP99US  int64 `json:"eval_call_p99_us"`
+	Evals          uint64 `json:"evals"`
+	Crossings      uint64 `json:"crossings"`
+	QueueTasks     uint64 `json:"queue_tasks"`
+	QueueParks     uint64 `json:"queue_parks"`
+	QueueSpinHits  uint64 `json:"queue_spin_hits"`
+	QueueWaitP50US int64  `json:"queue_wait_p50_us"`
+	QueueWaitP99US int64  `json:"queue_wait_p99_us"`
+	EvalCallP50US  int64  `json:"eval_call_p50_us"`
+	EvalCallP99US  int64  `json:"eval_call_p99_us"`
 }
 
 // PoolStat is the buffer pool section.
