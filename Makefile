@@ -44,16 +44,17 @@ race:
 
 # Ten seconds of coverage-guided fuzzing per byte-level decoder on the read,
 # redo and wire paths, of random batches into the B-tree against a
-# sorted-slice shadow, and of arbitrary envelopes into a reused cell opener
-# against a standard-library oracle, as package:target pairs (go test accepts one package
-# and one -fuzz target per run). A crasher is written to the package's
+# sorted-slice shadow, of arbitrary envelopes into a reused cell opener
+# against a standard-library oracle, and of random keys and seek bounds into
+# the ghost pass's pruning against a byte-ordered tree, as package:target
+# pairs (go test accepts one package and one -fuzz target per run). A crasher is written to the package's
 # testdata/fuzz and fails the build.
 FUZZ_TARGETS = internal/storage:FuzzDecodeHeapRows internal/storage:FuzzDecodeIndexEntries \
 	internal/storage:FuzzLoadWAL internal/engine:FuzzDecodeRow internal/tds:FuzzDecodeCellRows \
 	internal/tds:FuzzDecodeRequest internal/tds:FuzzDecodeResponse \
 	internal/repl:FuzzDecodeReplMessage internal/exprsvc:FuzzDeserializeProgram \
 	internal/aesql:FuzzParseDSN internal/engine:FuzzParse internal/btree:FuzzInsertBatch \
-	internal/aecrypto:FuzzOpen
+	internal/aecrypto:FuzzOpen internal/engine:FuzzGhostBounds
 
 fuzz-smoke:
 	for t in $(FUZZ_TARGETS); do \

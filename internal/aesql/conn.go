@@ -54,7 +54,7 @@ func (c *conn) minLSN() uint64 {
 // SELECTs. Everything else — DML, DDL, transaction control — needs the
 // primary.
 func readOnly(query string) bool {
-	return strings.HasPrefix(strings.ToUpper(strings.TrimSpace(query)), "SELECT")
+	return aedriver.StartsWithFold(query, "SELECT")
 }
 
 // exec is the single statement path: route, check out, run, fold the

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -313,8 +314,17 @@ func retryable(err error) bool {
 // duplicate effects even if the dead primary already applied it: reads, and
 // BEGIN (the old server's transaction died with its session).
 func retrySafe(query string) bool {
-	q := strings.ToUpper(strings.TrimSpace(query))
-	return strings.HasPrefix(q, "SELECT") || strings.HasPrefix(q, "BEGIN")
+	return StartsWithFold(query, "SELECT") || StartsWithFold(query, "BEGIN")
+}
+
+// StartsWithFold reports whether query, leading white space skipped, starts
+// with prefix, compared ASCII case-insensitively — how a statement's leading
+// keyword is classified without upper-casing (and copying) the whole text.
+// prefix is ASCII. A non-ASCII letter never matches an ASCII one, just as
+// the server's lexer reads keywords.
+func StartsWithFold(query, prefix string) bool {
+	q := strings.TrimSpace(query)
+	return len(q) >= len(prefix) && strings.EqualFold(q[:len(prefix)], prefix)
 }
 
 // Close closes the connection.
@@ -419,9 +429,8 @@ func (c *Conn) afterExec(query string) {
 // isSchemaChange reports statements that can invalidate cached describe
 // output: DDL, including ALTER ... ENCRYPTED rewrites.
 func isSchemaChange(query string) bool {
-	q := strings.ToUpper(strings.TrimSpace(query))
-	return strings.HasPrefix(q, "CREATE ") || strings.HasPrefix(q, "DROP ") ||
-		strings.HasPrefix(q, "ALTER ")
+	return StartsWithFold(query, "CREATE ") || StartsWithFold(query, "DROP ") ||
+		StartsWithFold(query, "ALTER ")
 }
 
 // execOnce runs the statement once. applied reports whether a statement with
@@ -607,8 +616,16 @@ func (c *Conn) prepareEnclave(query string, desc *tds.DescribeResp) error {
 }
 
 func isAlterEncryption(query string) bool {
-	q := strings.ToUpper(strings.TrimSpace(query))
-	return strings.HasPrefix(q, "ALTER TABLE") && strings.Contains(q, "ALTER COLUMN")
+	if !StartsWithFold(query, "ALTER TABLE") {
+		return false
+	}
+	const clause = "ALTER COLUMN"
+	for i := 0; i+len(clause) <= len(query); i++ {
+		if strings.EqualFold(query[i:i+len(clause)], clause) {
+			return true
+		}
+	}
+	return false
 }
 
 // resolveCEK returns the plaintext CEK root and derived cell key, via the
@@ -730,13 +747,23 @@ func (c *Conn) verifyCMK(cmk *keys.CMKMetadata) error {
 }
 
 // encryptParams encodes and (where required) encrypts argument values per
-// the describe output.
+// the describe output. One sealer per column encryption key serves the
+// statement's parameters — one key schedule per key, not per cell — and
+// every sealer is zeroized, and every encoded plaintext wiped, before return.
 func (c *Conn) encryptParams(desc *engine.DescribeResult, args map[string]sqltypes.Value) (map[string][]byte, error) {
 	wire := make(map[string][]byte, len(args))
 	described := make(map[string]engine.ParamInfo, len(desc.Params))
 	for _, pi := range desc.Params {
 		described[pi.Name] = pi
 	}
+	// sealers[i] seals under the key named ceks[i]; a statement names few.
+	var ceks []string
+	var sealers []*aecrypto.Sealer
+	defer func() {
+		for _, s := range sealers {
+			s.Zeroize()
+		}
+	}()
 	for name, v := range args {
 		pi, ok := described[name]
 		if !ok {
@@ -757,15 +784,25 @@ func (c *Conn) encryptParams(desc *engine.DescribeResult, args map[string]sqltyp
 			wire[name] = nil
 			continue
 		}
-		_, cell, err := c.resolveCEK(pi.Enc.CEKName, desc, false)
-		if err != nil {
-			return nil, err
+		i := slices.Index(ceks, pi.Enc.CEKName)
+		if i < 0 {
+			_, cell, err := c.resolveCEK(pi.Enc.CEKName, desc, false)
+			if err != nil {
+				return nil, err
+			}
+			sealer, err := cell.NewSealer()
+			if err != nil {
+				return nil, err
+			}
+			i, ceks, sealers = len(sealers), append(ceks, pi.Enc.CEKName), append(sealers, sealer)
 		}
 		typ := aecrypto.Randomized
 		if pi.Enc.Scheme == sqltypes.SchemeDeterministic {
 			typ = aecrypto.Deterministic
 		}
-		ct, err := cell.Encrypt(v.Encode(), typ)
+		pt := v.Encode()
+		ct, err := sealers[i].Seal(pt, typ)
+		aecrypto.Zeroize(pt)
 		if err != nil {
 			return nil, err
 		}

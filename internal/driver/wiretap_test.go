@@ -67,6 +67,72 @@ func TestWireCarriesOnlyCiphertext(t *testing.T) {
 	}
 }
 
+// TestWireSharedSealerParams: one statement seals several parameters under
+// one column encryption key — one sealer serves them all — and every one
+// still leaves as ciphertext: no plaintext on the wire, two equal RND values
+// under fresh IVs, and a DET value matching the one sealed by a separate
+// statement.
+func TestWireSharedSealerParams(t *testing.T) {
+	env := newServerEnv(t)
+	env.provision("CMK1", "CEK1", true)
+
+	var mu sync.Mutex
+	var execs []map[string][]byte
+	env.server.Tap = func(dir string, msg any) {
+		if m, ok := msg.(*tds.Request); ok && m.Exec != nil {
+			mu.Lock()
+			defer mu.Unlock()
+			params := make(map[string][]byte, len(m.Exec.Params))
+			for k, v := range m.Exec.Params {
+				params[k] = append([]byte(nil), v...)
+			}
+			execs = append(execs, params)
+		}
+	}
+
+	admin := env.dial(Config{})
+	const rnd = "ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = CEK1, ENCRYPTION_TYPE = Randomized, ALGORITHM = 'AEAD_AES_256_CBC_HMAC_SHA_256')"
+	const det = "ENCRYPTED WITH (COLUMN_ENCRYPTION_KEY = CEK1, ENCRYPTION_TYPE = Deterministic, ALGORITHM = 'AEAD_AES_256_CBC_HMAC_SHA_256')"
+	mustExec(t, admin, "CREATE TABLE s (id int PRIMARY KEY, a varchar(40) "+rnd+", b varchar(40) "+rnd+", d varchar(40) "+det+")", nil)
+	c := env.dial(Config{AlwaysEncrypted: true})
+
+	const secret = "SHARED-SEALER-PLAINTEXT"
+	mustExec(t, c, "INSERT INTO s (id, a, b, d) VALUES (@i, @a, @b, @d)", map[string]sqltypes.Value{
+		"i": sqltypes.Int(1), "a": sqltypes.Str(secret), "b": sqltypes.Str(secret), "d": sqltypes.Str(secret)})
+	rows := mustExec(t, c, "SELECT a, b FROM s WHERE d = @d", map[string]sqltypes.Value{"d": sqltypes.Str(secret)})
+	if len(rows.Values) != 1 || rows.Values[0][0].S != secret || rows.Values[0][1].S != secret {
+		t.Fatalf("application view broken: %v", rows.Values)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	var insert, sel map[string][]byte
+	for _, p := range execs {
+		switch len(p) {
+		case 4:
+			insert = p
+		case 1:
+			sel = p
+		}
+	}
+	if insert == nil || sel == nil {
+		t.Fatalf("tap missed the statements: %d execs", len(execs))
+	}
+	for _, p := range execs {
+		for name, v := range p {
+			if bytes.Contains(v, []byte(secret)) {
+				t.Fatalf("plaintext of @%s visible on the wire", name)
+			}
+		}
+	}
+	if bytes.Equal(insert["a"], insert["b"]) {
+		t.Fatal("two RND parameters sealed with one sealer share an envelope: IV reused")
+	}
+	if !bytes.Equal(insert["d"], sel["d"]) {
+		t.Fatal("DET parameter sealed differently by two statements")
+	}
+}
+
 // benchEnv builds a loaded single-table world for driver benchmarks.
 func benchEnv(b *testing.B, encrypted bool) (*serverEnv, *Conn) {
 	b.Helper()

@@ -81,6 +81,9 @@ type rowBatcher struct {
 	// still being referenced by probes in flight; it blocks arena reset
 	// across intermediate flushes.
 	pinned bool
+	// outer and inner are the statement's read sides (inner for a join),
+	// kept here so their buffers are allocated once per statement.
+	outer, inner readSide
 	// stopped records that the consumer asked to stop (LIMIT reached).
 	// Pending rows after the stop point are discarded unevaluated, exactly
 	// as row-at-a-time execution would never have reached them.

@@ -386,6 +386,35 @@ func decodeRow(rec []byte) ([][]byte, error) {
 	return cells, nil
 }
 
+// rowCell returns cell pos of a row record without decoding the others:
+// nil (NULL) for a cell past the row's end, as indexKeyFor reads it.
+// ok=false means the record is malformed; decodeRow says how.
+func rowCell(rec []byte, pos int) (cell []byte, ok bool) {
+	if len(rec) < 2 {
+		return nil, false
+	}
+	n := int(binary.LittleEndian.Uint16(rec))
+	r := 2
+	for i := 0; i < n; i++ {
+		if r+4 > len(rec) {
+			return nil, false
+		}
+		l := int(binary.LittleEndian.Uint32(rec[r:]))
+		r += 4
+		if r+l > len(rec) {
+			return nil, false
+		}
+		if i == pos {
+			if l == 0 {
+				return nil, true
+			}
+			return rec[r : r+l], true
+		}
+		r += l
+	}
+	return nil, true
+}
+
 // indexKeyFor extracts an index's composite key from a row's cells.
 func (idx *Index) indexKeyFor(cells [][]byte) [][]byte {
 	key := make([][]byte, len(idx.ColPos))

@@ -587,6 +587,19 @@ func (e *Engine) deleteRow(t *Txn, tbl *Table, rid storage.RowID, cells [][]byte
 	return nil
 }
 
+// hostOrdered reports, per component of idx, whether the index orders it by
+// its bytes on the host (btree.BinaryOrder, as buildIndexTree chooses):
+// plaintext columns, whose canonical encodings preserve order, and DET
+// columns, whose ciphertext preserves equality. Only an enclave-enabled RND
+// column is ordered inside the enclave.
+func hostOrdered(tbl *Table, idx *Index) []bool {
+	host := make([]bool, len(idx.ColPos))
+	for i, pos := range idx.ColPos {
+		host[i] = tbl.Cols[pos].Enc.Scheme != sqltypes.SchemeRandomized
+	}
+	return host
+}
+
 // buildIndexTree constructs the comparator for an index over the given
 // columns and returns an empty tree. DET components order by ciphertext
 // (equality only); enclave-enabled RND components order by plaintext via the

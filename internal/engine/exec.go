@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"alwaysencrypted/internal/aecrypto"
 	"alwaysencrypted/internal/btree"
@@ -327,13 +329,15 @@ func (e *Engine) iterateOuter(act *trace.Active, plan *Plan, params Params, snap
 		}
 	}
 
-	var entries []btree.Entry
-	if plan.access.index != nil {
-		if entries, err = e.indexEntries(act, plan, params); err != nil {
+	side := &b.outer
+	if a := &plan.access; a.index != nil {
+		if err := side.seekIndex(act, a, params); err != nil {
 			return err
 		}
+	} else {
+		side.scanHeap()
 	}
-	if err := e.visibleRows(plan.table, entries, plan.access.index != nil, snap, b, probe); err != nil {
+	if err := e.visibleRows(plan.table, side, snap, b, probe); err != nil {
 		return err
 	}
 	if b.stopped {
@@ -347,10 +351,11 @@ func (e *Engine) iterateOuter(act *trace.Active, plan *Plan, params Params, snap
 // batch would hold only the handful of pairs one outer row produces and
 // amortize nothing.
 //
-// Inner ghosts are not pre-filtered by join key bytes — for enclave-ordered
-// encrypted columns byte equality is not value equality — so every unseen
-// ghost goes through the filter program, which carries the join equality
-// conjunct and evaluates it correctly for every scheme.
+// Inner ghosts are bounded by the join key only where the inner index orders
+// it by its bytes on the host (hostOrdered); for an enclave-ordered column
+// byte equality is not value equality, so those ghosts all go through the
+// filter program, which carries the join equality conjunct and evaluates it
+// correctly for every scheme.
 func (e *Engine) probeJoin(act *trace.Active, j *joinPlan, b *rowBatcher, outer [][]byte, snap *storage.Snapshot,
 	addInner func(storage.RowID, [][]byte) error) error {
 	// The outer row's cells (arena-backed on the heap-scan path) are shared
@@ -363,27 +368,219 @@ func (e *Engine) probeJoin(act *trace.Active, j *joinPlan, b *rowBatcher, outer 
 	}()
 
 	// Without an inner index the join equality is left to the filter program.
-	var entries []btree.Entry
-	if j.innerIndex != nil {
+	side := &b.inner
+	if j.innerIndex == nil {
+		side.scanHeap()
+	} else {
 		if j.outerCol >= len(outer) || len(outer[j.outerCol]) == 0 {
 			return nil // NULL joins nothing
 		}
-		var err error
+		side.startSeek(j.innerIndex, j.innerHost)
+		side.bounds.eq = append(side.bounds.eq, outer[j.outerCol])
 		sp := j.innerIndex.crossingSpan(act, 1)
-		entries, err = j.innerIndex.Tree.SeekExact([][]byte{outer[j.outerCol]}, 0)
+		var err error
+		side.entries, err = side.bounds.seek(j.innerIndex.Tree)
 		sp.End()
 		if err != nil {
 			return err
 		}
 	}
-	return e.visibleRows(j.table, entries, j.innerIndex != nil, snap, b, addInner)
+	return e.visibleRows(j.table, side, snap, b, addInner)
+}
+
+// readSide is one side of a read — the outer table, or a join's inner table
+// — as visibleRows consumes it: the access path's result, and the buffers
+// its ghost pass reuses across the probes of one statement.
+type readSide struct {
+	indexed bool
+	// none marks an index seek that matches nothing (a NULL parameter).
+	none    bool
+	entries []btree.Entry // the index seek's result
+	bounds  seekBounds    // the index seek's bounds
+	// seen holds the row ids the access path resolved: every visited heap
+	// row on the scan path; the index path fills it from entries only when
+	// a ghost survives its bounds.
+	seen   rowSet
+	ghosts []storage.GhostRow
+}
+
+// scanHeap sets the side up for a full heap scan.
+func (s *readSide) scanHeap() {
+	s.indexed, s.none, s.entries = false, false, nil
+	s.seen.reset()
+}
+
+// startSeek sets the side up for a seek of idx, with empty bounds.
+func (s *readSide) startSeek(idx *Index, host []bool) {
+	s.indexed, s.none, s.entries = true, false, nil
+	s.seen.reset()
+	s.bounds = seekBounds{colPos: idx.ColPos, host: host, eq: s.bounds.eq[:0]}
+}
+
+// seekIndex resolves the access path's bounds under params and seeks them.
+func (s *readSide) seekIndex(act *trace.Active, a *accessPath, params Params) error {
+	s.startSeek(a.index, a.host)
+	sb := &s.bounds
+	for _, v := range a.eqVals {
+		c, err := resolveValue(v, params)
+		if err != nil {
+			return err
+		}
+		if len(c) == 0 {
+			s.none = true // comparison with NULL matches nothing
+			return nil
+		}
+		sb.eq = append(sb.eq, c)
+	}
+	if a.rangeOn >= 0 {
+		sb.ranged = true
+		var err error
+		if a.rangeLo != nil {
+			if sb.lo, err = resolveValue(a.rangeLo, params); err != nil {
+				return err
+			}
+			s.none, sb.loInc = len(sb.lo) == 0, a.rangeOp != PredGT
+		}
+		if a.rangeHi != nil && !s.none {
+			if sb.hi, err = resolveValue(a.rangeHi, params); err != nil {
+				return err
+			}
+			s.none, sb.hiInc = len(sb.hi) == 0, a.rangeOp != PredLT
+		}
+		if s.none {
+			return nil
+		}
+	}
+	sp := a.index.crossingSpan(act, 1)
+	defer sp.End()
+	var err error
+	s.entries, err = sb.seek(a.index.Tree)
+	return err
+}
+
+// wantGhost reports whether the ghost pass should emit a row whose visible
+// image is the pre-image img: on an indexed side, one the seek's bounds
+// admit; and one the access path did not already resolve. It runs under the
+// version store's read latch and only reads the side's own buffers.
+func (s *readSide) wantGhost(rid storage.RowID, img []byte) bool {
+	if !s.indexed {
+		return !s.seen.has(rid)
+	}
+	if !s.bounds.admits(img) {
+		return false
+	}
+	if len(s.seen.ids) == 0 {
+		for _, ent := range s.entries {
+			s.seen.add(ent.Row)
+		}
+	}
+	return !s.seen.has(rid)
+}
+
+// seekBounds is an index seek's resolved key bounds: equality on the leading
+// len(eq) components and, when ranged, a range on the next one (a nil lo or
+// hi leaves that side open). The tree walk and the ghost pass read the same
+// bounds.
+type seekBounds struct {
+	colPos       []int  // row position of each index component
+	host         []bool // per component: hostOrdered
+	eq           [][]byte
+	ranged       bool
+	lo, hi       []byte
+	loInc, hiInc bool
+}
+
+// seek returns tree's entries within the bounds, in key order.
+func (sb *seekBounds) seek(tree *btree.Tree) ([]btree.Entry, error) {
+	if !sb.ranged {
+		// Equality on every bound component: a point scan, which the tree
+		// answers with one search per node.
+		return tree.SeekExact(sb.eq, 0)
+	}
+	n := len(sb.eq)
+	lo, hi := sb.eq, sb.eq
+	loInc, hiInc := true, true
+	if sb.lo != nil {
+		lo, loInc = append(sb.eq[:n:n], sb.lo), sb.loInc
+	}
+	if sb.hi != nil {
+		hi, hiInc = append(sb.eq[:n:n], sb.hi), sb.hiInc
+	}
+	if len(lo) == 0 {
+		lo = nil
+	}
+	if len(hi) == 0 {
+		hi = nil
+	}
+	return tree.ScanRange(lo, hi, loInc, hiInc, 0)
+}
+
+// admits reports whether seek would return a row encoded as rec if the
+// row's key were in the tree, judged on the host-ordered components alone;
+// every other component admits. On those components the tree compares
+// bytes (btree.BinaryOrder), so bytes.Compare here orders exactly as the
+// seek did — a NULL cell is empty and sorts first, below every bound, and
+// equals no (non-NULL) probe. A malformed record admits, and its decode
+// reports it.
+func (sb *seekBounds) admits(rec []byte) bool {
+	for c, want := range sb.eq {
+		if !sb.host[c] {
+			continue
+		}
+		if cell, ok := rowCell(rec, sb.colPos[c]); ok && !bytes.Equal(cell, want) {
+			return false
+		}
+	}
+	if !sb.ranged || !sb.host[len(sb.eq)] {
+		return true
+	}
+	cell, ok := rowCell(rec, sb.colPos[len(sb.eq)])
+	if !ok {
+		return true
+	}
+	if sb.lo != nil {
+		if c := bytes.Compare(cell, sb.lo); c < 0 || c == 0 && !sb.loInc {
+			return false
+		}
+	}
+	if sb.hi != nil {
+		if c := bytes.Compare(cell, sb.hi); c > 0 || c == 0 && !sb.hiInc {
+			return false
+		}
+	}
+	return true
+}
+
+// rowSet is a reusable set of row ids: added in any order, sorted on the
+// first membership test after an out-of-order add.
+type rowSet struct {
+	ids      []storage.RowID
+	unsorted bool
+}
+
+func (s *rowSet) reset() { s.ids, s.unsorted = s.ids[:0], false }
+
+func (s *rowSet) add(rid storage.RowID) {
+	if n := len(s.ids); n > 0 && s.ids[n-1] > rid {
+		s.unsorted = true
+	}
+	s.ids = append(s.ids, rid)
+}
+
+func (s *rowSet) has(rid storage.RowID) bool {
+	if s.unsorted {
+		slices.Sort(s.ids)
+		s.unsorted = false
+	}
+	_, ok := slices.BinarySearch(s.ids, rid)
+	return ok
 }
 
 // visibleRows is the engine's one row source: it passes emit every row of tbl
-// that snap can see, with its cells. With indexed set the candidates are the
-// heap rows entries point at (an index seek's result, possibly empty);
-// otherwise the whole heap is scanned. SELECT's outer and join-inner sides
-// read through it, and so does UPDATE/DELETE target discovery.
+// that snap can see, with its cells. On an indexed side the candidates are
+// the heap rows the seek's entries point at (possibly none); otherwise the
+// whole heap is scanned. SELECT's outer and join-inner sides read through
+// it, and so does UPDATE/DELETE target discovery.
 //
 // What callers may rely on:
 //
@@ -396,7 +593,15 @@ func (e *Engine) probeJoin(act *trace.Active, j *joinPlan, b *rowBatcher, outer 
 //     moved by post-snapshot commits) are recovered from the snapshot after
 //     the live rows and emitted like them, so they run through the same
 //     residual filter program — it carries every predicate, and a ghost that
-//     no longer matches is rejected exactly like a live non-match.
+//     no longer matches is rejected exactly like a live non-match. Only the
+//     table's own chains are visited. On an indexed side a ghost whose
+//     pre-image key falls outside the seek's bounds on a host-ordered
+//     component is dropped before it is decoded: the seek would not have
+//     returned that key for a live row either (seekBounds.admits), and the
+//     filter would reject it. Enclave-ordered components are never compared
+//     here — their ghosts reach the filter as before. Version chains can
+//     appear mid-scan, so the scan path records every row it visits and the
+//     ghost pass skips those.
 //   - Cell lifetime. Scan cells alias page memory and are copied into b's
 //     arena: they stay valid until the batch holding them drains (or, for a
 //     join's outer row, until its probe unpins the arena) — one bump
@@ -405,16 +610,11 @@ func (e *Engine) probeJoin(act *trace.Active, j *joinPlan, b *rowBatcher, outer 
 //     version-store images are stable memory and are passed through.
 //
 // Iteration ends early, without error, once b's consumer has stopped.
-func (e *Engine) visibleRows(tbl *Table, entries []btree.Entry, indexed bool, snap *storage.Snapshot,
+func (e *Engine) visibleRows(tbl *Table, side *readSide, snap *storage.Snapshot,
 	b *rowBatcher, emit func(storage.RowID, [][]byte) error) error {
-	// seen tracks which row ids the access path already resolved, so the
-	// ghost pass emits only rows the path missed. Version chains can appear
-	// mid-scan, so there is no safe "table untouched" fast path.
-	seen := make(map[storage.RowID]bool)
 	// visit resolves one candidate: rec is the raw heap record, or nil when
 	// the heap no longer surfaces the row.
 	visit := func(rid storage.RowID, rec []byte, aliased bool) error {
-		seen[rid] = true
 		img, overridden := snap.RowImage(tbl.Name, rid)
 		if !overridden {
 			img = rec
@@ -432,9 +632,12 @@ func (e *Engine) visibleRows(tbl *Table, entries []btree.Entry, indexed bool, sn
 		return emit(rid, cells)
 	}
 
-	if indexed {
+	if side.indexed {
 		e.seeks.Add(1)
-		for _, ent := range entries {
+		if side.none {
+			return nil
+		}
+		for _, ent := range side.entries {
 			// The index may briefly point at rows deleted by concurrent
 			// transactions; the snapshot chain decides whether a pre-image
 			// is still visible.
@@ -452,6 +655,7 @@ func (e *Engine) visibleRows(tbl *Table, entries []btree.Entry, indexed bool, sn
 	} else {
 		e.scans.Add(1)
 		err := tbl.Heap.Scan(func(rid storage.RowID, rec []byte) (bool, error) {
+			side.seen.add(rid)
 			if err := visit(rid, rec, true); err != nil {
 				return false, err
 			}
@@ -462,7 +666,10 @@ func (e *Engine) visibleRows(tbl *Table, entries []btree.Entry, indexed bool, sn
 		}
 	}
 
-	for _, g := range snap.Ghosts(tbl.Name, func(r storage.RowID) bool { return seen[r] }) {
+	side.ghosts = snap.Ghosts(tbl.Name, side.ghosts[:0], side.wantGhost)
+	// The images stay referenced by the buffer only for this pass.
+	defer clear(side.ghosts)
+	for _, g := range side.ghosts {
 		cells, err := decodeRow(g.Data)
 		if err != nil {
 			return err
@@ -475,68 +682,6 @@ func (e *Engine) visibleRows(tbl *Table, entries []btree.Entry, indexed bool, sn
 		}
 	}
 	return nil
-}
-
-// indexEntries executes the plan's index access path.
-func (e *Engine) indexEntries(act *trace.Active, plan *Plan, params Params) ([]btree.Entry, error) {
-	a := &plan.access
-	prefix := make([][]byte, 0, len(a.eqVals)+1)
-	for _, v := range a.eqVals {
-		b, err := resolveValue(v, params)
-		if err != nil {
-			return nil, err
-		}
-		if len(b) == 0 {
-			return nil, nil // comparison with NULL matches nothing
-		}
-		prefix = append(prefix, b)
-	}
-
-	if a.rangeOn < 0 {
-		// Equality on every bound component: a point scan, which the tree
-		// answers with one search per node.
-		sp := a.index.crossingSpan(act, 1)
-		defer sp.End()
-		return a.index.Tree.SeekExact(prefix, 0)
-	}
-
-	lo, hi := prefix, prefix
-	loInc, hiInc := true, true
-	var loB, hiB []byte
-	var err error
-	if a.rangeLo != nil {
-		if loB, err = resolveValue(a.rangeLo, params); err != nil {
-			return nil, err
-		}
-		if len(loB) == 0 {
-			return nil, nil
-		}
-	}
-	if a.rangeHi != nil {
-		if hiB, err = resolveValue(a.rangeHi, params); err != nil {
-			return nil, err
-		}
-		if len(hiB) == 0 {
-			return nil, nil
-		}
-	}
-	if loB != nil {
-		lo = append(append([][]byte{}, prefix...), loB)
-		loInc = a.rangeOp != PredGT
-	}
-	if hiB != nil {
-		hi = append(append([][]byte{}, prefix...), hiB)
-		hiInc = a.rangeOp != PredLT
-	}
-	if len(lo) == 0 {
-		lo = nil
-	}
-	if len(hi) == 0 {
-		hi = nil
-	}
-	sp := a.index.crossingSpan(act, 1)
-	defer sp.End()
-	return a.index.Tree.ScanRange(lo, hi, loInc, hiInc, 0)
 }
 
 // executeSelect runs a SELECT and materializes the result set.

@@ -67,6 +67,7 @@ type Plan struct {
 // accessPath is the chosen access method for the outer table.
 type accessPath struct {
 	index   *Index
+	host    []bool      // per index component: hostOrdered
 	eqVals  []ValueExpr // one per leading index component
 	rangeOn int         // component index of the range bound, -1 if none
 	rangeOp PredOp
@@ -80,6 +81,7 @@ type joinPlan struct {
 	outerCol   int // slot of the outer join column
 	innerCol   int // column position within the inner table
 	innerIndex *Index
+	innerHost  []bool // per innerIndex component: hostOrdered
 }
 
 // projItem is a resolved projection item.
@@ -426,7 +428,7 @@ func (b *binder) bindSelect(st SelectStmt) error {
 		// Prefer an index on the inner join column for the probe.
 		for _, idx := range p.join.table.Indexes {
 			if idx.ColPos[0] == p.join.innerCol && !idx.Tree.Invalidated() {
-				p.join.innerIndex = idx
+				p.join.innerIndex, p.join.innerHost = idx, hostOrdered(inner, idx)
 				break
 			}
 		}
@@ -705,7 +707,7 @@ func (b *binder) chooseAccess(preds []Predicate) {
 		if score > best && (len(eqVals) > 0 || rangeOn >= 0) {
 			best = score
 			p.access = accessPath{
-				index: idx, eqVals: eqVals,
+				index: idx, host: hostOrdered(p.table, idx), eqVals: eqVals,
 				rangeOn: rangeOn, rangeOp: rangeOp, rangeLo: rangeLo, rangeHi: rangeHi,
 			}
 		}

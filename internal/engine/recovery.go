@@ -138,9 +138,10 @@ func (e *Engine) undoTxnForRecovery(t *Txn, rep *RecoveryReport) bool {
 		// Under constant-time recovery the database comes up with all locks
 		// released: heap undo is physical and already succeeded (tryUndo is
 		// best-effort); only the logical index undos remain for the version
-		// cleaner to retry.
+		// cleaner to retry. Stamping the transaction's versions committed
+		// hands them to watermark eviction: the pre-images they carry are
+		// what the physical undo put back in the heap.
 		e.versions.Commit(t.id)
-		e.versions.Drop(t.id)
 		e.locks.ReleaseAll(t.id)
 	}
 	e.txnMu.Lock()

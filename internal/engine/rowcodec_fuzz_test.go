@@ -10,7 +10,8 @@ import (
 // come back as an error or as cells inside the input, never a panic or an
 // allocation the input's size does not justify; whatever decodes re-encodes
 // to a record that decodes to the same cells; and encodeRow/decodeRow round
-// trip arbitrary cells (an empty cell is SQL NULL and decodes as nil).
+// trip arbitrary cells (an empty cell is SQL NULL and decodes as nil); and
+// rowCell reads each cell of a well-formed record as decodeRow does.
 func FuzzDecodeRow(f *testing.F) {
 	f.Add(encodeRow(nil), []byte(nil), []byte(nil))
 	f.Add(encodeRow([][]byte{[]byte("k"), nil, bytes.Repeat([]byte{0xAE}, 65)}), []byte("a"), []byte{})
@@ -37,6 +38,17 @@ func FuzzDecodeRow(f *testing.F) {
 				t.Fatalf("re-encoded record does not decode: %v", err)
 			}
 			sameCells(again, cells)
+			// rowCell, the ghost pass's one-cell reader, agrees with the
+			// full decode on every cell and reads NULL past the last.
+			for i := 0; i <= len(cells); i++ {
+				var want []byte
+				if i < len(cells) {
+					want = cells[i]
+				}
+				if got, ok := rowCell(rec, i); !ok || !bytes.Equal(got, want) || (want == nil && got != nil) {
+					t.Fatalf("rowCell(%d) = %x, %v; decodeRow has %x", i, got, ok, want)
+				}
+			}
 		}
 		cells := [][]byte{a, b, a}
 		got, err := decodeRow(encodeRow(cells))

@@ -22,10 +22,16 @@ import (
 // exactly as the heap holds them: for encrypted columns that is ciphertext,
 // so snapshot reads widen nothing in the §3 trust boundary.
 type VersionStore struct {
-	mu       sync.RWMutex
-	versions map[verKey][]Version
-	// byTxn indexes each transaction's touched keys so commit stamping and
-	// Drop are O(keys touched), not O(store).
+	mu sync.RWMutex
+	// tables holds the version chains grouped by table, each keyed by row:
+	// a ghost pass visits only the chains of the table it reads. A table's
+	// map outlives its last chain, so the writes of a table nobody reads
+	// beside them allocate no map per commit.
+	tables map[string]map[RowID][]Version
+	// byTxn indexes each in-flight transaction's touched keys (a key once
+	// per Record) so commit stamping and Drop are O(keys touched), not
+	// O(store). Its keys are exactly the transactions with uncommitted
+	// versions.
 	byTxn map[uint64][]verKey
 	// clock is the commit timestamp source; a snapshot sees exactly the
 	// commits stamped at or below its acquisition reading.
@@ -66,9 +72,23 @@ type Version struct {
 // NewVersionStore returns an empty store.
 func NewVersionStore() *VersionStore {
 	return &VersionStore{
-		versions: make(map[verKey][]Version),
-		byTxn:    make(map[uint64][]verKey),
-		snaps:    make(map[uint64]uint64),
+		tables: make(map[string]map[RowID][]Version),
+		byTxn:  make(map[uint64][]verKey),
+		snaps:  make(map[uint64]uint64),
+	}
+}
+
+// setChainLocked installs chain as key's version chain; an empty chain
+// removes the key.
+func (vs *VersionStore) setChainLocked(key verKey, chain []Version) {
+	rows := vs.tables[key.Table]
+	switch {
+	case len(chain) > 0 && rows == nil:
+		vs.tables[key.Table] = map[RowID][]Version{key.Row: chain}
+	case len(chain) > 0:
+		rows[key.Row] = chain
+	default:
+		delete(rows, key.Row)
 	}
 }
 
@@ -99,7 +119,7 @@ func (vs *VersionStore) Record(txn uint64, table string, row RowID, before []byt
 	}
 	key := verKey{Table: table, Row: row}
 	vs.mu.Lock()
-	vs.versions[key] = append(vs.versions[key], Version{Txn: txn, Data: img})
+	vs.setChainLocked(key, append(vs.tables[key.Table][key.Row], Version{Txn: txn, Data: img}))
 	vs.byTxn[txn] = append(vs.byTxn[txn], key)
 	vs.mu.Unlock()
 	vs.tableCounter(table).Add(1)
@@ -120,7 +140,7 @@ func (vs *VersionStore) Commit(txn uint64) uint64 {
 	keys := vs.byTxn[txn]
 	delete(vs.byTxn, txn)
 	for _, key := range keys {
-		chain := vs.versions[key]
+		chain := vs.tables[key.Table][key.Row]
 		for i := range chain {
 			if chain[i].Txn == txn && chain[i].CommitTS == 0 {
 				chain[i].CommitTS = ts
@@ -155,7 +175,7 @@ func (vs *VersionStore) watermarkLocked() uint64 {
 // evictChainLocked drops the committed prefix of a chain that is at or below
 // the watermark — versions every snapshot already sees past.
 func (vs *VersionStore) evictChainLocked(key verKey, wm uint64) {
-	chain := vs.versions[key]
+	chain := vs.tables[key.Table][key.Row]
 	i := 0
 	for i < len(chain) && chain[i].CommitTS != 0 && chain[i].CommitTS <= wm {
 		vs.retained.Add(-(int64(len(chain[i].Data)) + versionOverhead))
@@ -165,11 +185,7 @@ func (vs *VersionStore) evictChainLocked(key verKey, wm uint64) {
 		return
 	}
 	vs.tableCounter(key.Table).Add(int64(-i))
-	if i == len(chain) {
-		delete(vs.versions, key)
-		return
-	}
-	vs.versions[key] = append([]Version(nil), chain[i:]...)
+	vs.setChainLocked(key, append([]Version(nil), chain[i:]...))
 }
 
 // drainEvictqLocked retries queued evictions now visible below the watermark.
@@ -240,7 +256,12 @@ func (s *Snapshot) RowImage(table string, row RowID) (img []byte, overridden boo
 	}
 	vs.mu.RLock()
 	defer vs.mu.RUnlock()
-	chain := vs.versions[verKey{Table: table, Row: row}]
+	return s.imageIn(vs.tables[table][row])
+}
+
+// imageIn resolves the snapshot-visible image from one row's chain, with
+// RowImage's results.
+func (s *Snapshot) imageIn(chain []Version) (img []byte, overridden bool) {
 	for i := range chain {
 		v := &chain[i]
 		if v.Txn == s.self {
@@ -263,33 +284,23 @@ type GhostRow struct {
 	Data []byte
 }
 
-// Ghosts enumerates the table's snapshot-visible rows whose RowID the
-// caller's scan did not emit (seen reports those it did). Scans and index
-// probes call it after the pass over live rows so deleted-but-visible rows
-// still reach the filter.
-func (s *Snapshot) Ghosts(table string, seen func(RowID) bool) []GhostRow {
+// Ghosts appends to out each row of table whose snapshot-visible image is a
+// retained pre-image (the row exists for the snapshot, but a change it does
+// not see may have deleted it or moved its index keys) and that want
+// accepts, and returns out. Only the table's own chains are visited. Scans
+// and index probes call it after the pass over live rows, with a want that
+// drops the rows that pass produced, so deleted-but-visible rows still
+// reach the filter. want runs under the store's read latch: it must not
+// block or call into the store.
+func (s *Snapshot) Ghosts(table string, out []GhostRow, want func(row RowID, img []byte) bool) []GhostRow {
 	vs := s.vs
 	if !vs.TableTouched(table) {
-		return nil
+		return out
 	}
-	var out []GhostRow
 	vs.mu.RLock()
-	for key := range vs.versions {
-		if key.Table != table || (seen != nil && seen(key.Row)) {
-			continue
-		}
-		chain := vs.versions[key]
-		for i := range chain {
-			v := &chain[i]
-			if v.Txn == s.self {
-				continue
-			}
-			if v.CommitTS == 0 || v.CommitTS > s.ts {
-				if v.Data != nil {
-					out = append(out, GhostRow{Row: key.Row, Data: v.Data})
-				}
-				break
-			}
+	for row, chain := range vs.tables[table] {
+		if img, _ := s.imageIn(chain); img != nil && want(row, img) {
+			out = append(out, GhostRow{Row: row, Data: img})
 		}
 	}
 	vs.mu.RUnlock()
@@ -304,7 +315,7 @@ func (s *Snapshot) Ghosts(table string, seen func(RowID) bool) []GhostRow {
 func (vs *VersionStore) CommittedImage(table string, row RowID) (data []byte, exists bool) {
 	vs.mu.RLock()
 	defer vs.mu.RUnlock()
-	vers := vs.versions[verKey{Table: table, Row: row}]
+	vers := vs.tables[table][row]
 	for i := range vers {
 		if vers[i].CommitTS == 0 {
 			return vers[i].Data, true
@@ -318,43 +329,34 @@ func (vs *VersionStore) CommittedImage(table string, row RowID) (data []byte, ex
 func (vs *VersionStore) PendingTxns() []uint64 {
 	vs.mu.RLock()
 	defer vs.mu.RUnlock()
-	seen := make(map[uint64]bool)
-	var out []uint64
-	for _, vers := range vs.versions {
-		for i := range vers {
-			if vers[i].CommitTS == 0 && !seen[vers[i].Txn] {
-				seen[vers[i].Txn] = true
-				out = append(out, vers[i].Txn)
-			}
-		}
+	out := make([]uint64, 0, len(vs.byTxn))
+	for txn := range vs.byTxn {
+		out = append(out, txn)
 	}
 	return out
 }
 
-// Drop discards all versions belonging to txn (rollback or recovery cleanup
-// complete).
+// Drop discards the uncommitted versions txn recorded (rollback or recovery
+// cleanup complete), walking only the keys it touched. After Commit it has
+// nothing left to drop: committed versions leave by watermark eviction.
 func (vs *VersionStore) Drop(txn uint64) {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
+	keys := vs.byTxn[txn]
 	delete(vs.byTxn, txn)
-	for key, vers := range vs.versions {
+	for _, key := range keys {
+		vers := vs.tables[key.Table][key.Row]
 		kept := vers[:0]
-		removed := 0
 		for i := range vers {
 			if vers[i].Txn != txn {
 				kept = append(kept, vers[i])
 			} else {
 				vs.retained.Add(-(int64(len(vers[i].Data)) + versionOverhead))
-				removed++
 			}
 		}
-		if removed > 0 {
+		if removed := len(vers) - len(kept); removed > 0 {
 			vs.tableCounter(key.Table).Add(int64(-removed))
-		}
-		if len(kept) == 0 {
-			delete(vs.versions, key)
-		} else {
-			vs.versions[key] = kept
+			vs.setChainLocked(key, kept)
 		}
 	}
 }
@@ -364,8 +366,10 @@ func (vs *VersionStore) Size() int {
 	vs.mu.RLock()
 	defer vs.mu.RUnlock()
 	n := 0
-	for _, vers := range vs.versions {
-		n += len(vers)
+	for _, rows := range vs.tables {
+		for _, vers := range rows {
+			n += len(vers)
+		}
 	}
 	return n
 }

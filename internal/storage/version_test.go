@@ -1,6 +1,10 @@
 package storage
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // TestSnapshotVisibility walks the core MVCC rules: an uncommitted change
 // overrides to its pre-image, a commit after the snapshot point stays
@@ -70,8 +74,11 @@ func TestSnapshotInsertInvisible(t *testing.T) {
 	}
 }
 
+// all wants every ghost.
+func all(RowID, []byte) bool { return true }
+
 // TestSnapshotGhosts: a delete the snapshot does not see keeps the row
-// reachable through Ghosts, excluding rows the scan already produced.
+// reachable through Ghosts; the owning transaction never ghosts its own.
 func TestSnapshotGhosts(t *testing.T) {
 	vs := NewVersionStore()
 	snap := vs.Acquire(0)
@@ -79,19 +86,50 @@ func TestSnapshotGhosts(t *testing.T) {
 	vs.Record(5, "T", 1, []byte("gone"))
 	vs.Commit(5)
 
-	ghosts := snap.Ghosts("T", nil)
+	ghosts := snap.Ghosts("T", nil, all)
 	if len(ghosts) != 1 || ghosts[0].Row != 1 || string(ghosts[0].Data) != "gone" {
 		t.Fatalf("ghosts = %+v, want one row 1 image gone", ghosts)
 	}
-	// A scan that did produce row 1 suppresses the ghost.
-	if g := snap.Ghosts("T", func(r RowID) bool { return r == 1 }); len(g) != 0 {
-		t.Fatalf("seen row still ghosted: %+v", g)
+	// Ghosts appends to the buffer it is handed.
+	if g := snap.Ghosts("T", ghosts[:0], all); len(g) != 1 || &g[0] != &ghosts[0] {
+		t.Fatalf("ghosts not appended to the reused buffer: %+v", g)
+	}
+	// A row the caller does not want (its scan produced it) is left out.
+	if g := snap.Ghosts("T", nil, func(r RowID, _ []byte) bool { return r != 1 }); len(g) != 0 {
+		t.Fatalf("unwanted row still ghosted: %+v", g)
 	}
 	// The owning transaction's own delete never ghosts for itself.
 	selfSnap := vs.Acquire(5)
 	defer selfSnap.Release()
-	if g := selfSnap.Ghosts("T", nil); len(g) != 0 {
+	if g := selfSnap.Ghosts("T", nil, all); len(g) != 0 {
 		t.Fatalf("own delete ghosted: %+v", g)
+	}
+}
+
+// TestGhostsStayInTheirTable: with chains in two tables, a ghost pass over
+// one returns none of the other's rows, whatever their row ids.
+func TestGhostsStayInTheirTable(t *testing.T) {
+	vs := NewVersionStore()
+	snap := vs.Acquire(0)
+	defer snap.Release()
+	for r := RowID(1); r <= 4; r++ {
+		vs.Record(7, "A", r, []byte("a"))
+		vs.Record(8, "B", r, []byte("b"))
+	}
+	vs.Record(8, "B", 9, []byte("b"))
+	for _, tc := range []struct {
+		table string
+		want  int
+	}{{"A", 4}, {"B", 5}, {"C", 0}} {
+		g := snap.Ghosts(tc.table, nil, all)
+		if len(g) != tc.want {
+			t.Fatalf("Ghosts(%s) returned %d rows, want %d", tc.table, len(g), tc.want)
+		}
+		for _, gr := range g {
+			if string(gr.Data) != strings.ToLower(tc.table) {
+				t.Fatalf("Ghosts(%s) returned row %d of another table (%q)", tc.table, gr.Row, gr.Data)
+			}
+		}
 	}
 }
 
@@ -174,5 +212,78 @@ func TestDropReclaimsGauge(t *testing.T) {
 	if vs.Size() != 0 || vs.RetainedBytes() != 0 || vs.TableTouched("T") {
 		t.Fatalf("size=%d retained=%d touched=%v after Drop",
 			vs.Size(), vs.RetainedBytes(), vs.TableTouched("T"))
+	}
+}
+
+// TestDropLeavesOtherTxns: rolling back one transaction walks only its own
+// keys — including a chain it shares with another transaction — and leaves
+// every other chain, Size, the gauge and TableTouched exact.
+func TestDropLeavesOtherTxns(t *testing.T) {
+	vs := NewVersionStore()
+	snap := vs.Acquire(0)
+	defer snap.Release()
+	vs.Record(1, "A", 1, []byte("a1"))
+	vs.Record(2, "A", 1, []byte("a1-2")) // shares row 1's chain with txn 1
+	vs.Record(2, "A", 2, []byte("a2"))
+	vs.Record(2, "B", 1, []byte("b1"))
+	vs.Record(3, "C", 1, []byte("c1"))
+	vs.Commit(3) // pinned by snap: committed versions stay
+	before := vs.RetainedBytes()
+
+	vs.Drop(2)
+	if got := vs.Size(); got != 2 {
+		t.Fatalf("size = %d after Drop(2), want 2", got)
+	}
+	if want := before - 3*versionOverhead - int64(len("a1-2")+len("a2")+len("b1")); vs.RetainedBytes() != want {
+		t.Fatalf("retained = %d after Drop(2), want %d", vs.RetainedBytes(), want)
+	}
+	if !vs.TableTouched("A") || vs.TableTouched("B") || !vs.TableTouched("C") {
+		t.Fatalf("touched A=%v B=%v C=%v, want true false true",
+			vs.TableTouched("A"), vs.TableTouched("B"), vs.TableTouched("C"))
+	}
+	if img, over := snap.RowImage("A", 1); !over || string(img) != "a1" {
+		t.Fatalf("txn 1's version lost: img=%q over=%v", img, over)
+	}
+	if img, over := snap.RowImage("A", 2); over {
+		t.Fatalf("dropped version still read: %q", img)
+	}
+	if img, over := snap.RowImage("C", 1); !over || string(img) != "c1" {
+		t.Fatalf("committed version lost: img=%q over=%v", img, over)
+	}
+	if p := vs.PendingTxns(); len(p) != 1 || p[0] != 1 {
+		t.Fatalf("pending = %v, want [1]", p)
+	}
+
+	vs.Drop(1)
+	if vs.Size() != 1 || vs.TableTouched("A") {
+		t.Fatalf("size=%d touchedA=%v after Drop(1), want 1/false", vs.Size(), vs.TableTouched("A"))
+	}
+}
+
+// BenchmarkSnapshotGhosts times one ghost pass over one table while tables
+// tables each hold chains in-flight versions visible to the snapshot as
+// pre-images — the shape of a snapshot read beside writers on other tables.
+func BenchmarkSnapshotGhosts(b *testing.B) {
+	for _, tc := range []struct{ tables, chains int }{{1, 20}, {4, 20}, {8, 64}} {
+		b.Run(fmt.Sprintf("tables=%d/chains=%d", tc.tables, tc.chains), func(b *testing.B) {
+			vs := NewVersionStore()
+			snap := vs.Acquire(0)
+			defer snap.Release()
+			img := make([]byte, 64)
+			for tb := 0; tb < tc.tables; tb++ {
+				for r := 0; r < tc.chains; r++ {
+					vs.Record(uint64(tb+1), fmt.Sprintf("t%d", tb), RowID(r+1), img)
+				}
+			}
+			var buf []GhostRow
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = snap.Ghosts("t0", buf[:0], all)
+			}
+			if len(buf) != tc.chains {
+				b.Fatalf("ghosts = %d, want %d", len(buf), tc.chains)
+			}
+		})
 	}
 }
