@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt build vet lint test race fuzz-smoke ladder bench microbench
+.PHONY: verify fmt build vet lint test race fuzz-smoke ladder bench-smoke bench microbench
 
 verify: fmt build vet lint test
 
@@ -68,6 +68,17 @@ fuzz-smoke:
 # nested enclave submit that only deadlocks at scale, breaks here first.
 ladder:
 	$(GO) run ./bench -ladder
+
+# A short traced run of the benchmark (-trace 1: per-layer attribution and
+# the ladder) on the bypass workload and the encrypted write workload. It
+# exits non-zero on a ladder-rung error, attributed time below 90 % or
+# tracing overhead above 10 %, trace-ring drops, a failed correctness gate
+# or replay check, or a declared metric left unemitted — failures an
+# untraced test run does not see.
+bench-smoke:
+	for w in tpcc_pt enc_ingest; do \
+		$(GO) run ./bench -workload $$w -trace 1 -seconds 3 || exit 1; \
+	done
 
 # Benchmark artifacts: per-transaction-type latency percentiles and enclave
 # boundary traffic (BENCH_tpcc.json), steady-state replication lag, redo

@@ -91,6 +91,10 @@ type ParamExpr struct{ Name string }
 // LiteralExpr is an inline literal.
 type LiteralExpr struct{ Val sqltypes.Value }
 
+// keyBound is a seek bound already in the canonical key encoding: the
+// planner's bounds for a prefix LIKE, which no literal value encodes to.
+type keyBound []byte
+
 // ColExpr references a column (only valid in SET right-hand sides and
 // SELECT items).
 type ColExpr struct{ Name string }
@@ -103,6 +107,7 @@ type ArithExpr struct {
 
 func (ParamExpr) valueNode()   {}
 func (LiteralExpr) valueNode() {}
+func (keyBound) valueNode()    {}
 func (ColExpr) valueNode()     {}
 func (ArithExpr) valueNode()   {}
 

@@ -222,4 +222,21 @@ func TestLikePrefixUsesIndex(t *testing.T) {
 	if len(rs.Rows) != 2 {
 		t.Fatalf("folded rows = %d", len(rs.Rows))
 	}
+
+	// The seek bounds the collated text alone: rows differing from the
+	// prefix only in case, or continuing it past the ASCII range, match
+	// through the index exactly as through a heap scan.
+	for i, name := range []string{"abc", "abcd", "ABCD", "ABC", "Abc", "abc😀", "abd", "ab"} {
+		env.mustExec("INSERT INTO n (id, name) VALUES (@i, @n)",
+			Params{"i": intParam(int64(100 + i)), "n": strParam(name)})
+	}
+	scansBefore, seeksBefore, _ = env.engine.Stats()
+	rs = env.mustExec("SELECT id FROM n WHERE name LIKE 'abc%'", nil)
+	scansAfter, seeksAfter, _ = env.engine.Stats()
+	if len(rs.Rows) != 6 {
+		t.Fatalf("abc%% rows through the index = %d, want the scan's 6", len(rs.Rows))
+	}
+	if seeksAfter == seeksBefore || scansAfter != scansBefore {
+		t.Fatal("collated prefix LIKE did not seek the index")
+	}
 }

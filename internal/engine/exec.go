@@ -236,6 +236,8 @@ func resolveValue(v ValueExpr, params Params) ([]byte, error) {
 		return b, nil
 	case LiteralExpr:
 		return ve.Val.Encode(), nil
+	case keyBound:
+		return ve, nil
 	default:
 		return nil, errors.New("engine: unresolvable value expression")
 	}

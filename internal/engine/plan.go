@@ -672,12 +672,12 @@ func (b *binder) chooseAccess(preds []Predicate) {
 					rangeOn, rangeOp, rangeLo, rangeHi = comp, pr.Op, pr.Val, pr.Val2
 				case PredLike:
 					// Prefix-match LIKE with a literal pattern becomes a
-					// range seek [prefix, prefix+0xFF] — the "LIKE predicate
-					// using an index" path of Figure 5. The residual filter
-					// re-verifies the exact pattern, so the (slightly
-					// over-approximate) range is safe. Parameterized
-					// patterns stay residual: the server cannot extract a
-					// prefix from a value it cannot see.
+					// range seek over the keys whose collated text starts
+					// with the prefix's — the "LIKE predicate using an
+					// index" path of Figure 5. The residual filter
+					// re-verifies the exact pattern. Parameterized patterns
+					// stay residual: the server cannot extract a prefix
+					// from a value it cannot see.
 					lit, ok := pr.Val.(LiteralExpr)
 					if !ok || lit.Val.Kind != sqltypes.KindString {
 						continue
@@ -686,9 +686,8 @@ func (b *binder) chooseAccess(preds []Predicate) {
 					if !isPrefix || prefix == "" {
 						continue
 					}
-					rangeOn, rangeOp = comp, PredBetween
-					rangeLo = LiteralExpr{Val: sqltypes.Str(prefix)}
-					rangeHi = LiteralExpr{Val: sqltypes.Str(prefix + "\xff")}
+					lo, hi := sqltypes.PrefixKeyRange(prefix)
+					rangeOn, rangeOp, rangeLo, rangeHi = comp, PredBetween, keyBound(lo), keyBound(hi)
 				default:
 					continue
 				}

@@ -10,7 +10,6 @@ package analysistest
 
 import (
 	"fmt"
-	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -226,40 +225,18 @@ func (ld *fixtureLoader) load(path string) (*analysis.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
+	var names []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			names = append(names, e.Name())
 		}
-		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
 	}
-	if len(files) == 0 {
+	if len(names) == 0 {
 		return nil, fmt.Errorf("no fixture files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: ld}
-	tpkg, err := conf.Check(path, ld.fset, files, info)
+	pkg, err := analysis.CheckPackage(ld.fset, ld, path, dir, names)
 	if err != nil {
-		return nil, fmt.Errorf("type-checking fixture %s: %w", path, err)
-	}
-	pkg := &analysis.Package{
-		PkgPath: path,
-		Dir:     dir,
-		Fset:    ld.fset,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
+		return nil, err
 	}
 	ld.loaded[path] = pkg
 	// Imported fixtures finished loading (and registering) first, so this

@@ -118,7 +118,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if len(t.GoFiles) == 0 {
 			continue
 		}
-		pkg, err := checkPackage(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
+		pkg, err := CheckPackage(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -157,8 +157,8 @@ func dependencyOrder(targets []*ListedPackage) []*ListedPackage {
 	return out
 }
 
-// checkPackage parses and type-checks one package from its source files.
-func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string) (*Package, error) {
+// CheckPackage parses and type-checks one package from its source files.
+func CheckPackage(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range goFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

@@ -31,28 +31,28 @@ var spec = &typestate.Spec{
 		RootExported: true,
 		Events: []typestate.Event{
 			{
-				Call:      typestate.CallPat{Pkg: "attestation", Recv: "Policy", Name: "Verify"},
+				Call:      analysis.CallPat{Pkg: "attestation", Recv: "Policy", Name: "Verify"},
 				Establish: 1,
 				Desc:      "attestation verified",
 			},
 			{
-				Call:    typestate.CallPat{Pkg: "enclave", Name: "SealForSession"},
+				Call:    analysis.CallPat{Pkg: "enclave", Name: "SealForSession"},
 				Require: 1,
 				Desc:    "CEK sealed for enclave session",
 			},
 			{
-				Call:      typestate.CallPat{Pkg: "tds", Recv: "Conn", Name: "InstallCEK"},
+				Call:      analysis.CallPat{Pkg: "tds", Recv: "Conn", Name: "InstallCEK"},
 				Require:   1,
 				Establish: 2,
 				Desc:      "CEK released to server",
 			},
 			{
-				Call:    typestate.CallPat{Pkg: "tds", Recv: "Conn", Name: "Authorize"},
+				Call:    analysis.CallPat{Pkg: "tds", Recv: "Conn", Name: "Authorize"},
 				Require: 1,
 				Desc:    "statement authorized",
 			},
 			{
-				Call:  typestate.CallPat{Pkg: "driver", Recv: "Conn", Name: "failover"},
+				Call:  analysis.CallPat{Pkg: "driver", Recv: "Conn", Name: "failover"},
 				Reset: true,
 				Desc:  "connection failed over",
 			},
@@ -60,7 +60,7 @@ var spec = &typestate.Spec{
 	},
 	MustCheck: []typestate.MustCheck{
 		{
-			Call: typestate.CallPat{Pkg: "attestation", Recv: "Policy", Name: "Verify"},
+			Call: analysis.CallPat{Pkg: "attestation", Recv: "Policy", Name: "Verify"},
 			Msg:  "attestation verdict must be checked",
 		},
 	},

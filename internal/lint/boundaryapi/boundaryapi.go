@@ -9,10 +9,11 @@
 //
 //   - exported functions and methods (on exported receivers) must not accept
 //     or return sqltypes.Value, directly or inside any container or struct;
-//   - exported functions must not return key material (*aecrypto.CellKey,
-//     the *aecrypto.Opener and *aecrypto.Sealer that carry a cell key's
-//     schedule, *rsa.PrivateKey, *ecdh.PrivateKey) — keys live and die
-//     inside their trust domain;
+//   - exported functions must not return key material (the trust
+//     vocabulary's KeyType rows: *aecrypto.CellKey, the *aecrypto.Opener
+//     and *aecrypto.Sealer that carry a cell key's schedule,
+//     *rsa.PrivateKey, *ecdh.PrivateKey) — keys live and die inside their
+//     trust domain;
 //   - exported struct types (the wire messages in tds, whose exported fields
 //     the message codec puts on the wire, and the host-visible records in
 //     enclave) must not contain sqltypes.Value fields.
@@ -23,6 +24,7 @@ import (
 	"go/types"
 
 	"alwaysencrypted/internal/lint/analysis"
+	"alwaysencrypted/internal/lint/trust"
 )
 
 // Analyzer is the boundaryapi pass.
@@ -87,7 +89,7 @@ func checkFuncDecl(pass *analysis.Pass, fn *ast.FuncDecl) {
 					"exported %s returns plaintext-carrying type %s (via %s): the boundary carries only ciphertext blobs, handles and reports",
 					fn.Name.Name, typeString(t), carrier)
 			}
-			if key := keyMaterial(t); key != "" {
+			if key := trust.KeyMaterial(t); key != "" {
 				pass.Reportf(field.Type.Pos(),
 					"exported %s returns key material (%s): keys must not leave their trust domain",
 					fn.Name.Name, key)
@@ -183,26 +185,6 @@ func plaintextCarrierNonStruct(u types.Type, visited []*types.Named) string {
 
 func isSQLTypesValue(n *types.Named) bool {
 	return n.Obj().Name() == "Value" && analysis.PackagePathIs(n.Obj().Pkg(), "sqltypes")
-}
-
-// keyMaterial reports the name of a key-material type reachable directly or
-// through one pointer ("" if none).
-func keyMaterial(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return ""
-	}
-	name, pkg := n.Obj().Name(), n.Obj().Pkg().Path()
-	switch {
-	case (name == "CellKey" || name == "Opener" || name == "Sealer") && analysis.PackagePathIs(n.Obj().Pkg(), "aecrypto"):
-		return "aecrypto." + name
-	case name == "PrivateKey" && (pkg == "crypto/rsa" || pkg == "crypto/ecdh"):
-		return pkg + ".PrivateKey"
-	}
-	return ""
 }
 
 func namedTypeName(t types.Type) *types.TypeName {

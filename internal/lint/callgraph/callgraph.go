@@ -75,7 +75,7 @@ func funcKey(fn *types.Func) string {
 	if fn.Pkg() != nil {
 		pkg = fn.Pkg().Path()
 	}
-	return pkg + "·" + taint.RecvTypeName(fn) + "·" + fn.Name()
+	return pkg + "·" + analysis.RecvTypeName(fn) + "·" + fn.Name()
 }
 
 // For returns the Oracle for the load session that produced pass, or nil if
@@ -117,7 +117,7 @@ func RegisterPackage(pkg *analysis.Package) {
 				if obj == nil {
 					continue
 				}
-				info := summarize(reg, pkg, fd)
+				info := summarize(reg, pkg, fd, obj)
 				reg.mu.Lock()
 				reg.funcs[funcKey(obj)] = info
 				reg.mu.Unlock()
@@ -138,7 +138,7 @@ func combinedSources(pass *analysis.Pass) func(*ast.CallExpr) taint.Labels {
 }
 
 // summarize computes one function's summary.
-func summarize(reg *Registry, pkg *analysis.Package, fd *ast.FuncDecl) *taint.FuncInfo {
+func summarize(reg *Registry, pkg *analysis.Package, fd *ast.FuncDecl, obj *types.Func) *taint.FuncInfo {
 	pass := &analysis.Pass{
 		Fset:      pkg.Fset,
 		Files:     pkg.Files,
@@ -153,32 +153,17 @@ func summarize(reg *Registry, pkg *analysis.Package, fd *ast.FuncDecl) *taint.Fu
 	})
 
 	// Seed receiver and parameters with their label bits.
+	sig := obj.Type().(*types.Signature)
 	idx := 0
-	seed := func(names []*ast.Ident) {
-		for _, name := range names {
-			chk.SeedParam(pkg.Info.Defs[name], idx)
-			idx++
-		}
+	if sig.Recv() != nil {
+		chk.SeedParam(sig.Recv(), idx)
+		idx++
 	}
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			if len(f.Names) == 0 {
-				idx++
-				continue
-			}
-			seed(f.Names)
-		}
+	for i := 0; i < sig.Params().Len(); i++ {
+		chk.SeedParam(sig.Params().At(i), idx)
+		idx++
 	}
-	if fd.Type.Params != nil {
-		for _, f := range fd.Type.Params.List {
-			if len(f.Names) == 0 {
-				idx++
-				continue
-			}
-			seed(f.Names)
-		}
-	}
-	info := &taint.FuncInfo{NumParams: idx}
+	info := &taint.FuncInfo{}
 
 	chk.Analyze(fd.Body)
 
@@ -233,7 +218,7 @@ func resultLabels(pkg *analysis.Package, fd *ast.FuncDecl, chk *taint.Checker) [
 			}
 			for i, obj := range resultObjs {
 				if obj != nil {
-					labels[i] |= st[obj]
+					labels[i] |= st[taint.Cell{Obj: obj}]
 				}
 			}
 		}
@@ -251,7 +236,7 @@ func sinkHits(reg *Registry, pkg *analysis.Package, fd *ast.FuncDecl, chk *taint
 	}
 	seen := map[hitKey]bool{}
 	var hits []taint.SinkHit
-	record := func(kind, desc string, labels taint.Labels, pos token.Pos) {
+	record := func(kind, desc string, labels taint.Labels) {
 		p := labels.Params()
 		if p == 0 {
 			// Fed only by locals/sources: a finding inside fd itself, which
@@ -263,7 +248,7 @@ func sinkHits(reg *Registry, pkg *analysis.Package, fd *ast.FuncDecl, chk *taint
 			return
 		}
 		seen[k] = true
-		hits = append(hits, taint.SinkHit{Params: p, Kind: kind, Desc: desc, Pos: pos})
+		hits = append(hits, taint.SinkHit{Params: p, Kind: kind, Desc: desc})
 	}
 
 	ast.Inspect(fd.Body, func(node ast.Node) bool {
@@ -275,34 +260,24 @@ func sinkHits(reg *Registry, pkg *analysis.Package, fd *ast.FuncDecl, chk *taint
 			for _, op := range operands {
 				l |= chk.LabelsAt(op)
 			}
-			record("compare", desc, l, node.Pos())
+			record("compare", desc, l)
 		}
 		call, ok := node.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if desc := taint.FormatSink(pkg.Info, call); desc != "" {
+		if kind, desc := taint.CallSink(pkg.Info, call); kind != "" {
 			for _, a := range call.Args {
-				record("format", desc, chk.LabelsAt(a), a.Pos())
-			}
-		}
-		if desc := taint.ObsSink(pkg.Info, call); desc != "" {
-			for _, a := range call.Args {
-				record("obs", desc, chk.LabelsAt(a), a.Pos())
-			}
-		}
-		if desc := taint.TraceSink(pkg.Info, call); desc != "" {
-			for _, a := range call.Args {
-				record("trace", desc, chk.LabelsAt(a), a.Pos())
+				record(kind, desc, chk.LabelsAt(a))
 			}
 		}
 		// Transitive: fold callee sink hits through this call's arguments.
-		if fn := taint.CalleeFunc(pkg.Info, call); fn != nil {
+		if fn := analysis.CalleeFunc(pkg.Info, call); fn != nil {
 			if sum := reg.Summary(fn); sum != nil {
 				if st := chk.StateAt(call); st != nil {
 					args := chk.ArgLabels(st, call, fn)
 					for _, h := range sum.Sinks {
-						record(h.Kind, h.Desc, taint.ExpandLabels(h.Params, args), call.Pos())
+						record(h.Kind, h.Desc, taint.ExpandLabels(h.Params, args))
 					}
 				}
 			}
@@ -320,7 +295,7 @@ func CallSiteHits(chk *taint.Checker, info *types.Info, call *ast.CallExpr, orac
 	if oracle == nil {
 		return nil
 	}
-	fn := taint.CalleeFunc(info, call)
+	fn := analysis.CalleeFunc(info, call)
 	if fn == nil {
 		return nil
 	}
@@ -347,7 +322,7 @@ func CallSiteHits(chk *taint.Checker, info *types.Info, call *ast.CallExpr, orac
 			continue
 		}
 		seen[h.Desc] = true
-		out = append(out, taint.SinkHit{Params: reached, Kind: h.Kind, Desc: h.Desc, Pos: call.Pos()})
+		out = append(out, taint.SinkHit{Params: reached, Kind: h.Kind, Desc: h.Desc})
 	}
 	return out
 }

@@ -70,15 +70,6 @@ func (g *Graph) String() string {
 	return b.String()
 }
 
-// NumEdges counts directed edges between blocks.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for _, b := range g.Blocks {
-		n += len(b.Succs)
-	}
-	return n
-}
-
 // New builds the graph for one function body.
 func New(body *ast.BlockStmt) *Graph {
 	b := &builder{g: &Graph{}, labels: map[string]*labelInfo{}}
@@ -403,13 +394,11 @@ func (b *builder) selectStmt(s *ast.SelectStmt) {
 	head := b.cur
 	done := b.newBlock("select.done")
 	b.enter(done, nil)
-	n := 0
 	for _, c := range s.Body.List {
 		cc, ok := c.(*ast.CommClause)
 		if !ok {
 			continue
 		}
-		n++
 		blk := b.newBlock("comm")
 		b.edge(head, blk)
 		b.cur = blk
@@ -420,9 +409,8 @@ func (b *builder) selectStmt(s *ast.SelectStmt) {
 		b.edge(b.cur, done)
 	}
 	b.exit()
-	// A select with no cases blocks forever: done is unreachable, which is
-	// exactly what the n==0 case leaves behind (no head->done edge exists).
-	_ = n
+	// A select with no cases blocks forever: done is unreachable, as no
+	// head->done edge exists.
 	b.cur = done
 }
 

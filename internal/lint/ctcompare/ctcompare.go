@@ -63,7 +63,7 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
 			for _, hit := range callgraph.CallSiteHits(c, pass.TypesInfo, call, oracle, "compare") {
-				callee := taint.CalleeFunc(pass.TypesInfo, call)
+				callee := analysis.CalleeFunc(pass.TypesInfo, call)
 				pass.Reportf(call.Pos(),
 					"secret-derived value reaches variable-time comparison (%s) inside %s: use crypto/subtle.ConstantTimeCompare or hmac.Equal",
 					hit.Desc, callee.Name())

@@ -23,11 +23,11 @@ var spec = &typestate.Spec{
 	Resources: []typestate.Resource{
 		{
 			Name: "plancache",
-			Acquire: []typestate.CallPat{
+			Acquire: []analysis.CallPat{
 				{Pkg: "engine", Recv: "Engine", Name: "ReplaceEnclave"},
 			},
 			AcquireKey: typestate.IdentRecv,
-			Release: []typestate.CallPat{
+			Release: []analysis.CallPat{
 				{Pkg: "engine", Recv: "Engine", Name: "InvalidatePlans"},
 			},
 			ReleaseKey: typestate.IdentRecv,
@@ -37,8 +37,8 @@ var spec = &typestate.Spec{
 	},
 	Terminals: []typestate.Terminal{
 		{
-			Kill: typestate.CallPat{Pkg: "enclave", Recv: "Enclave", Name: "Close"},
-			Use: []typestate.CallPat{
+			Kill: analysis.CallPat{Pkg: "enclave", Recv: "Enclave", Name: "Close"},
+			Use: []analysis.CallPat{
 				{Pkg: "enclave", Recv: "Enclave", Name: "NewSession"},
 				{Pkg: "enclave", Recv: "Enclave", Name: "InstallCEK"},
 				{Pkg: "enclave", Recv: "Enclave", Name: "AuthorizeStatement"},

@@ -42,17 +42,17 @@ var spec = &typestate.Spec{
 		RootExported: true,
 		Events: []typestate.Event{
 			{
-				Call:  typestate.CallPat{Pkg: "driver", Recv: "Conn", Name: "failover"},
+				Call:  analysis.CallPat{Pkg: "driver", Recv: "Conn", Name: "failover"},
 				Reset: true,
 				Desc:  "connection failed over",
 			},
 			{
-				Call: typestate.CallPat{Pkg: "driver", Recv: "Conn", Name: "execOnce"},
+				Call: analysis.CallPat{Pkg: "driver", Recv: "Conn", Name: "execOnce"},
 				Max:  2,
 				Desc: "statement executed",
 			},
 			{
-				Call: typestate.CallPat{Pkg: "driver", Name: "once"},
+				Call: analysis.CallPat{Pkg: "driver", Name: "once"},
 				Max:  2,
 				Desc: "request run",
 			},
@@ -73,7 +73,7 @@ var spec = &typestate.Spec{
 			AcquireSet: []typestate.FieldPat{
 				{Pkg: "driver", Recv: "Conn", Field: "tds"},
 			},
-			Release: []typestate.CallPat{
+			Release: []analysis.CallPat{
 				{Pkg: "driver", Recv: "Cache", Name: "invalidateDescribes"},
 			},
 			ReleaseKey:   typestate.IdentRecv,
@@ -82,12 +82,12 @@ var spec = &typestate.Spec{
 		},
 		{
 			Name: "failover-outcome",
-			Acquire: []typestate.CallPat{
+			Acquire: []analysis.CallPat{
 				{Pkg: "driver", Recv: "Conn", Name: "failover"},
 			},
 			AcquireKey:   typestate.IdentSingleton,
 			WaiveOnError: true,
-			Release: []typestate.CallPat{
+			Release: []analysis.CallPat{
 				{Pkg: "driver", Recv: "Conn", Name: "execOnce"},
 				{Pkg: "driver", Name: "once"},
 			},

@@ -1,5 +1,6 @@
 // Package ivsanity checks the provenance of CBC initialization vectors at
-// every cipher.NewCBCEncrypter call: the IV must be freshly drawn from
+// every cipher.NewCBCEncrypter call and every SetIV that re-IVs a block
+// mode for its next encryption: the IV must be freshly drawn from
 // crypto/rand (randomized encryption) or derived deterministically from the
 // plaintext via a keyed HMAC (deterministic encryption, §2.3) — and each IV
 // may feed at most one encryption. Constant IVs, caller-supplied IVs of
@@ -13,7 +14,7 @@
 //	f(...) returning a type with a keyedHash() marker method -> keyed-hash object
 //	h.Sum(...) of a keyed-hash object    -> derived
 //	copy(iv, derived/random)             -> inherits the source state
-//	NewCBCEncrypter(block, iv)           -> used (a second use is reuse)
+//	NewCBCEncrypter(block, iv), m.SetIV(iv) -> used (a second use is reuse)
 //
 // At a merge, random on one path and derived on the other is fine
 // (either); anything joined with unknown stays unknown. Provenance must be
@@ -24,11 +25,11 @@ package ivsanity
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 
 	"alwaysencrypted/internal/lint/analysis"
 	"alwaysencrypted/internal/lint/cfg"
 	"alwaysencrypted/internal/lint/dataflow"
-	"alwaysencrypted/internal/lint/taint"
 )
 
 // Analyzer is the ivsanity pass.
@@ -75,13 +76,7 @@ type lattice struct{}
 
 func (lattice) Bottom() fact { return fact{} }
 
-func (lattice) Clone(f fact) fact {
-	out := make(fact, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
-}
+func (lattice) Clone(f fact) fact { return maps.Clone(f) }
 
 func (lattice) Join(dst, src fact) (fact, bool) {
 	changed := false
@@ -160,7 +155,7 @@ func (c *checker) bind(f fact, lhs, rhs []ast.Expr) {
 		if !ok || id.Name == "_" {
 			continue
 		}
-		obj := c.obj(id)
+		obj := c.pass.TypesInfo.ObjectOf(id)
 		if obj == nil {
 			continue
 		}
@@ -190,13 +185,13 @@ func (c *checker) exprState(f fact, e ast.Expr) ivState {
 	case nil:
 		return ivNone
 	case *ast.Ident:
-		if obj := c.obj(e); obj != nil {
+		if obj := c.pass.TypesInfo.ObjectOf(e); obj != nil {
 			return f[obj]
 		}
 	case *ast.SliceExpr:
 		return c.exprState(f, e.X)
 	case *ast.CallExpr:
-		fn := taint.CalleeFunc(c.pass.TypesInfo, e)
+		fn := analysis.CalleeFunc(c.pass.TypesInfo, e)
 		if fn != nil && (fn.Pkg() != nil && fn.Pkg().Path() == "crypto/hmac" && fn.Name() == "New" || returnsKeyedHash(fn)) {
 			return ivHMAC
 		}
@@ -258,7 +253,7 @@ func (c *checker) scanCalls(f fact, n ast.Node, report bool) {
 }
 
 func (c *checker) handleCall(f fact, call *ast.CallExpr, report bool) {
-	fn := taint.CalleeFunc(c.pass.TypesInfo, call)
+	fn := analysis.CalleeFunc(c.pass.TypesInfo, call)
 	if fn != nil && fn.Pkg() != nil {
 		switch {
 		case fn.Pkg().Path() == "crypto/rand" && fn.Name() == "Read" && len(call.Args) == 1:
@@ -272,26 +267,20 @@ func (c *checker) handleCall(f fact, call *ast.CallExpr, report bool) {
 		case fn.Pkg().Path() == "crypto/cipher" && fn.Name() == "NewCBCEncrypter" && len(call.Args) == 2:
 			c.useIV(f, call, call.Args[1], report)
 			return
+		case fn.Name() == "SetIV" && len(call.Args) == 1:
+			c.useIV(f, call, call.Args[0], report)
+			return
 		}
 	}
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "copy" && len(call.Args) == 2 {
-		switch st := c.copySourceState(f, call.Args[1]); st {
+		switch st := c.exprState(f, call.Args[1]); st {
 		case ivRandom, ivDerived, ivEither:
 			c.setBase(f, call.Args[0], st)
 		}
 	}
 }
 
-// copySourceState resolves the provenance of a copy() source, including the
-// inline m.Sum(nil) form.
-func (c *checker) copySourceState(f fact, src ast.Expr) ivState {
-	if st := c.exprState(f, src); st != ivNone {
-		return st
-	}
-	return ivNone
-}
-
-// useIV reports on and consumes the IV argument of a CBC encrypter.
+// useIV reports on and consumes the IV argument of a CBC encrypter or SetIV.
 func (c *checker) useIV(f fact, call *ast.CallExpr, ivArg ast.Expr, report bool) {
 	obj := c.baseObj(ivArg)
 	st := c.exprState(f, ivArg)
@@ -325,7 +314,7 @@ func (c *checker) baseObj(e ast.Expr) types.Object {
 		case *ast.SliceExpr:
 			e = x.X
 		case *ast.Ident:
-			return c.obj(x)
+			return c.pass.TypesInfo.ObjectOf(x)
 		default:
 			return nil
 		}
@@ -339,11 +328,4 @@ func (c *checker) isCryptoRandReader(e ast.Expr) bool {
 	}
 	obj := c.pass.TypesInfo.Uses[sel.Sel]
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "crypto/rand"
-}
-
-func (c *checker) obj(id *ast.Ident) types.Object {
-	if obj := c.pass.TypesInfo.Uses[id]; obj != nil {
-		return obj
-	}
-	return c.pass.TypesInfo.Defs[id]
 }

@@ -6,9 +6,10 @@
 //
 // It is a typestate spec with one resource. Deliberate scope limits:
 //
-//   - Only DIRECT source calls create obligations (aecrypto.GenerateKey /
-//     deriveKey / UnwrapKey, keys Provider.Unwrap, ecdh ECDH,
-//     attestation.DeriveSecret, enclave openSealed). Values that arrive
+//   - Only DIRECT source calls create obligations: the trust
+//     vocabulary's Owned rows (aecrypto.GenerateKey / deriveKey /
+//     UnwrapKey, keys Provider.Unwrap, ecdh ECDH, attestation.DeriveSecret,
+//     enclave openSealed). Values that arrive
 //     through an intermediate helper are that helper's responsibility —
 //     or an ownership transfer, as in the driver's CEK cache.
 //   - Passing the value to a call is a borrow, not a transfer (Borrow):
@@ -28,6 +29,7 @@ package keyzero
 
 import (
 	"alwaysencrypted/internal/lint/analysis"
+	"alwaysencrypted/internal/lint/trust"
 	"alwaysencrypted/internal/lint/typestate"
 )
 
@@ -36,18 +38,10 @@ var spec = &typestate.Spec{
 	Doc:      "key material from generate/derive/unwrap calls must be zeroized on every return path",
 	Packages: []string{"aecrypto", "keys", "enclave", "attestation", "driver"},
 	Resources: []typestate.Resource{{
-		Name: "key material",
-		Acquire: []typestate.CallPat{
-			{Pkg: "aecrypto", Name: "GenerateKey"},
-			{Pkg: "aecrypto", Name: "deriveKey"},
-			{Pkg: "aecrypto", Name: "UnwrapKey"},
-			{Pkg: "keys", Recv: "*", Name: "Unwrap"},
-			{Pkg: "crypto/ecdh", Recv: "PrivateKey", Name: "ECDH"},
-			{Pkg: "attestation", Name: "DeriveSecret"},
-			{Pkg: "enclave", Recv: "session", Name: "openSealed"},
-		},
+		Name:       "key material",
+		Acquire:    trust.Patterns(trust.Owned),
 		AcquireKey: typestate.IdentResult,
-		Release: []typestate.CallPat{
+		Release: []analysis.CallPat{
 			{Pkg: "*", Recv: "*", Name: "Zeroize"},
 			{Pkg: "*", Recv: "*", Name: "zero"},
 		},

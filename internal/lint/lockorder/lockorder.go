@@ -32,15 +32,15 @@ import (
 
 // lock is the ranked resource of one Type.field mutex or RWMutex.
 func lock(recv, field string, rank int) typestate.Resource {
-	pat := func(name string) typestate.CallPat {
-		return typestate.CallPat{Pkg: "storage", Recv: recv, Field: field, Name: name}
+	pat := func(name string) analysis.CallPat {
+		return analysis.CallPat{Pkg: "storage", Recv: recv, Field: field, Name: name}
 	}
 	return typestate.Resource{
 		Name:       recv + "." + field,
 		Rank:       rank,
-		Acquire:    []typestate.CallPat{pat("Lock"), pat("RLock")},
+		Acquire:    []analysis.CallPat{pat("Lock"), pat("RLock")},
 		AcquireKey: typestate.IdentSingleton,
-		Release:    []typestate.CallPat{pat("Unlock"), pat("RUnlock")},
+		Release:    []analysis.CallPat{pat("Unlock"), pat("RUnlock")},
 		ReleaseKey: typestate.IdentSingleton,
 		Reentrant:  true,
 	}
@@ -64,7 +64,7 @@ var spec = &typestate.Spec{
 		{
 			Name:    "PageStore",
 			Rank:    40,
-			Acquire: []typestate.CallPat{{Pkg: "storage", Recv: "PageStore", Name: "*"}},
+			Acquire: []analysis.CallPat{{Pkg: "storage", Recv: "PageStore", Name: "*"}},
 		},
 	},
 }

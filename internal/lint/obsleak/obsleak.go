@@ -33,6 +33,12 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
+// why is each sink kind's declared channel, as its diagnostics state it.
+var why = map[string]string{
+	"obs":   "metrics record only counts, durations and sizes",
+	"trace": "span attributes carry only counts and timings",
+}
+
 func run(pass *analysis.Pass) (any, error) {
 	oracle := callgraph.For(pass)
 	taint.Walk(pass, taint.EnclaveSources(pass), oracle, func(c *taint.Checker, n ast.Node) {
@@ -40,35 +46,21 @@ func run(pass *analysis.Pass) (any, error) {
 		if !ok {
 			return
 		}
-		if name := taint.ObsSink(pass.TypesInfo, call); name != "" {
+		if kind, name := taint.CallSink(pass.TypesInfo, call); why[kind] != "" {
 			for _, arg := range call.Args {
 				if c.ExprTainted(arg) {
 					pass.Reportf(arg.Pos(),
-						"plaintext-derived value reaches obs.%s: metrics record only counts, durations and sizes, never plaintext or key material",
-						name)
+						"plaintext-derived value reaches %s.%s: %s, never plaintext or key material",
+						kind, name, why[kind])
 				}
 			}
 		}
-		if name := taint.TraceSink(pass.TypesInfo, call); name != "" {
-			for _, arg := range call.Args {
-				if c.ExprTainted(arg) {
-					pass.Reportf(arg.Pos(),
-						"plaintext-derived value reaches trace.%s: span attributes carry only counts and timings, never plaintext or key material",
-						name)
-				}
+		for _, kind := range []string{"obs", "trace"} {
+			for _, hit := range callgraph.CallSiteHits(c, pass.TypesInfo, call, oracle, kind) {
+				pass.Reportf(call.Pos(),
+					"plaintext-derived value reaches %s.%s inside %s: %s, never plaintext or key material",
+					kind, hit.Desc, analysis.CalleeFunc(pass.TypesInfo, call).Name(), why[kind])
 			}
-		}
-		for _, hit := range callgraph.CallSiteHits(c, pass.TypesInfo, call, oracle, "obs") {
-			fn := taint.CalleeFunc(pass.TypesInfo, call)
-			pass.Reportf(call.Pos(),
-				"plaintext-derived value reaches obs.%s inside %s: metrics record only counts, durations and sizes, never plaintext or key material",
-				hit.Desc, fn.Name())
-		}
-		for _, hit := range callgraph.CallSiteHits(c, pass.TypesInfo, call, oracle, "trace") {
-			fn := taint.CalleeFunc(pass.TypesInfo, call)
-			pass.Reportf(call.Pos(),
-				"plaintext-derived value reaches trace.%s inside %s: span attributes carry only counts and timings, never plaintext or key material",
-				hit.Desc, fn.Name())
 		}
 	})
 	return nil, nil

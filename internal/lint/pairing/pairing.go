@@ -33,13 +33,13 @@ var spec = &typestate.Spec{
 	Resources: []typestate.Resource{
 		{
 			Name: "framepin",
-			Acquire: []typestate.CallPat{
+			Acquire: []analysis.CallPat{
 				{Pkg: "storage", Recv: "BufferPool", Name: "Fetch"},
 				{Pkg: "storage", Recv: "BufferPool", Name: "NewPage"},
 				{Pkg: "storage", Recv: "BufferPool", Name: "NewPageAt"},
 			},
 			AcquireKey: typestate.IdentResult,
-			Release: []typestate.CallPat{
+			Release: []analysis.CallPat{
 				{Pkg: "storage", Recv: "BufferPool", Name: "Unpin"},
 			},
 			ReleaseKey: 0,
@@ -48,11 +48,11 @@ var spec = &typestate.Spec{
 		},
 		{
 			Name: "framelatch",
-			Acquire: []typestate.CallPat{
+			Acquire: []analysis.CallPat{
 				{Pkg: "storage", Recv: "Frame", Field: "Latch", Name: "Lock"},
 			},
 			AcquireKey: typestate.IdentRecv,
-			Release: []typestate.CallPat{
+			Release: []analysis.CallPat{
 				{Pkg: "storage", Recv: "Frame", Field: "Latch", Name: "Unlock"},
 			},
 			ReleaseKey: typestate.IdentRecv,
@@ -61,11 +61,11 @@ var spec = &typestate.Spec{
 		},
 		{
 			Name: "framerlatch",
-			Acquire: []typestate.CallPat{
+			Acquire: []analysis.CallPat{
 				{Pkg: "storage", Recv: "Frame", Field: "Latch", Name: "RLock"},
 			},
 			AcquireKey: typestate.IdentRecv,
-			Release: []typestate.CallPat{
+			Release: []analysis.CallPat{
 				{Pkg: "storage", Recv: "Frame", Field: "Latch", Name: "RUnlock"},
 			},
 			ReleaseKey: typestate.IdentRecv,
@@ -74,11 +74,11 @@ var spec = &typestate.Spec{
 		},
 		{
 			Name: "streampin",
-			Acquire: []typestate.CallPat{
+			Acquire: []analysis.CallPat{
 				{Pkg: "storage", Recv: "WAL", Name: "PinStream"},
 			},
 			AcquireKey: 0,
-			Release: []typestate.CallPat{
+			Release: []analysis.CallPat{
 				{Pkg: "storage", Recv: "WAL", Name: "UnpinStream"},
 			},
 			ReleaseKey:            0,
@@ -88,11 +88,11 @@ var spec = &typestate.Spec{
 		},
 		{
 			Name: "snapshot",
-			Acquire: []typestate.CallPat{
+			Acquire: []analysis.CallPat{
 				{Pkg: "storage", Recv: "VersionStore", Name: "Acquire"},
 			},
 			AcquireKey: typestate.IdentResult,
-			Release: []typestate.CallPat{
+			Release: []analysis.CallPat{
 				{Pkg: "storage", Recv: "Snapshot", Name: "Release"},
 			},
 			ReleaseKey:            typestate.IdentRecv,
@@ -113,7 +113,7 @@ var spec = &typestate.Spec{
 	},
 	MustCheck: []typestate.MustCheck{
 		{
-			Call: typestate.CallPat{Pkg: "tds", Recv: "Peer", Name: "Send"},
+			Call: analysis.CallPat{Pkg: "tds", Recv: "Peer", Name: "Send"},
 			Msg:  "a refused or failed send surfaces only through its error",
 		},
 	},

@@ -54,8 +54,8 @@ func run(pass *analysis.Pass) (any, error) {
 
 // checkSink reports tainted arguments reaching a formatting/panic sink.
 func checkSink(pass *analysis.Pass, c *taint.Checker, call *ast.CallExpr) {
-	name := taint.FormatSink(pass.TypesInfo, call)
-	if name == "" {
+	kind, name := taint.CallSink(pass.TypesInfo, call)
+	if kind != "format" {
 		return
 	}
 	for _, arg := range call.Args {
@@ -71,7 +71,7 @@ func checkSink(pass *analysis.Pass, c *taint.Checker, call *ast.CallExpr) {
 // summary shows them reaching a formatting sink.
 func checkCallSite(pass *analysis.Pass, c *taint.Checker, oracle taint.Oracle, call *ast.CallExpr) {
 	for _, hit := range callgraph.CallSiteHits(c, pass.TypesInfo, call, oracle, "format") {
-		fn := taint.CalleeFunc(pass.TypesInfo, call)
+		fn := analysis.CalleeFunc(pass.TypesInfo, call)
 		pass.Reportf(call.Pos(),
 			"plaintext-derived value reaches %s inside %s: decrypted data must stay inside the enclave boundary; errors must be coarse (§4.4.1)",
 			hit.Desc, fn.Name())

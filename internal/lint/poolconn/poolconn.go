@@ -22,12 +22,12 @@ var spec = &typestate.Spec{
 	Resources: []typestate.Resource{
 		{
 			Name: "checkout",
-			Acquire: []typestate.CallPat{
+			Acquire: []analysis.CallPat{
 				{Pkg: "pool", Recv: "Pool", Name: "Acquire"},
 				{Pkg: "pool", Recv: "Pool", Name: "AcquireRead"},
 			},
 			AcquireKey: typestate.IdentResult,
-			Release: []typestate.CallPat{
+			Release: []analysis.CallPat{
 				{Pkg: "pool", Recv: "PooledConn", Name: "Release"},
 			},
 			ReleaseKey: typestate.IdentRecv,
@@ -37,11 +37,11 @@ var spec = &typestate.Spec{
 	},
 	MustCheck: []typestate.MustCheck{
 		{
-			Call: typestate.CallPat{Pkg: "pool", Recv: "PooledConn", Name: "Exec"},
+			Call: analysis.CallPat{Pkg: "pool", Recv: "PooledConn", Name: "Exec"},
 			Msg:  "ErrIndeterminate surfaces through Exec's error",
 		},
 		{
-			Call: typestate.CallPat{Pkg: "pool", Recv: "PooledConn", Name: "Commit"},
+			Call: analysis.CallPat{Pkg: "pool", Recv: "PooledConn", Name: "Commit"},
 			Msg:  "ErrIndeterminate surfaces through Commit's error",
 		},
 	},

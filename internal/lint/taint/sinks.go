@@ -12,17 +12,22 @@ import (
 // callgraph summary builder (recording which params reach which sinks, so
 // call sites can report interprocedurally).
 
-// FormatSink returns a printable name when call is a host-visible formatting
-// channel (fmt printers, errors.New, log, panic), or "".
-func FormatSink(info *types.Info, call *ast.CallExpr) string {
+// CallSink classifies call as a host-visible sink and names it ("fmt.Errorf",
+// "Counter.Add"). Kind "format" is a formatting channel (fmt printers,
+// errors.New, log, panic). Kinds "obs" and "trace" are every entry point of
+// the metrics and tracing packages, which export what they are given off the
+// host: recording methods take values, registry lookups instrument names,
+// spans names and int64 attributes — none may carry plaintext. Both results
+// are "" for any other call.
+func CallSink(info *types.Info, call *ast.CallExpr) (kind, desc string) {
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
 		if _, builtin := info.Uses[id].(*types.Builtin); builtin || info.Uses[id] == nil {
-			return "panic"
+			return "format", "panic"
 		}
 	}
-	fn := CalleeFunc(info, call)
+	fn := analysis.CalleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
-		return ""
+		return "", ""
 	}
 	pkg, name := fn.Pkg().Path(), fn.Name()
 	switch pkg {
@@ -31,47 +36,25 @@ func FormatSink(info *types.Info, call *ast.CallExpr) string {
 		case "Errorf", "Sprintf", "Sprint", "Sprintln",
 			"Print", "Printf", "Println",
 			"Fprint", "Fprintf", "Fprintln":
-			return "fmt." + name
+			return "format", "fmt." + name
 		}
 	case "errors":
 		if name == "New" {
-			return "errors.New"
+			return "format", "errors.New"
 		}
 	case "log":
-		return "log." + name
+		return "format", "log." + name
 	}
-	return ""
-}
-
-// ObsSink returns "<Recv>.<Method>" (or the function name) for calls into
-// the obs package, or "". Every obs entry point that accepts data is a sink:
-// recording methods take values, registry lookups take instrument names —
-// neither may carry plaintext.
-func ObsSink(info *types.Info, call *ast.CallExpr) string {
-	fn := CalleeFunc(info, call)
-	if fn == nil || !analysis.PackagePathIs(fn.Pkg(), "obs") {
-		return ""
+	if recv := analysis.RecvTypeName(fn); recv != "" {
+		name = recv + "." + name
 	}
-	if recv := RecvTypeName(fn); recv != "" {
-		return recv + "." + fn.Name()
+	switch {
+	case analysis.PackagePathIs(fn.Pkg(), "obs"):
+		return "obs", name
+	case analysis.PackagePathIs(fn.Pkg(), "obs/trace"):
+		return "trace", name
 	}
-	return fn.Name()
-}
-
-// TraceSink returns "<Recv>.<Method>" (or the function name) for calls into
-// the obs/trace package, or "". The trace subsystem exports span names,
-// int64 attributes and statement kinds off the host — its entry points are
-// sinks exactly like the metrics recorders: a plaintext-derived attribute
-// value or span name would ride the trace export to any observer.
-func TraceSink(info *types.Info, call *ast.CallExpr) string {
-	fn := CalleeFunc(info, call)
-	if fn == nil || !analysis.PackagePathIs(fn.Pkg(), "obs/trace") {
-		return ""
-	}
-	if recv := RecvTypeName(fn); recv != "" {
-		return recv + "." + fn.Name()
-	}
-	return fn.Name()
+	return "", ""
 }
 
 // CompareSink classifies n as a variable-time comparison of data-carrying
@@ -96,7 +79,7 @@ func CompareSink(info *types.Info, n ast.Node) (string, []ast.Expr) {
 		}
 		return n.Op.String(), []ast.Expr{n.X, n.Y}
 	case *ast.CallExpr:
-		fn := CalleeFunc(info, n)
+		fn := analysis.CalleeFunc(info, n)
 		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "bytes" {
 			return "", nil
 		}

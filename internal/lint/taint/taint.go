@@ -16,28 +16,25 @@
 //
 // Call resolution, in order:
 //
-//  1. Sources (per-analyzer policy) — results carry the returned source
-//     bits.
+//  1. Sources (per-analyzer policy, over the trust vocabulary's roles) —
+//     results carry the returned source bits.
 //  2. Universal sanitizers — len, cap, crypto/subtle functions and
 //     hmac.Equal return clean values: sizes and constant-time verdicts are
 //     declared channels.
-//  3. Oracle summaries — when the callee has a summary, each result gets
+//  3. Crypto boundaries (the vocabulary's Boundary rows) — results carry
+//     nothing beyond what the sources gave them.
+//  4. Oracle summaries — when the callee has a summary, each result gets
 //     exactly the labels the callee's own dataflow proved, and the callee's
 //     sink hits let call sites report "argument reaches fmt.Errorf inside
 //     callee" without re-reading its body.
-//  4. Unknown callees (stdlib, interface methods, func values) — every
+//  5. Unknown callees (stdlib, interface methods, func values) — every
 //     result conservatively unions the argument labels.
 //
 // In every case, error-typed RESULTS come back clean: error values are
-// sentinels. This is principled, not a precision hack — the only way
-// plaintext enters an error value is through a format sink (fmt.Errorf,
-// errors.New), and that flow is reported at the sink itself, directly in
-// the function that formats or at the call site via its summary's sink
-// hits. It replaces the old engine's blanket "error-typed variables never
-// carry taint" exemption: flow-sensitive kills remove the false positive
-// that exemption papered over (a later x, err := f(tainted) retroactively
-// tainting earlier wraps of err), and summary sink hits restore the true
-// positives it was hiding (helpers that format plaintext into errors).
+// sentinels. The only way plaintext enters an error value is through a
+// format sink (fmt.Errorf, errors.New), and that flow is reported at the
+// sink itself, directly in the function that formats or at the call site
+// via its summary's sink hits.
 //
 // Function literals are analyzed as may-effects: a closure's assignments
 // join into the enclosing state (union, no kills — the closure may run at
@@ -52,16 +49,31 @@
 // in straight-line code, in a spawned closure (go func() { ch <- pt }()),
 // or in a select arm. go f(x) needs no special rule: sinks inside f are
 // found through f's own summary, reported at the spawn site like any call.
+//
+// Aggregates have two readings, chosen per policy. The default is
+// conservative: a store into a field or element, or through a pointer,
+// taints the whole base variable. Config.Ownership is secretescape's
+// OWNERSHIP TRANSFER: a value stored into a field or element of a
+// frame-local object is filed under that (object, field) cell; reading the
+// field returns it, reading the WHOLE object does not. Storing a secret
+// into a struct you are building hands it to the aggregate, whose disposal
+// is secretretain's question, not an escape — without this rule every
+// constructor that files a key into the object it returns would flag. The
+// cost is deliberate: `ch <- sess` does not re-surface the key stored in
+// sess.aead. A store through an object the frame does not own changes no
+// state under Ownership: it is an escape, judged by the policy.
 package taint
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 
 	"alwaysencrypted/internal/lint/analysis"
 	"alwaysencrypted/internal/lint/cfg"
 	"alwaysencrypted/internal/lint/dataflow"
+	"alwaysencrypted/internal/lint/trust"
 )
 
 // Labels is a bitset of taint labels carried by a value.
@@ -91,8 +103,15 @@ func ParamLabel(i int) Labels {
 // Params masks l down to its parameter bits.
 func (l Labels) Params() Labels { return l & paramMask }
 
-// State maps objects to the labels they may carry at one program point.
-type State map[types.Object]Labels
+// Cell is one tracked location: an object (Field nil), or under
+// Config.Ownership one struct field of a frame-local object.
+type Cell struct {
+	Obj   types.Object
+	Field *types.Var
+}
+
+// State maps cells to the labels they may carry at one program point.
+type State map[Cell]Labels
 
 // SinkHit records one sink reached inside a function body, expressed over
 // that function's own parameter labels.
@@ -101,17 +120,14 @@ type SinkHit struct {
 	// the sink is fed only by the function's own locals (still a finding in
 	// the function itself, but invisible to callers).
 	Params Labels
-	// Kind is the sink family: "format", "obs" or "compare".
+	// Kind is the sink family: "format", "obs", "trace" or "compare".
 	Kind string
 	// Desc names the concrete sink ("fmt.Errorf", "Counter.Add", "==").
 	Desc string
-	// Pos locates the sink inside the callee, for diagnostics.
-	Pos token.Pos
 }
 
 // FuncInfo is a function's taint summary.
 type FuncInfo struct {
-	NumParams int
 	// Results[i] holds the labels of result i: parameter bits mean "flows
 	// from that argument", source bits mean the callee introduces them.
 	Results []Labels
@@ -135,12 +151,16 @@ type Config struct {
 	Sources func(call *ast.CallExpr) Labels
 	// Oracle resolves interprocedural summaries; nil means intraprocedural.
 	Oracle Oracle
+	// Ownership selects the ownership-transfer reading of aggregates (see
+	// the package comment).
+	Ownership bool
 }
 
 // Checker runs the fixpoint for one function body and answers label queries
 // at specific program points.
 type Checker struct {
 	cfg  Config
+	body *ast.BlockStmt
 	seed State
 	// stateAt maps every node in the body to the state holding immediately
 	// before its enclosing statement executes (closure bodies see the
@@ -173,27 +193,15 @@ func Walk(pass *analysis.Pass, sources func(*ast.CallExpr) Labels, oracle Oracle
 // the summary builder.
 func (c *Checker) SeedParam(obj types.Object, i int) {
 	if obj != nil {
-		c.seed[obj] = ParamLabel(i)
+		c.seed[Cell{Obj: obj}] = ParamLabel(i)
 	}
 }
 
 type lattice struct{ seed State }
 
-func (l lattice) Bottom() State {
-	s := make(State, len(l.seed))
-	for k, v := range l.seed {
-		s[k] = v
-	}
-	return s
-}
+func (l lattice) Bottom() State { return maps.Clone(l.seed) }
 
-func (lattice) Clone(s State) State {
-	c := make(State, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
+func (lattice) Clone(s State) State { return maps.Clone(s) }
 
 func (lattice) Join(dst, src State) (State, bool) {
 	changed := false
@@ -209,6 +217,7 @@ func (lattice) Join(dst, src State) (State, bool) {
 // Analyze runs the dataflow fixpoint over body and records per-node states
 // for LabelsAt queries.
 func (c *Checker) Analyze(body *ast.BlockStmt) {
+	c.body = body
 	g := cfg.New(body)
 	lat := lattice{seed: c.seed}
 	res := dataflow.Forward[State](g, lat, c.transfer)
@@ -312,17 +321,15 @@ func (c *Checker) assignStmt(st State, n *ast.AssignStmt) {
 		if i >= len(n.Lhs) {
 			break
 		}
-		labels := c.ExprLabels(st, n.Rhs[i])
-		if n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN ||
-			n.Tok == token.MUL_ASSIGN || n.Tok == token.QUO_ASSIGN ||
-			n.Tok == token.REM_ASSIGN || n.Tok == token.AND_ASSIGN ||
-			n.Tok == token.OR_ASSIGN || n.Tok == token.XOR_ASSIGN ||
-			n.Tok == token.SHL_ASSIGN || n.Tok == token.SHR_ASSIGN ||
-			n.Tok == token.AND_NOT_ASSIGN {
-			// x += tainted keeps x's old labels too.
-			labels |= c.ExprLabels(st, n.Lhs[i])
+		if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+			if c.copyObject(st, n.Lhs[i], n.Rhs[i]) {
+				continue
+			}
+			c.assignTo(st, n.Lhs[i], c.ExprLabels(st, n.Rhs[i]))
+			continue
 		}
-		c.assignTo(st, n.Lhs[i], labels)
+		// x += tainted keeps x's old labels too.
+		c.assignTo(st, n.Lhs[i], c.ExprLabels(st, n.Rhs[i])|c.ExprLabels(st, n.Lhs[i]))
 	}
 }
 
@@ -385,7 +392,7 @@ func (c *Checker) typeSwitch(st State, n *ast.TypeSwitchStmt) {
 			continue
 		}
 		if obj := c.cfg.Pass.TypesInfo.Implicits[cc]; obj != nil {
-			st[obj] |= labels
+			st[Cell{Obj: obj}] |= labels
 		}
 	}
 }
@@ -425,10 +432,8 @@ func (c *Checker) assignMultiCall(st State, lhs []ast.Expr, call *ast.CallExpr) 
 
 // callResultLabels computes the labels of each result of call under st.
 // Error-typed results always come back clean: error values are sentinels
-// (every way plaintext enters an error passes a format sink — fmt.Errorf,
-// errors.New — which is caught AT that sink, directly or through a callee
-// summary's sink hits, so propagating labels through the error value itself
-// would only duplicate the finding at every later wrap of it).
+// (see the package comment), and propagating labels through one would
+// only duplicate the finding at every later wrap of it.
 func (c *Checker) callResultLabels(st State, call *ast.CallExpr, nResults int) []Labels {
 	res := c.rawCallResultLabels(st, call, nResults)
 	for _, i := range analysis.ErrorResults(c.cfg.Pass.TypesInfo, call) {
@@ -456,10 +461,10 @@ func (c *Checker) rawCallResultLabels(st State, call *ast.CallExpr, nResults int
 	// plaintext out of Decrypt is not key material — so propagating the key
 	// operand's labels through the call (as a summary or the unknown-callee
 	// union would) is a category error, not caution.
-	if CryptoBoundary(c.cfg.Pass.TypesInfo, call) {
+	if trust.Call(c.cfg.Pass.TypesInfo, call).Roles&trust.Boundary != 0 {
 		return res
 	}
-	fn := CalleeFunc(c.cfg.Pass.TypesInfo, call)
+	fn := analysis.CalleeFunc(c.cfg.Pass.TypesInfo, call)
 	if fn != nil && c.cfg.Oracle != nil {
 		if sum := c.cfg.Oracle.Summary(fn); sum != nil {
 			args := c.ArgLabels(st, call, fn)
@@ -537,19 +542,23 @@ func ExpandLabels(sum Labels, args []Labels) Labels {
 // destination and CBC decryption (decryptsInto) taint their target buffers.
 func (c *Checker) exprEffects(st State, e ast.Expr) {
 	WalkNoFuncLit(e, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "copy" && len(call.Args) == 2 {
-			if labels := c.ExprLabels(st, call.Args[1]); labels != 0 {
-				c.weakAssign(st, call.Args[0], labels)
-			}
-		}
-		if c.decryptsInto(call) && len(call.Args) == 2 {
-			c.weakAssign(st, call.Args[0], SrcPlaintext)
+		if call, ok := n.(*ast.CallExpr); ok {
+			c.callEffect(st, call)
 		}
 	})
+}
+
+// callEffect applies call's effect on its first argument, reporting change.
+func (c *Checker) callEffect(st State, call *ast.CallExpr) bool {
+	if len(call.Args) != 2 {
+		return false
+	}
+	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "copy" {
+		if labels := c.ExprLabels(st, call.Args[1]); labels != 0 {
+			return c.weakAssign(st, call.Args[0], labels)
+		}
+	}
+	return c.decryptsInto(call) && c.weakAssign(st, call.Args[0], SrcPlaintext)
 }
 
 // closureEffect joins a function literal's may-effects into st: assignments
@@ -566,7 +575,7 @@ func (c *Checker) closureEffect(st State, lit *ast.FuncLit) {
 						results := c.callResultLabels(st, call, len(n.Lhs))
 						for i, l := range n.Lhs {
 							if results[i] != 0 && !c.isErrorExpr(l) {
-								changed = c.weakAssign(st, l, results[i]) || changed
+								changed = c.weakTo(st, l, results[i]) || changed
 							}
 						}
 						return true
@@ -577,7 +586,7 @@ func (c *Checker) closureEffect(st State, lit *ast.FuncLit) {
 						break
 					}
 					if labels := c.ExprLabels(st, n.Rhs[i]); labels != 0 {
-						changed = c.weakAssign(st, n.Lhs[i], labels) || changed
+						changed = c.weakTo(st, n.Lhs[i], labels) || changed
 					}
 				}
 			case *ast.SendStmt:
@@ -589,14 +598,7 @@ func (c *Checker) closureEffect(st State, lit *ast.FuncLit) {
 					changed = c.weakAssign(st, n.Chan, labels) || changed
 				}
 			case *ast.CallExpr:
-				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "copy" && len(n.Args) == 2 {
-					if labels := c.ExprLabels(st, n.Args[1]); labels != 0 {
-						changed = c.weakAssign(st, n.Args[0], labels) || changed
-					}
-				}
-				if c.decryptsInto(n) && len(n.Args) == 2 {
-					changed = c.weakAssign(st, n.Args[0], SrcPlaintext) || changed
-				}
+				changed = c.callEffect(st, n) || changed
 			}
 			return true
 		})
@@ -608,44 +610,78 @@ func (c *Checker) closureEffect(st State, lit *ast.FuncLit) {
 
 // assignTo writes labels to an assignment target: plain identifiers get a
 // strong update (labels replace — a clean RHS kills taint); writes through
-// pointers, indices, slices and fields weakly update the base object.
+// pointers, indices, slices and fields are weak (weakAssign).
 func (c *Checker) assignTo(st State, target ast.Expr, labels Labels) {
-	for {
-		switch t := target.(type) {
-		case *ast.ParenExpr:
-			target = t.X
-		case *ast.Ident:
-			c.setIdent(st, t, labels, true)
-			return
-		case *ast.StarExpr, *ast.IndexExpr, *ast.SliceExpr, *ast.SelectorExpr:
-			if labels != 0 {
-				c.weakAssign(st, target, labels)
-			}
-			return
-		default:
-			return
+	switch t := ast.Unparen(target).(type) {
+	case *ast.Ident:
+		c.setIdent(st, t, labels, true)
+	case *ast.StarExpr, *ast.IndexExpr, *ast.SliceExpr, *ast.SelectorExpr:
+		if labels != 0 {
+			c.weakAssign(st, t, labels)
 		}
 	}
 }
 
-// weakAssign ORs labels into the base object of target; reports change.
+// weakTo is a closure's assignment: a weak update of a variable, or a
+// write through any other target.
+func (c *Checker) weakTo(st State, target ast.Expr, labels Labels) bool {
+	if id, ok := ast.Unparen(target).(*ast.Ident); ok {
+		return c.setIdent(st, id, labels, false)
+	}
+	return c.weakAssign(st, target, labels)
+}
+
+// weakAssign ORs labels into the cell a write through target lands in — a
+// field, element or pointee store, a send on a channel, a copy into a
+// buffer — and reports change. The conservative reading files the write
+// under target's base variable. Ownership files it under the (object,
+// field) cell of a frame-local base and drops it when the frame does not
+// own the base.
 func (c *Checker) weakAssign(st State, target ast.Expr, labels Labels) bool {
-	for {
-		switch t := target.(type) {
-		case *ast.ParenExpr:
-			target = t.X
-		case *ast.StarExpr:
-			target = t.X
-		case *ast.IndexExpr:
-			target = t.X
-		case *ast.SliceExpr:
-			target = t.X
-		case *ast.SelectorExpr:
-			target = t.X
-		case *ast.Ident:
-			return c.setIdent(st, t, labels, false)
-		default:
+	cell := Cell{Obj: c.baseObject(target)}
+	if c.cfg.Ownership {
+		cell = c.fieldCell(target)
+		if !c.Local(cell.Obj) {
 			return false
+		}
+	}
+	if cell.Obj == nil || st[cell]|labels == st[cell] {
+		return false
+	}
+	st[cell] |= labels
+	return true
+}
+
+// copyObject applies y = x between variables: y takes x's own labels and,
+// under Ownership, every field cell of x, so ownership transfer survives a
+// whole-object copy. It reports whether target and value were variables.
+func (c *Checker) copyObject(st State, target, value ast.Expr) bool {
+	l, lok := ast.Unparen(target).(*ast.Ident)
+	r, rok := ast.Unparen(value).(*ast.Ident)
+	if !lok || !rok || l.Name == "_" {
+		return false
+	}
+	dst, src := c.objectOf(l), c.objectOf(r)
+	if dst == nil || src == nil {
+		return false
+	}
+	c.kill(st, dst)
+	for k, v := range st {
+		if k.Obj == src && v != 0 {
+			st[Cell{dst, k.Field}] |= v
+		}
+	}
+	return true
+}
+
+// kill drops every cell of obj.
+func (c *Checker) kill(st State, obj types.Object) {
+	delete(st, Cell{Obj: obj})
+	if c.cfg.Ownership {
+		for k := range st {
+			if k.Obj == obj {
+				delete(st, k)
+			}
 		}
 	}
 }
@@ -655,27 +691,23 @@ func (c *Checker) setIdent(st State, id *ast.Ident, labels Labels, strong bool) 
 	if id.Name == "_" {
 		return false
 	}
-	info := c.cfg.Pass.TypesInfo
-	obj := info.Defs[id]
-	if obj == nil {
-		obj = info.Uses[id]
-	}
+	obj := c.objectOf(id)
 	if obj == nil {
 		return false
 	}
+	cell := Cell{Obj: obj}
+	old := st[cell]
 	if strong {
-		old, had := st[obj]
-		if labels == 0 {
-			delete(st, obj)
-			return had
+		c.kill(st, obj)
+		if labels != 0 {
+			st[cell] = labels
 		}
-		st[obj] = labels
 		return old != labels
 	}
-	if st[obj]|labels == st[obj] {
+	if old|labels == old {
 		return false
 	}
-	st[obj] |= labels
+	st[cell] |= labels
 	return true
 }
 
@@ -684,15 +716,14 @@ func (c *Checker) ExprLabels(st State, e ast.Expr) Labels {
 	switch x := e.(type) {
 	case *ast.Ident:
 		if obj := c.cfg.Pass.TypesInfo.Uses[x]; obj != nil {
-			return st[obj]
+			return st[Cell{Obj: obj}]
 		}
 		return 0
 	case *ast.SelectorExpr:
-		var l Labels
-		if obj := c.cfg.Pass.TypesInfo.Uses[x.Sel]; obj != nil {
-			l = st[obj]
-		}
-		return l | c.ExprLabels(st, x.X)
+		// A field read returns the field's own cell (written only under
+		// Ownership) plus whatever its base carries; pkg.Var reads the
+		// variable.
+		return st[c.selectorCell(x)] | c.ExprLabels(st, x.X)
 	case *ast.IndexExpr:
 		return c.ExprLabels(st, x.X)
 	case *ast.SliceExpr:
@@ -711,8 +742,10 @@ func (c *Checker) ExprLabels(st State, e ast.Expr) Labels {
 		var l Labels
 		for _, elt := range x.Elts {
 			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				l |= c.ExprLabels(st, kv.Value)
-				continue
+				if c.cfg.Ownership {
+					continue // the aggregate owns its keyed values
+				}
+				elt = kv.Value
 			}
 			l |= c.ExprLabels(st, elt)
 		}
@@ -722,6 +755,116 @@ func (c *Checker) ExprLabels(st State, e ast.Expr) Labels {
 		return res[0]
 	}
 	return 0
+}
+
+// fieldCell resolves a store target (x, x.f, r.keys[id], *p, s[i:j]) to its
+// Ownership cell: an element store keeps field precision, so
+// r.keys[id] = x is filed at (r, keys), not (r, nil) — otherwise every
+// index write through a field would undo ownership transfer for the whole
+// aggregate.
+func (c *Checker) fieldCell(e ast.Expr) Cell {
+	for {
+		switch t := e.(type) {
+		case *ast.ParenExpr:
+			e = t.X
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.SliceExpr:
+			e = t.X
+		case *ast.SelectorExpr:
+			return c.selectorCell(t)
+		case *ast.Ident:
+			return Cell{Obj: c.objectOf(t)}
+		default:
+			return Cell{}
+		}
+	}
+}
+
+// selectorCell resolves x.f (possibly nested, x.a.b) to the base object
+// and the FINAL field. Package-qualified variables are the object itself;
+// method values are the base.
+func (c *Checker) selectorCell(sel *ast.SelectorExpr) Cell {
+	info := c.cfg.Pass.TypesInfo
+	s := info.Selections[sel]
+	if s == nil {
+		if v, ok := info.Uses[sel.Sel].(*types.Var); ok {
+			return Cell{Obj: v}
+		}
+	}
+	if s == nil || s.Kind() != types.FieldVal {
+		return Cell{Obj: c.baseObject(sel.X)}
+	}
+	field, _ := s.Obj().(*types.Var)
+	return Cell{Obj: c.baseObject(sel.X), Field: field}
+}
+
+// baseObject resolves the variable under a chain of parens, stars,
+// indices, slices, selectors and unary operators.
+func (c *Checker) baseObject(e ast.Expr) types.Object {
+	for {
+		switch t := e.(type) {
+		case *ast.ParenExpr:
+			e = t.X
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.SliceExpr:
+			e = t.X
+		case *ast.SelectorExpr:
+			e = t.X
+		case *ast.UnaryExpr:
+			e = t.X
+		case *ast.Ident:
+			return c.objectOf(t)
+		default:
+			return nil
+		}
+	}
+}
+
+func (c *Checker) objectOf(id *ast.Ident) types.Object {
+	return c.cfg.Pass.TypesInfo.ObjectOf(id)
+}
+
+// Local reports whether obj is declared inside the analyzed body: one of
+// the frame's own variables, not a parameter, receiver or global.
+func (c *Checker) Local(obj types.Object) bool {
+	return obj != nil && declaredIn(obj, c.body)
+}
+
+func declaredIn(obj types.Object, n ast.Node) bool {
+	return obj.Pos() != token.NoPos && obj.Pos() >= n.Pos() && obj.Pos() <= n.End()
+}
+
+// CapturedAt returns the labels lit's body reads from the variables it
+// captures, under the state before n, the statement creating lit. It is
+// selector-precise: mentioning o.f captures o's field cell and o itself,
+// a bare o only o itself — a metrics callback reading len(e.sessions)
+// captures no key filed under another field.
+func (c *Checker) CapturedAt(n ast.Node, lit *ast.FuncLit) Labels {
+	st := c.stateAt[n]
+	info := c.cfg.Pass.TypesInfo
+	var l Labels
+	ast.Inspect(lit.Body, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.SelectorExpr:
+			if s := info.Selections[m]; s != nil && s.Kind() == types.FieldVal {
+				if base := c.baseObject(m.X); base != nil && !declaredIn(base, lit) {
+					l |= st[c.selectorCell(m)] | st[Cell{Obj: base}]
+				}
+			}
+		case *ast.Ident:
+			if obj := c.objectOf(m); obj != nil && !declaredIn(obj, lit) {
+				l |= st[Cell{Obj: obj}]
+			}
+		}
+		return true
+	})
+	return l
 }
 
 // LabelsAt returns the labels of e at its own program point (after
@@ -740,23 +883,6 @@ func (c *Checker) StateAt(n ast.Node) State { return c.stateAt[n] }
 
 // ExprTainted reports whether e may carry any taint at its program point.
 func (c *Checker) ExprTainted(e ast.Expr) bool { return c.LabelsAt(e) != 0 }
-
-// AnyArgTainted reports whether any argument of call is tainted at the
-// call's program point.
-func (c *Checker) AnyArgTainted(call *ast.CallExpr) bool {
-	for _, a := range call.Args {
-		if c.ExprTainted(a) {
-			return true
-		}
-	}
-	return false
-}
-
-// ReceiverTainted reports whether the method receiver expression is tainted.
-func (c *Checker) ReceiverTainted(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && c.ExprTainted(sel.X)
-}
 
 func (c *Checker) sources(call *ast.CallExpr) Labels {
 	if c.cfg.Sources == nil {
@@ -780,7 +906,7 @@ func UniversalSanitizer(info *types.Info, call *ast.CallExpr) bool {
 			return builtin
 		}
 	}
-	fn := CalleeFunc(info, call)
+	fn := analysis.CalleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
@@ -793,184 +919,55 @@ func UniversalSanitizer(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-// CalleeFunc resolves the called function/method object, if any.
-func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		id = f
-	case *ast.SelectorExpr:
-		id = f.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
-}
-
-// RecvTypeName returns the name of a method's receiver type, dereferenced.
-func RecvTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// EnclaveSources returns the Sources policy recognizing the decrypt/open
-// primitives whose results are plaintext or key material:
-//
-//   - (*aecrypto.CellKey).Decrypt results           -> SrcPlaintext
-//   - (*aecrypto.Opener).Open results               -> SrcPlaintext
-//   - (cipher.AEAD).Open results                    -> SrcPlaintext
-//   - (*session).openSealed results                 -> SrcPlaintext
-//   - (*ecdh.PrivateKey).ECDH results               -> SrcKeyMaterial
-//   - (*exprsvc.Evaluator).Eval/EvalBool results when called from the
-//     enclave package                               -> SrcPlaintext
-//
-// The CBC-decrypter CryptBlocks and cipher.Block Decrypt destinations are
+// EnclaveSources returns the Sources policy of the analyzers guarding
+// plaintext (plaintextflow, obsleak): the vocabulary's Plaintext rows (and
+// EnclavePlaintext rows, when the caller is the enclave package) label
+// their results SrcPlaintext, its SharedKey rows SrcKeyMaterial. The
+// CBC-decrypter CryptBlocks and cipher.Block Decrypt destinations are
 // handled by the checker's propagation directly.
 func EnclaveSources(pass *analysis.Pass) func(call *ast.CallExpr) Labels {
+	inEnclave := analysis.PackagePathIs(pass.Pkg, "enclave")
 	return func(call *ast.CallExpr) Labels {
-		fn := CalleeFunc(pass.TypesInfo, call)
-		if fn == nil {
-			return 0
-		}
-		recv := RecvTypeName(fn)
-		switch fn.Name() {
-		case "Decrypt":
-			if recv == "CellKey" && analysis.PackagePathIs(fn.Pkg(), "aecrypto") {
-				return SrcPlaintext
-			}
-		case "Open":
-			if recv == "AEAD" && fn.Pkg() != nil && fn.Pkg().Path() == "crypto/cipher" {
-				return SrcPlaintext
-			}
-			if recv == "Opener" && analysis.PackagePathIs(fn.Pkg(), "aecrypto") {
-				return SrcPlaintext
-			}
-		case "openSealed":
-			if recv == "session" && analysis.PackagePathIs(fn.Pkg(), "enclave") {
-				return SrcPlaintext
-			}
-		case "ECDH":
-			if recv == "PrivateKey" && fn.Pkg() != nil && fn.Pkg().Path() == "crypto/ecdh" {
-				return SrcKeyMaterial
-			}
-		case "Eval", "EvalBool":
-			// Enclave-side evaluation output; host-side (engine/driver)
-			// callers legitimately consume results.
-			if recv == "Evaluator" && analysis.PackagePathIs(fn.Pkg(), "exprsvc") &&
-				analysis.PackagePathIs(pass.Pkg, "enclave") {
-				return SrcPlaintext
-			}
+		r := trust.Call(pass.TypesInfo, call).Roles
+		switch {
+		case r&trust.Plaintext != 0, r&trust.EnclavePlaintext != 0 && inEnclave:
+			return SrcPlaintext
+		case r&trust.SharedKey != 0:
+			return SrcKeyMaterial
 		}
 		return 0
 	}
 }
 
 // SecretSources returns the Sources policy for key-material analyzers
-// (keyzero, ctcompare): calls whose results are raw key bytes or
-// secret-derived MACs.
-//
-//   - aecrypto.GenerateKey / deriveKey               -> SrcKeyMaterial
-//   - (keys.Provider).Unwrap / any Unwrap method in
-//     a keys-suffixed package                        -> SrcKeyMaterial
-//   - (*ecdh.PrivateKey).ECDH                        -> SrcKeyMaterial
-//   - attestation.DeriveSecret                       -> SrcKeyMaterial
-//   - (*session).openSealed (sealed-channel payloads
-//     carry wrapped keys)                            -> SrcKeyMaterial
-//   - hmac.New (the keyed hash object; Sum results
-//     inherit via receiver propagation)              -> SrcKeyMaterial
+// (ctcompare): the vocabulary's Secret rows label their results
+// SrcKeyMaterial.
 func SecretSources(pass *analysis.Pass) func(call *ast.CallExpr) Labels {
 	return func(call *ast.CallExpr) Labels {
-		fn := CalleeFunc(pass.TypesInfo, call)
-		if fn == nil {
-			return 0
-		}
-		recv := RecvTypeName(fn)
-		switch fn.Name() {
-		case "GenerateKey", "deriveKey":
-			if analysis.PackagePathIs(fn.Pkg(), "aecrypto") {
-				return SrcKeyMaterial
-			}
-		case "Unwrap":
-			if analysis.PackagePathIs(fn.Pkg(), "keys") {
-				return SrcKeyMaterial
-			}
-		case "ECDH":
-			if recv == "PrivateKey" && fn.Pkg() != nil && fn.Pkg().Path() == "crypto/ecdh" {
-				return SrcKeyMaterial
-			}
-		case "DeriveSecret":
-			if analysis.PackagePathIs(fn.Pkg(), "attestation") {
-				return SrcKeyMaterial
-			}
-		case "openSealed":
-			if recv == "session" && analysis.PackagePathIs(fn.Pkg(), "enclave") {
-				return SrcKeyMaterial
-			}
-		case "New":
-			if fn.Pkg() != nil && fn.Pkg().Path() == "crypto/hmac" {
-				return SrcKeyMaterial
-			}
+		if trust.Call(pass.TypesInfo, call).Roles&trust.Secret != 0 {
+			return SrcKeyMaterial
 		}
 		return 0
 	}
 }
 
-// CryptoBoundary reports whether call is a recognized seal/open primitive
-// whose results live in a different trust domain than its operands:
-// aecrypto CellKey.Encrypt/Decrypt/Verify, Opener.Open and Sealer.Seal,
-// cipher.AEAD Seal/Open, and the enclave session's sealed-channel helpers.
-// Each taint policy's Sources function states what these calls' results
-// carry for that policy (e.g. Decrypt results are SrcPlaintext under the
-// enclave policy and nothing under the secret policy); no generic
-// propagation applies on top.
-func CryptoBoundary(info *types.Info, call *ast.CallExpr) bool {
-	fn := CalleeFunc(info, call)
-	if fn == nil {
-		return false
-	}
-	recv := RecvTypeName(fn)
-	switch fn.Name() {
-	case "Encrypt", "Decrypt", "Verify":
-		return recv == "CellKey" && analysis.PackagePathIs(fn.Pkg(), "aecrypto")
-	case "Seal", "Open":
-		if (recv == "Opener" || recv == "Sealer") && analysis.PackagePathIs(fn.Pkg(), "aecrypto") {
-			return true
-		}
-		return recv == "AEAD" && fn.Pkg() != nil && fn.Pkg().Path() == "crypto/cipher"
-	case "openSealed", "sealFor":
-		return recv == "session" && analysis.PackagePathIs(fn.Pkg(), "enclave")
-	}
-	return false
-}
-
-// decryptsInto matches the calls that decrypt into their first
-// argument: cipher.NewCBCDecrypter(...).CryptBlocks(dst, src), and
-// Decrypt(dst, src) on a cipher.Block, which CBC opened block by block
-// calls.
+// decryptsInto matches the calls that decrypt into their first argument:
+// the vocabulary's DecryptsInto rows (Decrypt on a cipher.Block, which CBC
+// opened block by block calls), and CryptBlocks on a block mode a
+// Decrypter row built (cipher.NewCBCDecrypter(...).CryptBlocks(dst, src)).
 func (c *Checker) decryptsInto(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if ok && sel.Sel.Name == "Decrypt" {
-		fn := CalleeFunc(c.cfg.Pass.TypesInfo, call)
-		return fn != nil && RecvTypeName(fn) == "Block" && fn.Pkg() != nil && fn.Pkg().Path() == "crypto/cipher"
+	info := c.cfg.Pass.TypesInfo
+	if trust.Call(info, call).Roles&trust.DecryptsInto != 0 {
+		return true
 	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "CryptBlocks" {
 		return false
 	}
 	inner, ok := sel.X.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	fn := CalleeFunc(c.cfg.Pass.TypesInfo, inner)
-	return fn != nil && fn.Name() == "NewCBCDecrypter" && fn.Pkg() != nil && fn.Pkg().Path() == "crypto/cipher"
+	return ok && trust.Call(info, inner).Roles&trust.Decrypter != 0
 }
+
+// Base returns the variable a store to e lands in: e's own, the base of a
+// field, element or pointee, or the package variable pkg.V names.
+func (c *Checker) Base(e ast.Expr) types.Object { return c.fieldCell(e).Obj }

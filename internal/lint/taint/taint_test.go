@@ -41,7 +41,7 @@ var flowAnalyzer = &analysis.Analyzer{
 				}
 			}
 			for _, hit := range callgraph.CallSiteHits(c, pass.TypesInfo, call, oracle, "format") {
-				pass.Reportf(call.Pos(), "reaches %s inside %s", hit.Desc, taint.CalleeFunc(pass.TypesInfo, call).Name())
+				pass.Reportf(call.Pos(), "reaches %s inside %s", hit.Desc, analysis.CalleeFunc(pass.TypesInfo, call).Name())
 			}
 		})
 		return nil, nil

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 
+	"alwaysencrypted/internal/lint/analysis"
 	"alwaysencrypted/internal/lint/cfg"
 	"alwaysencrypted/internal/lint/dataflow"
 	"alwaysencrypted/internal/lint/taint"
@@ -116,7 +117,7 @@ func (c *checker) isChainRoot(fd *ast.FuncDecl, obj *types.Func) bool {
 		return true
 	}
 	name := fd.Name.Name
-	if recv := taint.RecvTypeName(obj); recv != "" {
+	if recv := analysis.RecvTypeName(obj); recv != "" {
 		name = recv + "." + name
 	}
 	for _, r := range ch.Roots {
@@ -189,7 +190,7 @@ func (c *checker) chainCall(f *chainFact, call *ast.CallExpr, sum *chainSummary)
 	ch := c.spec.Chain
 	for i := range ch.Events {
 		e := &ch.Events[i]
-		if _, ok := c.matchCall(&e.Call, call); !ok {
+		if _, ok := e.Call.Match(c.info, call); !ok {
 			continue
 		}
 		if e.Require > 0 {
@@ -228,7 +229,7 @@ func (c *checker) chainCall(f *chainFact, call *ast.CallExpr, sum *chainSummary)
 
 // chainFold applies a same-package callee's summary at the call site.
 func (c *checker) chainFold(f *chainFact, call *ast.CallExpr, sum *chainSummary) {
-	fn := taint.CalleeFunc(c.info, call)
+	fn := analysis.CalleeFunc(c.info, call)
 	if fn == nil || fn.Pkg() != c.pass.Pkg {
 		return
 	}

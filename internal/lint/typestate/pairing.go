@@ -160,7 +160,7 @@ func (c *checker) runPairing() {
 	c.summarizeAcquires()
 	for pass := 0; pass < 2; pass++ {
 		c.funcDecls(func(fd *ast.FuncDecl, obj *types.Func) {
-			c.releaseSums[obj] = c.summarizeRelease(fd)
+			c.releaseSums[obj] = c.summarizeRelease(fd, obj)
 		})
 	}
 	c.pass.FuncBodies(c.pairAnalyze)
@@ -216,7 +216,7 @@ func (c *checker) hasLocalRelease(body *ast.BlockStmt, ri int) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			for pi := range r.Release {
-				if _, ok := c.matchCall(&r.Release[pi], n); ok {
+				if _, ok := r.Release[pi].Match(c.info, n); ok {
 					found = true
 				}
 			}
@@ -368,7 +368,7 @@ func (c *checker) pairCall(f pairFact, call *ast.CallExpr) {
 	for ri := range c.spec.Resources {
 		r := &c.spec.Resources[ri]
 		for pi := range r.Acquire {
-			base, ok := c.matchCall(&r.Acquire[pi], call)
+			base, ok := r.Acquire[pi].Match(c.info, call)
 			if !ok {
 				continue
 			}
@@ -376,7 +376,7 @@ func (c *checker) pairCall(f pairFact, call *ast.CallExpr) {
 			if r.Rank > 0 {
 				via := ""
 				if len(r.Release) == 0 {
-					via = taint.CalleeFunc(c.info, call).Name()
+					via = analysis.CalleeFunc(c.info, call).Name()
 				}
 				c.checkRank(f, call, ri, via)
 				if via != "" {
@@ -393,14 +393,14 @@ func (c *checker) pairCall(f pairFact, call *ast.CallExpr) {
 	}
 	for ti := range c.spec.Terminals {
 		t := &c.spec.Terminals[ti]
-		if base, ok := c.matchCall(&t.Kill, call); ok {
+		if base, ok := t.Kill.Match(c.info, call); ok {
 			matched = true
 			if key, kok := c.termKey(ti, base); kok {
 				f[key] = pairState{phase: phaseKilled, pos: call.Pos()}
 			}
 		}
 		for ui := range t.Use {
-			if base, ok := c.matchCall(&t.Use[ui], call); ok {
+			if base, ok := t.Use[ui].Match(c.info, call); ok {
 				matched = true
 				if key, kok := c.termKey(ti, base); kok {
 					if st, sok := f[key]; sok && st.phase == phaseKilled && c.report {
@@ -422,7 +422,7 @@ func (c *checker) pairReleaseCall(f pairFact, call *ast.CallExpr, deferred, repo
 	for ri := range c.spec.Resources {
 		r := &c.spec.Resources[ri]
 		for pi := range r.Release {
-			if base, ok := c.matchCall(&r.Release[pi], call); ok {
+			if base, ok := r.Release[pi].Match(c.info, call); ok {
 				matched = true
 				if key, kok := c.pairKeyFor(r, ri, r.ReleaseKey, call, base); kok {
 					c.pairRelease(f, r, key, call.Pos(), deferred, reportDouble)
@@ -446,7 +446,7 @@ func (c *checker) pairDiscarded(call *ast.CallExpr) {
 			continue
 		}
 		for pi := range r.Acquire {
-			if _, ok := c.matchCall(&r.Acquire[pi], call); ok {
+			if _, ok := r.Acquire[pi].Match(c.info, call); ok {
 				c.reportf(call.Pos(), "%s: result of %s discarded, nothing can release it", r.LeakMsg, r.Acquire[pi].Name)
 			}
 		}
@@ -459,7 +459,7 @@ func (c *checker) pairDiscarded(call *ast.CallExpr) {
 // summary, or escape unless the resource is borrowed; the receiver is a
 // borrow unless the summary releases it.
 func (c *checker) pairUnknownCall(f pairFact, call *ast.CallExpr) {
-	fn := taint.CalleeFunc(c.info, call)
+	fn := analysis.CalleeFunc(c.info, call)
 	var sum *releaseSummary
 	if fn != nil && fn.Pkg() == c.pass.Pkg {
 		sum = c.releaseSums[fn]
@@ -693,7 +693,7 @@ func (c *checker) bindAcquire(f pairFact, call *ast.CallExpr, lhs []ast.Expr) {
 		}
 		acquired := false
 		for pi := range r.Acquire {
-			if _, ok := c.matchCall(&r.Acquire[pi], call); ok {
+			if _, ok := r.Acquire[pi].Match(c.info, call); ok {
 				acquired = true
 				break
 			}
@@ -870,12 +870,12 @@ func (c *checker) summarizeAcquires() {
 			acquires := false
 			for ri := range c.spec.Resources {
 				for pi := range c.spec.Resources[ri].Acquire {
-					if _, ok := c.matchCall(&c.spec.Resources[ri].Acquire[pi], call); ok && c.ranked[ri] {
+					if _, ok := c.spec.Resources[ri].Acquire[pi].Match(c.info, call); ok && c.ranked[ri] {
 						set[ri], acquires = true, true
 					}
 				}
 			}
-			if fn := taint.CalleeFunc(c.info, call); !acquires && fn != nil && fn.Pkg() == c.pass.Pkg {
+			if fn := analysis.CalleeFunc(c.info, call); !acquires && fn != nil && fn.Pkg() == c.pass.Pkg {
 				callees[obj] = append(callees[obj], fn)
 			}
 		})
@@ -948,26 +948,15 @@ func (c *checker) checkRank(f pairFact, call *ast.CallExpr, ri int, via string) 
 
 // summarizeRelease computes which of fd's parameters it releases on
 // every exit path, so callers can discharge through helper calls.
-func (c *checker) summarizeRelease(fd *ast.FuncDecl) *releaseSummary {
+func (c *checker) summarizeRelease(fd *ast.FuncDecl, obj *types.Func) *releaseSummary {
+	sig := obj.Type().(*types.Signature)
 	slots := map[types.Object]int{}
-	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
-		if obj := c.info.Defs[fd.Recv.List[0].Names[0]]; obj != nil {
-			slots[obj] = slotRecv
-		}
+	if r := sig.Recv(); r != nil && r.Name() != "" {
+		slots[r] = slotRecv
 	}
-	idx := 0
-	if fd.Type.Params != nil {
-		for _, fl := range fd.Type.Params.List {
-			if len(fl.Names) == 0 {
-				idx++
-				continue
-			}
-			for _, name := range fl.Names {
-				if obj := c.info.Defs[name]; obj != nil {
-					slots[obj] = idx
-				}
-				idx++
-			}
+	for i := 0; i < sig.Params().Len(); i++ {
+		if p := sig.Params().At(i); p.Name() != "" {
+			slots[p] = i
 		}
 	}
 	if len(slots) == 0 || len(c.spec.Resources) == 0 {

@@ -3,6 +3,7 @@ package typestate
 import (
 	"testing"
 
+	"alwaysencrypted/internal/lint/analysis"
 	"alwaysencrypted/internal/lint/analysis/analysistest"
 )
 
@@ -10,7 +11,7 @@ import (
 // package whose want comments pin what the machines report.
 
 func TestChainMachine(t *testing.T) {
-	call := func(name string) CallPat { return CallPat{Pkg: "chainfix", Name: name} }
+	call := func(name string) analysis.CallPat { return analysis.CallPat{Pkg: "chainfix", Name: name} }
 	analysistest.Run(t, "testdata", NewAnalyzer(&Spec{
 		Name: "chain",
 		Doc:  "chain machine test spec",
@@ -35,21 +36,21 @@ func TestPairingMachine(t *testing.T) {
 		Resources: []Resource{
 			{
 				Name: "handle",
-				Acquire: []CallPat{
+				Acquire: []analysis.CallPat{
 					{Pkg: "pairfix", Name: "open"},
 					{Pkg: "pairfix", Name: "mustOpen"},
 				},
 				AcquireKey: IdentResult,
-				Release:    []CallPat{{Pkg: "pairfix", Name: "close"}},
+				Release:    []analysis.CallPat{{Pkg: "pairfix", Name: "close"}},
 				ReleaseKey: 0,
 				LeakMsg:    "handle leaked",
 				DoubleMsg:  "handle closed twice",
 			},
 			{
 				Name:       "latch",
-				Acquire:    []CallPat{{Pkg: "pairfix", Recv: "L", Name: "Lock"}},
+				Acquire:    []analysis.CallPat{{Pkg: "pairfix", Recv: "L", Name: "Lock"}},
 				AcquireKey: IdentRecv,
-				Release:    []CallPat{{Pkg: "pairfix", Recv: "L", Name: "Unlock"}},
+				Release:    []analysis.CallPat{{Pkg: "pairfix", Recv: "L", Name: "Unlock"}},
 				ReleaseKey: IdentRecv,
 				LeakMsg:    "latch held",
 			},
@@ -65,14 +66,14 @@ func TestBorrowResource(t *testing.T) {
 		Doc:  "borrow resource test spec",
 		Resources: []Resource{{
 			Name: "key",
-			Acquire: []CallPat{
+			Acquire: []analysis.CallPat{
 				{Pkg: "borrowfix", Name: "newKey"},
 				{Pkg: "borrowfix", Name: "newKeyErr"},
 				{Pkg: "borrowfix", Name: "newBuf"},
 				{Pkg: "borrowfix", Name: "newArr"},
 			},
 			AcquireKey:   IdentResult,
-			Release:      []CallPat{{Pkg: "*", Recv: "*", Name: "Wipe"}},
+			Release:      []analysis.CallPat{{Pkg: "*", Recv: "*", Name: "Wipe"}},
 			ReleaseKey:   IdentSubject,
 			Borrow:       true,
 			EveryPath:    true,
@@ -87,13 +88,15 @@ func TestBorrowResource(t *testing.T) {
 // ordering, and release-less (call-scoped) ranked resources.
 func TestRankedResources(t *testing.T) {
 	lock := func(field string, rank int) Resource {
-		pat := func(name string) CallPat { return CallPat{Pkg: "rankfix", Recv: "S", Field: field, Name: name} }
+		pat := func(name string) analysis.CallPat {
+			return analysis.CallPat{Pkg: "rankfix", Recv: "S", Field: field, Name: name}
+		}
 		return Resource{
 			Name:       "S." + field,
 			Rank:       rank,
-			Acquire:    []CallPat{pat("Lock")},
+			Acquire:    []analysis.CallPat{pat("Lock")},
 			AcquireKey: IdentSingleton,
-			Release:    []CallPat{pat("Unlock")},
+			Release:    []analysis.CallPat{pat("Unlock")},
 			ReleaseKey: IdentSingleton,
 			Reentrant:  true,
 		}
@@ -104,7 +107,7 @@ func TestRankedResources(t *testing.T) {
 		Resources: []Resource{
 			lock("a", 10),
 			lock("b", 20),
-			{Name: "Store", Rank: 30, Acquire: []CallPat{{Pkg: "rankfix", Recv: "Store", Name: "*"}}},
+			{Name: "Store", Rank: 30, Acquire: []analysis.CallPat{{Pkg: "rankfix", Recv: "Store", Name: "*"}}},
 			lock("c", 40),
 		},
 	}), "rankfix")

@@ -53,7 +53,6 @@ import (
 	"go/types"
 
 	"alwaysencrypted/internal/lint/analysis"
-	"alwaysencrypted/internal/lint/taint"
 )
 
 // Identity keys for Resource.AcquireKey / ReleaseKey: which value names
@@ -75,24 +74,6 @@ const (
 	// with ReleaseKey 0 tracks the id argument).
 )
 
-// CallPat matches a call site. With Field empty the callee is resolved
-// through the type checker: package short name, receiver type name
-// (empty for plain functions) and function name; "*" in any of the three
-// matches anything (Recv "*" matches methods and plain functions). With
-// Field set the pattern is the syntactic base.Field.Name() form — used
-// for methods of an embedded or struct-field value such as
-// fr.Latch.Lock(), where Recv names the type of base, not of the field. A
-// pattern with neither Recv nor Field also matches a call through a
-// func-typed variable of that name declared in the package — a callback
-// parameter such as the once of retry(once func() ...), which has no
-// declared callee to resolve.
-type CallPat struct {
-	Pkg   string
-	Recv  string
-	Field string
-	Name  string
-}
-
 // FieldPat matches a field assignment base.Field = value, where base's
 // (dereferenced) named type is Recv in package Pkg. Value constrains
 // the assigned expression: "" matches anything, "true"/"false"/"nil"
@@ -112,7 +93,7 @@ type IdentPat struct {
 
 // Event is one chain transition.
 type Event struct {
-	Call      CallPat
+	Call      analysis.CallPat
 	Require   int    // minimum level at the call site (0 = none)
 	Establish int    // level guaranteed after the call (0 = none)
 	Reset     bool   // drops the path back to level 0
@@ -138,9 +119,9 @@ type Chain struct {
 // Resource is one acquire/release pairing.
 type Resource struct {
 	Name       string
-	Acquire    []CallPat
+	Acquire    []analysis.CallPat
 	AcquireSet []FieldPat // field assignments that acquire (b.pinned = true)
-	Release    []CallPat
+	Release    []analysis.CallPat
 	ReleaseSet []FieldPat
 	ReleaseUse []IdentPat // identifier mentions that discharge (ErrIndeterminate)
 	AcquireKey int
@@ -186,8 +167,8 @@ type Resource struct {
 // Terminal is a kill/use-after rule: after Kill runs on an object, any
 // Use call on the same object reports Msg.
 type Terminal struct {
-	Kill CallPat
-	Use  []CallPat
+	Kill analysis.CallPat
+	Use  []analysis.CallPat
 	Msg  string
 }
 
@@ -195,7 +176,7 @@ type Terminal struct {
 // a call discarded as a statement, deferred bare, launched with go, or
 // with `_` in the error-result position is a finding.
 type MustCheck struct {
-	Call CallPat
+	Call analysis.CallPat
 	Msg  string
 }
 
@@ -290,64 +271,6 @@ func (c *checker) funcDecls(visit func(fd *ast.FuncDecl, obj *types.Func)) {
 
 // ---- pattern matching ----
 
-// matchCall reports whether call matches pat, returning the receiver /
-// selector-base expression when the callee is a method (nil for plain
-// functions).
-func (c *checker) matchCall(pat *CallPat, call *ast.CallExpr) (base ast.Expr, ok bool) {
-	if pat.Field != "" {
-		sel, selOK := call.Fun.(*ast.SelectorExpr)
-		if !selOK || sel.Sel.Name != pat.Name {
-			return nil, false
-		}
-		inner, innerOK := sel.X.(*ast.SelectorExpr)
-		if !innerOK || inner.Sel.Name != pat.Field {
-			return nil, false
-		}
-		if !c.exprTypeIs(inner.X, pat.Pkg, pat.Recv) {
-			return nil, false
-		}
-		return inner.X, true
-	}
-	fn := taint.CalleeFunc(c.info, call)
-	if fn == nil {
-		id, isIdent := call.Fun.(*ast.Ident)
-		if !isIdent || pat.Recv != "" || id.Name != pat.Name {
-			return nil, false
-		}
-		v, isVar := c.info.Uses[id].(*types.Var)
-		return nil, isVar && analysis.PackagePathIs(v.Pkg(), pat.Pkg)
-	}
-	recv := taint.RecvTypeName(fn)
-	if !matches(pat.Name, fn.Name()) || !matches(pat.Recv, recv) ||
-		(pat.Pkg != "*" && !analysis.PackagePathIs(fn.Pkg(), pat.Pkg)) {
-		return nil, false
-	}
-	if sel, selOK := call.Fun.(*ast.SelectorExpr); selOK && recv != "" {
-		return sel.X, true
-	}
-	return nil, true
-}
-
-func matches(pat, name string) bool { return pat == "*" || pat == name }
-
-// exprTypeIs reports whether e's (dereferenced) named type is the given
-// type in the given repo package.
-func (c *checker) exprTypeIs(e ast.Expr, pkgShort, typeName string) bool {
-	tv, ok := c.info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if p, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != typeName {
-		return false
-	}
-	return analysis.PackagePathIs(named.Obj().Pkg(), pkgShort)
-}
-
 // matchFieldSet reports whether the assignment position lhs = rhs
 // matches pat, returning the selector base.
 func (c *checker) matchFieldSet(pat *FieldPat, lhs, rhs ast.Expr) (base ast.Expr, ok bool) {
@@ -355,7 +278,7 @@ func (c *checker) matchFieldSet(pat *FieldPat, lhs, rhs ast.Expr) (base ast.Expr
 	if !selOK || sel.Sel.Name != pat.Field {
 		return nil, false
 	}
-	if !c.exprTypeIs(sel.X, pat.Pkg, pat.Recv) {
+	if !analysis.NamedTypeIs(c.info, sel.X, pat.Pkg, pat.Recv) {
 		return nil, false
 	}
 	if pat.Value != "" {
@@ -424,7 +347,7 @@ func (c *checker) runMustCheck(mc *MustCheck) {
 			if !ok {
 				return true
 			}
-			if _, matched := c.matchCall(&mc.Call, call); !matched {
+			if _, matched := mc.Call.Match(c.info, call); !matched {
 				return true
 			}
 			errIdx := analysis.ErrorResults(c.info, call)

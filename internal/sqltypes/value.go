@@ -257,6 +257,16 @@ func HasPrefixPattern(pattern string) (prefix string, ok bool) {
 	return pattern[:i], true
 }
 
+// PrefixKeyRange returns the inclusive bounds, in the canonical encoding,
+// of the keys of every string a prefix LIKE matches: those whose collated
+// text begins with prefix's. Encode files a string under kind ∥ collated
+// text ∥ 0 ∥ raw text, so the seek bounds the collated text alone; the
+// collated text is valid UTF-8, which never holds the byte 0xFF.
+func PrefixKeyRange(prefix string) (lo, hi []byte) {
+	lo = append([]byte{byte(KindString)}, collate(prefix)...)
+	return lo, append(lo[:len(lo):len(lo)], 0xFF)
+}
+
 // Encode serializes a non-NULL value into the canonical order-preserving
 // byte encoding: for values of one kind, bytes.Compare over encodings agrees
 // with Compare over values. This single encoding serves three masters: it is
