@@ -70,13 +70,15 @@ ladder:
 	$(GO) run ./bench -ladder
 
 # A short traced run of the benchmark (-trace 1: per-layer attribution and
-# the ladder) on the bypass workload and the encrypted write workload. It
-# exits non-zero on a ladder-rung error, attributed time below 90 % or
-# tracing overhead above 10 %, trace-ring drops, a failed correctness gate
-# or replay check, or a declared metric left unemitted — failures an
-# untraced test run does not see.
+# the ladder) on the bypass workload, the encrypted write workload and the
+# encrypted read workload — the one whose table outgrows its buffer pool,
+# so the only run that evicts and recycles frames. It exits non-zero on a
+# ladder-rung error, attributed time below 90 % or tracing overhead above
+# 10 %, trace-ring drops, a failed correctness gate or replay check, or a
+# declared metric left unemitted — failures an untraced test run does not
+# see.
 bench-smoke:
-	for w in tpcc_pt enc_ingest; do \
+	for w in tpcc_pt enc_ingest enc_range; do \
 		$(GO) run ./bench -workload $$w -trace 1 -seconds 3 || exit 1; \
 	done
 

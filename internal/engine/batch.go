@@ -20,10 +20,11 @@ const arenaChunkSize = 16 * 1024
 // copies them in here instead of one heap allocation per cell, and reclaims
 // the whole batch's cells with one reset once no row in the batch can be
 // referenced anymore. Chunks are never reallocated in place, so a handed-out
-// cell stays valid until reset.
+// cell stays valid until reset; reset keeps every chunk for the next batch.
 type cellArena struct {
 	cur  []byte
 	full [][]byte // exhausted chunks, kept until reset so cells stay reachable
+	free [][]byte // chunks reclaimed by reset, reused before allocating
 }
 
 // copyCell copies c into the arena and returns the stable copy. Empty cells
@@ -33,32 +34,44 @@ func (a *cellArena) copyCell(c []byte) []byte {
 		return nil
 	}
 	if len(a.cur)+len(c) > cap(a.cur) {
-		size := arenaChunkSize
-		if len(c) > size {
-			size = len(c)
-		}
 		if a.cur != nil {
 			a.full = append(a.full, a.cur)
 		}
-		a.cur = make([]byte, 0, size)
+		a.cur = a.chunk(len(c))
 	}
 	off := len(a.cur)
 	a.cur = append(a.cur, c...)
 	return a.cur[off : off+len(c) : off+len(c)]
 }
 
-// copyRow copies every cell of a row into the arena.
-func (a *cellArena) copyRow(cells [][]byte) [][]byte {
-	cp := make([][]byte, len(cells))
-	for i, c := range cells {
-		cp[i] = a.copyCell(c)
+// chunk returns an empty chunk with room for at least n bytes: a reclaimed
+// one when it fits, a fresh one otherwise.
+func (a *cellArena) chunk(n int) []byte {
+	if k := len(a.free) - 1; k >= 0 && cap(a.free[k]) >= n {
+		c := a.free[k]
+		a.free[k] = nil
+		a.free = a.free[:k]
+		return c
 	}
-	return cp
+	return make([]byte, 0, max(n, arenaChunkSize))
 }
 
-// reset reclaims all arena memory. The caller must guarantee no cell handed
-// out since the last reset is still referenced.
+// copyRow copies every cell of a row into the arena, rewriting the row's
+// headers in place, and returns the row.
+func (a *cellArena) copyRow(cells [][]byte) [][]byte {
+	for i, c := range cells {
+		cells[i] = a.copyCell(c)
+	}
+	return cells
+}
+
+// reset reclaims all arena memory for reuse. The caller must guarantee no
+// cell handed out since the last reset is still referenced.
 func (a *cellArena) reset() {
+	for i, c := range a.full {
+		a.free = append(a.free, c[:0])
+		a.full[i] = nil
+	}
 	a.full = a.full[:0]
 	a.cur = a.cur[:0]
 }
@@ -67,7 +80,9 @@ func (a *cellArena) reset() {
 // candidate rows (outer rows, or joined outer+inner pairs) and every `size`
 // rows the plan's residual filter is evaluated ONCE over the whole batch —
 // one enclave crossing per TMEval instruction per batch instead of per row
-// (§4.6) — before survivors are emitted to the consumer in row order.
+// (§4.6) — before survivors are emitted to the consumer in row order. Each
+// session owns one; its buffers are kept from one statement to the next,
+// and every row-sized piece of a batch is carved from them.
 type rowBatcher struct {
 	plan *Plan
 	ev   *exprsvc.Evaluator // nil when the plan has no residual filter
@@ -76,18 +91,38 @@ type rowBatcher struct {
 
 	rids  []storage.RowID
 	slots [][][]byte
+	// slab is the storage slot rows are carved from; a batch's rows are
+	// cleared and reclaimed together when it drains, so a carved row starts
+	// zeroed.
+	slab  [][]byte
 	arena cellArena
 	// pinned marks that a join's outer-row cells live in the arena and are
 	// still being referenced by probes in flight; it blocks arena reset
 	// across intermediate flushes.
 	pinned bool
 	// outer and inner are the statement's read sides (inner for a join),
-	// kept here so their buffers are allocated once per statement.
+	// kept here so their buffers are reused across statements.
 	outer, inner readSide
 	// stopped records that the consumer asked to stop (LIMIT reached).
 	// Pending rows after the stop point are discarded unevaluated, exactly
 	// as row-at-a-time execution would never have reached them.
 	stopped bool
+}
+
+// carve returns the next n elements of *slab, capped so that appending to
+// the piece cannot reach its neighbour. A full slab is replaced by one at
+// least twice its size rather than grown in place: the pieces already carved
+// keep the old array, and later pieces come from the larger one. Nothing is
+// sized up front — the first slab holds just the first piece, since a point
+// statement carves one row.
+func carve[T any](slab *[]T, n int) []T {
+	s := *slab
+	if len(s)+n > cap(s) {
+		s = make([]T, 0, max(2*cap(s), n))
+	}
+	at := len(s)
+	*slab = s[:at+n]
+	return s[at : at+n : at+n]
 }
 
 // add queues one candidate row, flushing when the batch is full.
@@ -137,13 +172,31 @@ func (b *rowBatcher) flush() error {
 			b.stopped = true
 		}
 	}
-	b.rids = b.rids[:0]
-	for i := range b.slots {
-		b.slots[i] = nil
-	}
-	b.slots = b.slots[:0]
+	b.dropPending()
 	b.maybeReset()
 	return nil
+}
+
+// dropPending forgets the pending rows and reclaims the slot rows they were
+// carved into.
+func (b *rowBatcher) dropPending() {
+	b.rids = b.rids[:0]
+	clear(b.slots)
+	b.slots = b.slots[:0]
+	clear(b.slab)
+	b.slab = b.slab[:0]
+}
+
+// release drops what the statement left in b — its plan, evaluator and
+// consumer, pending rows, and the read sides' references into the statement's
+// seeks and snapshot — and keeps every buffer's storage for the session's
+// next statement.
+func (b *rowBatcher) release() {
+	b.plan, b.ev, b.fn, b.stopped, b.pinned = nil, nil, nil, false, false
+	b.dropPending()
+	b.arena.reset()
+	b.outer.release()
+	b.inner.release()
 }
 
 // maybeReset reclaims the arena once nothing can reference its cells: no

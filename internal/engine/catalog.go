@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -357,7 +358,11 @@ func encodeRow(cells [][]byte) []byte {
 }
 
 // decodeRow parses a heap record into cells. The cells alias rec.
-func decodeRow(rec []byte) ([][]byte, error) {
+func decodeRow(rec []byte) ([][]byte, error) { return decodeRowInto(nil, rec) }
+
+// decodeRowInto is decodeRow into dst's storage: the returned header slice
+// reuses dst's array when it is large enough. The cells alias rec.
+func decodeRowInto(dst [][]byte, rec []byte) ([][]byte, error) {
 	if len(rec) < 2 {
 		return nil, errors.New("engine: short row record")
 	}
@@ -367,7 +372,8 @@ func decodeRow(rec []byte) ([][]byte, error) {
 	if n > (len(rec)-2)/4 {
 		return nil, errors.New("engine: truncated row record")
 	}
-	cells := make([][]byte, n)
+	cells := slices.Grow(dst[:0], n)[:n]
+	clear(cells)
 	r := 2
 	for i := 0; i < n; i++ {
 		if r+4 > len(rec) {

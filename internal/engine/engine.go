@@ -186,6 +186,11 @@ type Session struct {
 	// act is the statement currently being traced on this session; nil
 	// outside Execute or when tracing is disabled.
 	act *trace.Active
+	// batcher is the executor's batched filter pipeline. Its buffers — slot
+	// slab, cell arena, read-side headers and records — span the session's
+	// statements, so a statement allocates only when it needs more room
+	// than an earlier one did.
+	batcher rowBatcher
 }
 
 // SetTraceID installs the client's trace context for the next statement.

@@ -142,11 +142,11 @@ func (s *Session) execute(act *trace.Active, plan *Plan, query string, params Pa
 		})
 	case UpdateStmt:
 		return s.withTxn(func(t *Txn) (*ResultSet, error) {
-			return e.executeUpdate(t, plan, params)
+			return s.executeUpdate(t, plan, params)
 		})
 	case DeleteStmt:
 		return s.withTxn(func(t *Txn) (*ResultSet, error) {
-			return e.executeDelete(t, plan, params)
+			return s.executeDelete(t, plan, params)
 		})
 	case CreateTableStmt:
 		// DDL is logged by statement text; the first heap page id rides in
@@ -255,22 +255,26 @@ func (p *Plan) evaluator() (*exprsvc.Evaluator, error) {
 	return got.(*exprsvc.Evaluator), nil
 }
 
-// buildSlots assembles the evaluator input: outer cells, inner cells (join),
-// then parameter values in plan order.
-func (p *Plan) buildSlots(outer, inner [][]byte, params Params) ([][]byte, error) {
-	slots := make([][]byte, p.numColSlots+len(p.paramOrder))
-	copy(slots, outer)
+// slotWidth is the width of an evaluator input row: column slots, then
+// parameter slots.
+func (p *Plan) slotWidth() int { return p.numColSlots + len(p.paramOrder) }
+
+// fillSlots assembles the evaluator input into slots, a zeroed row of
+// slotWidth: outer cells, inner cells (join), then parameter values in plan
+// order.
+func (p *Plan) fillSlots(slots, outer, inner [][]byte, params Params) error {
+	copy(slots[:p.numOuterCols], outer)
 	if p.join != nil {
-		copy(slots[p.numOuterCols:], inner)
+		copy(slots[p.numOuterCols:p.numColSlots], inner)
 	}
 	for _, name := range p.paramOrder {
 		b, ok := params[name]
 		if !ok {
-			return nil, fmt.Errorf("%w: @%s", ErrUnknownParam, name)
+			return fmt.Errorf("%w: @%s", ErrUnknownParam, name)
 		}
 		slots[p.paramSlot[name]] = b
 	}
-	return slots, nil
+	return nil
 }
 
 // matchedRow is an outer-table row (or joined pair) that survived the
@@ -290,7 +294,10 @@ type matchedRow struct {
 //
 // Every read is a snapshot read: rows come from visibleRows, for the outer
 // table here and for the inner table in probeJoin.
-func (e *Engine) iterateOuter(act *trace.Active, plan *Plan, params Params, snap *storage.Snapshot, fn func(m *matchedRow) (bool, error)) error {
+func (e *Engine) iterateOuter(act *trace.Active, b *rowBatcher, plan *Plan, params Params, snap *storage.Snapshot, fn func(m *matchedRow) (bool, error)) error {
+	if b.plan != nil {
+		return errors.New("engine: nested row iteration on one session")
+	}
 	ev, err := plan.evaluator()
 	if err != nil {
 		return err
@@ -304,30 +311,34 @@ func (e *Engine) iterateOuter(act *trace.Active, plan *Plan, params Params, snap
 			plan.evalPool.Put(ev)
 		}()
 	}
-	b := &rowBatcher{plan: plan, ev: ev, fn: fn, size: e.batch}
+	b.plan, b.ev, b.fn, b.size = plan, ev, fn, e.batch
+	defer b.release()
 
+	width := plan.slotWidth()
 	probe := func(rid storage.RowID, cells [][]byte) error {
-		slots, err := plan.buildSlots(cells, nil, params)
-		if err != nil {
+		slots := carve(&b.slab, width)
+		if err := plan.fillSlots(slots, cells, nil, params); err != nil {
 			return err
 		}
 		return b.add(rid, slots)
 	}
 	if j := plan.join; j != nil {
 		// The join's current outer row. addInner is built once per statement
-		// and reads it, so probing allocates no closure per outer row.
+		// and reads it, so probing allocates no closure per outer row. The
+		// row keeps its own copy of the headers: the outer side decodes the
+		// next row into its buffer.
 		var outerRID storage.RowID
 		var outerCells [][]byte
 		addInner := func(_ storage.RowID, inner [][]byte) error {
-			slots, err := plan.buildSlots(outerCells, inner, params)
-			if err != nil {
+			slots := carve(&b.slab, width)
+			if err := plan.fillSlots(slots, outerCells, inner, params); err != nil {
 				return err
 			}
 			return b.add(outerRID, slots)
 		}
 		probe = func(rid storage.RowID, cells [][]byte) error {
-			outerRID, outerCells = rid, cells
-			return e.probeJoin(act, j, b, cells, snap, addInner)
+			outerRID, outerCells = rid, append(outerCells[:0], cells...)
+			return e.probeJoin(act, j, b, outerCells, snap, addInner)
 		}
 	}
 
@@ -404,6 +415,22 @@ type readSide struct {
 	// a ghost survives its bounds.
 	seen   rowSet
 	ghosts []storage.GhostRow
+	// cells is the header slice each row is decoded into, and rec the
+	// buffer an index-path row is read into; both are reused row to row.
+	cells [][]byte
+	rec   []byte
+}
+
+// release drops the side's references into the statement's seek and
+// snapshot, keeping its buffers' storage.
+func (s *readSide) release() {
+	s.entries = nil
+	clear(s.bounds.eq[:cap(s.bounds.eq)])
+	s.bounds = seekBounds{eq: s.bounds.eq[:0]}
+	clear(s.ghosts)
+	s.ghosts = s.ghosts[:0]
+	clear(s.cells)
+	s.cells = s.cells[:0]
 }
 
 // scanHeap sets the side up for a full heap scan.
@@ -604,12 +631,17 @@ func (s *rowSet) has(rid storage.RowID) bool {
 //     here — their ghosts reach the filter as before. Version chains can
 //     appear mid-scan, so the scan path records every row it visits and the
 //     ghost pass skips those.
-//   - Cell lifetime. Scan cells alias page memory and are copied into b's
-//     arena: they stay valid until the batch holding them drains (or, for a
-//     join's outer row, until its probe unpins the arena) — one bump
-//     allocation per batch instead of one heap allocation per cell whether or
-//     not the row survives the filter. Index-path cells (Heap.Get copies) and
-//     version-store images are stable memory and are passed through.
+//   - Cell lifetime. Each row is decoded into the side's one header slice,
+//     reused row to row: emit must copy the headers it keeps (the batcher
+//     fills a slot row carved from its slab; a join keeps its outer row's
+//     own copy). Heap cells — scanned in place under the page latch, or
+//     read by an index probe into the side's reused record buffer — are
+//     copied into b's arena: they stay valid until the batch holding them
+//     drains (or, for a join's outer row, until its probe unpins the arena).
+//     The arena keeps its chunks across batches and, with the batcher,
+//     across statements, so a row costs bump copies and no heap allocation
+//     whether or not it survives the filter. Version-store images are
+//     stable memory and are passed through.
 //
 // Iteration ends early, without error, once b's consumer has stopped.
 func (e *Engine) visibleRows(tbl *Table, side *readSide, snap *storage.Snapshot,
@@ -624,12 +656,13 @@ func (e *Engine) visibleRows(tbl *Table, side *readSide, snap *storage.Snapshot,
 		if img == nil {
 			return nil // uncommitted insert, or deleted before the snapshot
 		}
-		cells, err := decodeRow(img)
+		cells, err := decodeRowInto(side.cells, img)
 		if err != nil {
 			return err
 		}
+		side.cells = cells
 		if aliased && !overridden {
-			cells = b.arena.copyRow(cells)
+			b.arena.copyRow(cells)
 		}
 		return emit(rid, cells)
 	}
@@ -643,11 +676,12 @@ func (e *Engine) visibleRows(tbl *Table, side *readSide, snap *storage.Snapshot,
 			// The index may briefly point at rows deleted by concurrent
 			// transactions; the snapshot chain decides whether a pre-image
 			// is still visible.
-			rec, err := tbl.Heap.Get(ent.Row)
+			rec, err := tbl.Heap.AppendRecord(side.rec[:0], ent.Row)
+			side.rec = rec
 			if err != nil {
 				rec = nil
 			}
-			if err := visit(ent.Row, rec, false); err != nil {
+			if err := visit(ent.Row, rec, true); err != nil {
 				return err
 			}
 			if b.stopped {
@@ -672,10 +706,11 @@ func (e *Engine) visibleRows(tbl *Table, side *readSide, snap *storage.Snapshot,
 	// The images stay referenced by the buffer only for this pass.
 	defer clear(side.ghosts)
 	for _, g := range side.ghosts {
-		cells, err := decodeRow(g.Data)
+		cells, err := decodeRowInto(side.cells, g.Data)
 		if err != nil {
 			return err
 		}
+		side.cells = cells
 		if err := emit(g.Row, cells); err != nil {
 			return err
 		}
@@ -717,11 +752,24 @@ func (s *Session) executeSelect(act *trace.Active, plan *Plan, st SelectStmt, pa
 	}
 
 	if !hasAgg {
-		err := e.iterateOuter(act, plan, params, snap, func(m *matchedRow) (bool, error) {
-			row := make([][]byte, len(plan.items))
+		// The result outlives the statement, so its rows cannot come from the
+		// batcher's buffers: they are carved from two slabs owned by the
+		// result set, one of row headers and one of cell bytes.
+		var hdrs [][]byte
+		var data []byte
+		err := e.iterateOuter(act, &s.batcher, plan, params, snap, func(m *matchedRow) (bool, error) {
+			row := carve(&hdrs, len(plan.items))
+			size := 0
+			for _, item := range plan.items {
+				if item.slot < len(m.slots) {
+					size += len(m.slots[item.slot])
+				}
+			}
+			buf := carve(&data, size)
 			for i, item := range plan.items {
 				if item.slot < len(m.slots) && len(m.slots[item.slot]) > 0 {
-					row[i] = append([]byte(nil), m.slots[item.slot]...)
+					n := copy(buf, m.slots[item.slot])
+					row[i], buf = buf[:n:n], buf[n:]
 				}
 			}
 			rs.Rows = append(rs.Rows, row)
@@ -738,7 +786,7 @@ func (s *Session) executeSelect(act *trace.Active, plan *Plan, st SelectStmt, pa
 	for i := range plan.items {
 		aggs[i] = &aggState{distinct: make(map[string]bool)}
 	}
-	err := e.iterateOuter(act, plan, params, snap, func(m *matchedRow) (bool, error) {
+	err := e.iterateOuter(act, &s.batcher, plan, params, snap, func(m *matchedRow) (bool, error) {
 		for i, item := range plan.items {
 			var cell []byte
 			if item.slot >= 0 && item.slot < len(m.slots) {
@@ -891,9 +939,10 @@ func (e *Engine) executeInsert(t *Txn, plan *Plan, params Params) (*ResultSet, e
 // discovered without locks, then re-read and re-validated after the row
 // lock is acquired — the read-modify-write of `SET n = n + @d` must see the
 // latest committed value or updates are lost.
-func (e *Engine) executeUpdate(t *Txn, plan *Plan, params Params) (*ResultSet, error) {
+func (s *Session) executeUpdate(t *Txn, plan *Plan, params Params) (*ResultSet, error) {
+	e := s.engine
 	tbl := plan.table
-	rids, err := e.collectTargetRIDs(t, plan, params)
+	rids, err := s.collectTargetRIDs(t, plan, params)
 	if err != nil {
 		return nil, err
 	}
@@ -932,11 +981,11 @@ func (e *Engine) executeUpdate(t *Txn, plan *Plan, params Params) (*ResultSet, e
 // plus the transaction's own writes — and every candidate is re-read and
 // re-validated under its row lock before mutation, so a stale discovery can
 // only skip work, never corrupt it.
-func (e *Engine) collectTargetRIDs(t *Txn, plan *Plan, params Params) ([]storage.RowID, error) {
+func (s *Session) collectTargetRIDs(t *Txn, plan *Plan, params Params) ([]storage.RowID, error) {
 	snap := t.engine.versions.Acquire(t.id)
 	defer snap.Release()
 	var rids []storage.RowID
-	err := t.engine.iterateOuter(t.act, plan, params, snap, func(m *matchedRow) (bool, error) {
+	err := t.engine.iterateOuter(t.act, &s.batcher, plan, params, snap, func(m *matchedRow) (bool, error) {
 		rids = append(rids, m.rid)
 		return true, nil
 	})
@@ -968,8 +1017,8 @@ func (e *Engine) lockAndRevalidate(t *Txn, plan *Plan, params Params, rid storag
 			ev.SetTrace(nil)
 			plan.evalPool.Put(ev)
 		}()
-		slots, err := plan.buildSlots(cells, nil, params)
-		if err != nil {
+		slots := make([][]byte, plan.slotWidth())
+		if err := plan.fillSlots(slots, cells, nil, params); err != nil {
 			return nil, false, err
 		}
 		ok, err := ev.EvalBool(slots)
@@ -1077,9 +1126,10 @@ func toFloat(v sqltypes.Value) float64 {
 }
 
 // executeDelete removes every matching row, re-validating under the lock.
-func (e *Engine) executeDelete(t *Txn, plan *Plan, params Params) (*ResultSet, error) {
+func (s *Session) executeDelete(t *Txn, plan *Plan, params Params) (*ResultSet, error) {
+	e := s.engine
 	tbl := plan.table
-	rids, err := e.collectTargetRIDs(t, plan, params)
+	rids, err := s.collectTargetRIDs(t, plan, params)
 	if err != nil {
 		return nil, err
 	}

@@ -60,6 +60,9 @@ type Evaluator struct {
 	allowEncrypt bool
 	stack        []entry
 	outs         [][]byte
+	// outData holds the encodings of the plaintext outputs in outs; like
+	// outs it is reused from one row to the next.
+	outData []byte
 	// cellKeys caches resolved keys per CEK name for the evaluator lifetime.
 	// The entries are borrowed aliases: KeyRing.CellKey returns pointers into
 	// the ring's own cache, and the ring's owner (enclave CEK table, driver
@@ -90,6 +93,35 @@ type Evaluator struct {
 	// attributes, decoded lazily (only when tracing) and reused for the
 	// evaluator's lifetime — the sub-programs are immutable.
 	subOps [][]trace.Attr
+	// batch holds EvalBatch's and EvalBoolBatch's buffers, reused from one
+	// batch call to the next.
+	batch batchBufs
+}
+
+// batchBufs are an evaluator's batch buffers. They hold host memory only:
+// input cells and the enclave's outputs, never plaintext of an encrypted
+// column.
+type batchBufs struct {
+	results  [][][]byte   // per row: its output slots, carved from outs
+	outs     [][]byte     // output slots of every row
+	data     []byte       // the bytes of every row's output slots
+	rowErrs  []error      // per row
+	matches  []bool       // per row (EvalBoolBatch)
+	resolved [][][][]byte // [pc][row] → enclave outputs of TMEval at pc
+	args     [][]byte     // one crossing's argument slots, carved per row
+	rows     [][][]byte   // one crossing's argument rows
+	live     []int        // one crossing's row indexes
+}
+
+// grow returns s resized to n elements, all zero, reusing its storage when
+// it is large enough.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // keyOpener is a crossing's opener for one cell key.
@@ -280,7 +312,8 @@ func (ev *Evaluator) pop() (entry, error) {
 // Eval runs the program over the input slots and returns the output slots.
 // Input slot bytes are ciphertext envelopes for encrypted slots and canonical
 // value encodings for plaintext slots; an empty slot is SQL NULL. The
-// returned slices are valid until the next Eval call.
+// returned slices, headers and the bytes of plaintext outputs alike, are
+// the evaluator's own and valid until its next Eval call.
 func (ev *Evaluator) Eval(inputs [][]byte) ([][]byte, error) {
 	return ev.evalRow(inputs, nil)
 }
@@ -299,9 +332,8 @@ func (ev *Evaluator) evalRow(inputs [][]byte, tm func(pc int) ([][]byte, error))
 		ev.outs = make([][]byte, len(ev.prog.Outputs))
 	}
 	ev.outs = ev.outs[:len(ev.prog.Outputs)]
-	for i := range ev.outs {
-		ev.outs[i] = nil
-	}
+	clear(ev.outs)
+	ev.outData = ev.outData[:0]
 
 	for pc := range ev.prog.Code {
 		in := &ev.prog.Code[pc]
@@ -516,11 +548,13 @@ func (ev *Evaluator) setData(i int) error {
 		ev.outs[i] = nil
 		return nil
 	}
-	encoded := e.v.Encode()
 	if info.Enc.IsPlaintext() {
-		ev.outs[i] = encoded
+		at := len(ev.outData)
+		ev.outData = e.v.AppendEncode(ev.outData)
+		ev.outs[i] = ev.outData[at:len(ev.outData):len(ev.outData)]
 		return nil
 	}
+	encoded := e.v.Encode()
 	if !ev.allowEncrypt {
 		return ErrEncryptDenied
 	}
@@ -544,8 +578,8 @@ func (ev *Evaluator) tmEval(in *Instr, inputs [][]byte) error {
 	if ev.encl == nil || in.Arg >= len(ev.handles) {
 		return errors.New("exprsvc: TMEval without a registered enclave expression")
 	}
-	args, err := ev.tmArgs(in, inputs)
-	if err != nil {
+	args := make([][]byte, len(in.InSlots))
+	if err := tmArgs(args, in, inputs); err != nil {
 		return err
 	}
 	sp := ev.crossingSpan(in.Arg, 1)
@@ -557,18 +591,17 @@ func (ev *Evaluator) tmEval(in *Instr, inputs [][]byte) error {
 	return ev.tmPush(outs)
 }
 
-// tmArgs gathers a TMEval instruction's enclave arguments. They come purely
-// from the input slots, never from the host stack — that is what makes
-// batch-hoisting the enclave calls sound.
-func (ev *Evaluator) tmArgs(in *Instr, inputs [][]byte) ([][]byte, error) {
-	args := make([][]byte, len(in.InSlots))
+// tmArgs gathers a TMEval instruction's enclave arguments into args, which
+// is len(in.InSlots) long. They come purely from the input slots, never from
+// the host stack — that is what makes batch-hoisting the enclave calls sound.
+func tmArgs(args [][]byte, in *Instr, inputs [][]byte) error {
 	for j, s := range in.InSlots {
 		if s < 0 || s >= len(inputs) {
-			return nil, fmt.Errorf("%w: TMEval slot %d", ErrStack, s)
+			return fmt.Errorf("%w: TMEval slot %d", ErrStack, s)
 		}
 		args[j] = inputs[s]
 	}
-	return args, nil
+	return nil
 }
 
 // tmPush pushes an enclave sub-program's result onto the host stack.
@@ -593,10 +626,18 @@ func (ev *Evaluator) tmPush(outs [][]byte) error {
 // EvalExpression call per row per instruction (§4.6). Per-row results and
 // errors line up with rows; rows that fail do not disturb their neighbors.
 // The call-level error is non-nil only when the whole batch is lost (e.g.
-// the enclave is closed). Returned output slices are owned by the caller.
+// the enclave is closed).
+//
+// The returned slices — the per-row results, their output slots' headers
+// and bytes, and the per-row errors — are the evaluator's own buffers: they
+// stay valid until the next EvalBatch or EvalBoolBatch call on this
+// evaluator, which overwrites them. A caller that keeps them longer copies
+// them.
 func (ev *Evaluator) EvalBatch(rows [][][]byte) ([][][]byte, []error, error) {
-	results := make([][][]byte, len(rows))
-	rowErrs := make([]error, len(rows))
+	bb := &ev.batch
+	bb.results = grow(bb.results, len(rows))
+	bb.rowErrs = grow(bb.rowErrs, len(rows))
+	results, rowErrs := bb.results, bb.rowErrs
 	for i, row := range rows {
 		if len(row) != len(ev.prog.Inputs) {
 			rowErrs[i] = fmt.Errorf("%w: %d inputs for %d slots", ErrStack, len(row), len(ev.prog.Inputs))
@@ -612,9 +653,14 @@ func (ev *Evaluator) EvalBatch(rows [][][]byte) ([][][]byte, []error, error) {
 			continue
 		}
 		if resolved == nil {
-			resolved = make([][][][]byte, len(ev.prog.Code))
+			// The per-pc row buffers are kept: the program, and so the set
+			// of TMEval pcs, is the same on every call.
+			if len(bb.resolved) != len(ev.prog.Code) {
+				bb.resolved = make([][][][]byte, len(ev.prog.Code))
+			}
+			resolved = bb.resolved
 		}
-		resolved[pc] = make([][][]byte, len(rows))
+		resolved[pc] = grow(resolved[pc], len(rows))
 		if ev.encl == nil || in.Arg >= len(ev.handles) {
 			err := errors.New("exprsvc: TMEval without a registered enclave expression")
 			for i := range rows {
@@ -624,26 +670,30 @@ func (ev *Evaluator) EvalBatch(rows [][][]byte) ([][][]byte, []error, error) {
 			}
 			continue
 		}
-		batch := make([][][]byte, 0, len(rows))
-		live := make([]int, 0, len(rows))
+		w := len(in.InSlots)
+		bb.args = grow(bb.args, w*len(rows))
+		batch, live := bb.rows[:0], bb.live[:0]
 		for i, row := range rows {
 			if rowErrs[i] != nil {
 				continue
 			}
-			args, err := ev.tmArgs(in, row)
-			if err != nil {
+			args := bb.args[len(batch)*w : (len(batch)+1)*w : (len(batch)+1)*w]
+			if err := tmArgs(args, in, row); err != nil {
 				rowErrs[i] = err
 				continue
 			}
 			batch = append(batch, args)
 			live = append(live, i)
 		}
+		bb.rows, bb.live = batch, live
 		if len(batch) == 0 {
 			continue
 		}
 		sp := ev.crossingSpan(in.Arg, len(batch))
 		outs, errs, err := ev.encl.EvalExpressionBatch(ev.handles[in.Arg], batch)
 		sp.End()
+		clear(batch)
+		clear(bb.args)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -659,6 +709,13 @@ func (ev *Evaluator) EvalBatch(rows [][][]byte) ([][][]byte, []error, error) {
 		}
 	}
 
+	// ev.outs and its plaintext bytes are reused across rows, so each row's
+	// outputs are copied into the batch's slabs: headers into outs, bytes
+	// into data. A full data slab grows by append; the rows copied before
+	// keep pointing into the array they were copied to.
+	width := len(ev.prog.Outputs)
+	bb.outs = grow(bb.outs, width*len(rows))
+	bb.data = bb.data[:0]
 	for i, row := range rows {
 		if rowErrs[i] != nil {
 			continue
@@ -670,22 +727,33 @@ func (ev *Evaluator) EvalBatch(rows [][][]byte) ([][][]byte, []error, error) {
 			rowErrs[i] = err
 			continue
 		}
-		// ev.outs is reused across rows; the buffers inside are fresh per
-		// row, so a shallow copy of the header slice is enough.
-		results[i] = append([][]byte(nil), outs...)
+		res := bb.outs[i*width : (i+1)*width : (i+1)*width]
+		for j, o := range outs {
+			if len(o) > 0 {
+				at := len(bb.data)
+				bb.data = append(bb.data, o...)
+				res[j] = bb.data[at:len(bb.data):len(bb.data)]
+			}
+		}
+		results[i] = res
+	}
+	for _, r := range resolved {
+		clear(r)
 	}
 	return results, rowErrs, nil
 }
 
 // EvalBoolBatch is the batched form of EvalBool: one shared boundary
 // crossing per TMEval instruction, output slot 0 decoded per row as the
-// filter-predicate truth value.
+// filter-predicate truth value. The returned slices are the evaluator's
+// own, valid until its next batch call (see EvalBatch).
 func (ev *Evaluator) EvalBoolBatch(rows [][][]byte) ([]bool, []error, error) {
 	outs, rowErrs, err := ev.EvalBatch(rows)
 	if err != nil {
 		return nil, nil, err
 	}
-	matches := make([]bool, len(rows))
+	ev.batch.matches = grow(ev.batch.matches, len(rows))
+	matches := ev.batch.matches
 	for i := range rows {
 		if rowErrs[i] != nil {
 			continue

@@ -54,8 +54,12 @@ func (f *fakeEnclave) EvalExpressionBatch(handle uint64, rows [][][]byte) ([][][
 			errs[i] = err
 			continue
 		}
-		// Eval reuses its output header slice across calls; copy it.
-		outs[i] = append([][]byte(nil), res...)
+		// Eval reuses its outputs across calls, headers and bytes alike;
+		// copy them out as the enclave does.
+		outs[i] = make([][]byte, len(res))
+		for j, o := range res {
+			outs[i][j] = bytes.Clone(o)
+		}
 	}
 	return outs, errs, nil
 }

@@ -53,6 +53,23 @@ func TestNilInstrumentsAreNoops(t *testing.T) {
 	_ = r.Snapshot()
 }
 
+// TestNowOrdersWithTimeNow: Registry.Now reads only the monotonic clock,
+// yet its readings order and subtract exactly against time.Now's.
+func TestNowOrdersWithTimeNow(t *testing.T) {
+	r := New("t")
+	for i := 0; i < 100; i++ {
+		before := time.Now()
+		now := r.Now()
+		after := time.Now()
+		if now.Before(before) || after.Before(now) {
+			t.Fatalf("Registry.Now %v outside [%v, %v]", now, before, after)
+		}
+		if d := after.Sub(now) + now.Sub(before); d != after.Sub(before) {
+			t.Fatalf("durations through Registry.Now sum to %v, want %v", d, after.Sub(before))
+		}
+	}
+}
+
 func TestBucketIndexMonotone(t *testing.T) {
 	prev := -1
 	for _, v := range []uint64{0, 1, 31, 32, 33, 63, 64, 65, 127, 128, 1000,
@@ -154,7 +171,7 @@ func TestTimingDisabled(t *testing.T) {
 	if h.Count() != 0 {
 		t.Fatalf("disabled timing recorded %d samples", h.Count())
 	}
-	// Counters keep counting: shims (BufferPool.Stats, Enclave.Dump) rely on
+	// Counters keep counting: shims (Enclave.Dump) rely on
 	// them being correct regardless of the timing switch.
 	r.Counter("c").Inc()
 	if r.Counter("c").Value() != 1 {

@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -304,6 +305,56 @@ func BenchmarkUnsampledStatementTrace(b *testing.B) {
 		c.Attr("rows", 256)
 		c.End()
 		e.End()
+		a.Finish(nil)
+	}
+}
+
+// TestKeptTraceSurvivesActiveReuse: a kept trace owns its spans. Finish
+// recycles the Active with its span buffer, and the statements after it
+// — which draw that Active from the pool again — must not change a stored
+// span's name, offsets or attributes.
+func TestKeptTraceSurvivesActiveReuse(t *testing.T) {
+	tr := NewTracer(Policy{SampleRate: 1, Capacity: 8})
+	a := tr.Start(ID{}, KindSelect)
+	for i, name := range []string{"plan", "exec", "enclave.crossing"} {
+		sp := a.StartSpan(name)
+		sp.Attr("rows", int64(10+i))
+		sp.End()
+	}
+	a.Finish(nil)
+	stored := tr.Store().Snapshot()[0]
+	want := make([]Span, len(stored.Spans))
+	for i, sp := range stored.Spans {
+		want[i] = sp
+		want[i].Attrs = append([]Attr(nil), sp.Attrs...)
+	}
+
+	for i := 0; i < 4; i++ {
+		b := tr.Start(ID{}, KindUpdate)
+		for j := 0; j < 5; j++ {
+			sp := b.StartSpan("other")
+			sp.Attr("n", int64(j))
+			sp.End()
+		}
+		b.Finish(nil)
+	}
+	if !reflect.DeepEqual(stored.Spans, want) {
+		t.Fatalf("stored spans changed after the Active was reused:\n got %+v\nwant %+v", stored.Spans, want)
+	}
+}
+
+// A kept statement trace of seven spans: the cost every statement of a
+// fully sampled run (the traced benchmark keeps them all) pays on top of
+// the unsampled path.
+func BenchmarkTracerFinishKept(b *testing.B) {
+	tr := NewTracer(Policy{SampleRate: 1, Capacity: 64})
+	names := []string{"lex", "parse", "bind", "plan", "exec", "enclave.crossing", "wal.commit"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a := tr.Start(ID{}, KindSelect)
+		for _, name := range names {
+			a.StartSpan(name).End()
+		}
 		a.Finish(nil)
 	}
 }

@@ -196,11 +196,13 @@ func (a *Active) Finish(err error) {
 
 	keep := a.headKeep || a.t.Err || (tr.slow > 0 && a.t.Wall >= tr.slow)
 	if keep {
-		// The stored Trace owns the span array; the Active cannot be
-		// recycled or its next statement would scribble over it.
+		// The stored Trace gets its own exact-size copy of the spans, so
+		// the Active — span buffer included — is recycled either way. The
+		// attribute slices move with the spans: the next statement's
+		// StartSpan starts each span with none.
 		t := a.t
+		t.Spans = append([]Span(nil), a.t.Spans...)
 		tr.store.Add(&t)
-		return
 	}
 	a.tr = nil
 	tr.pool.Put(a)

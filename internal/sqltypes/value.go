@@ -273,46 +273,53 @@ func PrefixKeyRange(prefix string) (lo, hi []byte) {
 // the plaintext form handed to the cell cipher, the comparison key of
 // equality (DET) indexes, and the key order of plaintext B+-trees.
 func (v Value) Encode() []byte {
+	// The size is exact for every kind but non-ASCII strings whose
+	// upper-casing changes their length; those grow once more in append.
+	var size int
 	switch v.Kind {
-	case KindNull:
-		return nil
+	case KindInt, KindDatetime, KindFloat:
+		size = 9
+	case KindString:
+		size = 2 + 2*len(v.S)
+	case KindBytes:
+		size = 1 + len(v.B)
+	case KindBool:
+		size = 2
+	default:
+		return nil // NULL, or no encoding
+	}
+	return v.AppendEncode(make([]byte, 0, size))
+}
+
+// AppendEncode appends Encode's bytes to dst and returns the extended slice:
+// the encoding into a buffer the caller reuses.
+func (v Value) AppendEncode(dst []byte) []byte {
+	switch v.Kind {
 	case KindInt, KindDatetime:
-		var b [9]byte
-		b[0] = byte(v.Kind)
-		binary.BigEndian.PutUint64(b[1:], uint64(v.I)^(1<<63))
-		return b[:]
+		return binary.BigEndian.AppendUint64(append(dst, byte(v.Kind)), uint64(v.I)^(1<<63))
 	case KindFloat:
-		var b [9]byte
-		b[0] = byte(v.Kind)
 		bits := math.Float64bits(v.F)
 		if bits&(1<<63) != 0 {
 			bits = ^bits
 		} else {
 			bits |= 1 << 63
 		}
-		binary.BigEndian.PutUint64(b[1:], bits)
-		return b[:]
+		return binary.BigEndian.AppendUint64(append(dst, byte(v.Kind)), bits)
 	case KindString:
-		folded := collate(v.S)
-		out := make([]byte, 1+len(folded)+1+len(v.S))
-		out[0] = byte(v.Kind)
-		copy(out[1:], folded)
-		out[1+len(folded)] = 0
-		copy(out[2+len(folded):], v.S)
-		return out
+		dst = append(dst, byte(v.Kind))
+		dst = append(dst, collate(v.S)...)
+		dst = append(dst, 0)
+		return append(dst, v.S...)
 	case KindBytes:
-		out := make([]byte, 1+len(v.B))
-		out[0] = byte(v.Kind)
-		copy(out[1:], v.B)
-		return out
+		return append(append(dst, byte(v.Kind)), v.B...)
 	case KindBool:
 		b := byte(0)
 		if v.Bool_ {
 			b = 1
 		}
-		return []byte{byte(v.Kind), b}
+		return append(dst, byte(v.Kind), b)
 	default:
-		return nil
+		return dst
 	}
 }
 

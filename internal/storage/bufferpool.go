@@ -13,7 +13,10 @@ import (
 
 // BufferPool caches pages over a PageStore with LRU eviction. Frames are
 // pinned while in use; each frame carries its own latch so concurrent
-// readers and writers of different pages do not serialize.
+// readers and writers of different pages do not serialize. An evicted frame
+// is recycled for the page that evicted it, so a frame pointer is only
+// meaningful while pinned: readers check the page id under the latch
+// (Heap's checkPageID) and fail on a mismatch.
 type BufferPool struct {
 	store PageStore
 	cap   int
@@ -111,8 +114,9 @@ func (b *BufferPool) Fetch(id PageID) (*Frame, error) {
 	}
 	// Write-latch the frame before publishing it: the frame is already in
 	// the map, so a concurrent Fetch can hit it and must block on the latch
-	// until the page is loaded. The latch is fresh and the pool lock is
-	// held, so this cannot contend or invert the lock order.
+	// until the page is loaded. The frame is new or recycled unpinned —
+	// nobody holds its latch — and the pool lock is held, so this cannot
+	// contend or invert the lock order.
 	f.Latch.Lock()
 	b.mu.Unlock()
 	// Read outside the pool lock; the frame is pinned so it cannot vanish.
@@ -182,23 +186,32 @@ func (b *BufferPool) NewPageAt(id PageID, pageType uint8) (*Frame, error) {
 	return f, nil
 }
 
-// newFrameLocked inserts a pinned frame for id, evicting if needed.
-// Called with b.mu held.
+// newFrameLocked inserts a pinned frame for id. A full pool recycles its
+// least recently used unpinned frame — re-keyed and moved to the front, its
+// page left for ReadPage or Init to overwrite — so a miss in steady state
+// allocates nothing. Called with b.mu held.
 func (b *BufferPool) newFrameLocked(id PageID) (*Frame, error) {
-	if len(b.frames) >= b.cap {
-		if err := b.evictLocked(); err != nil {
-			return nil, err
-		}
+	if len(b.frames) < b.cap {
+		f := &Frame{id: id, pins: 1}
+		f.elem = b.lru.PushFront(f)
+		b.frames[id] = f
+		return f, nil
 	}
-	f := &Frame{id: id, pins: 1}
-	f.elem = b.lru.PushFront(f)
+	f, err := b.evictLocked()
+	if err != nil {
+		return nil, err
+	}
+	f.id, f.pins, f.dirty = id, 1, false
+	b.lru.MoveToFront(f.elem)
 	b.frames[id] = f
 	return f, nil
 }
 
-// evictLocked removes the least recently used unpinned frame, flushing it if
-// dirty. Called with b.mu held.
-func (b *BufferPool) evictLocked() error {
+// evictLocked unmaps the least recently used unpinned frame, flushing it if
+// dirty, and returns it for reuse; it stays on the LRU list. Called with
+// b.mu held. An unpinned frame has no latch holder: every reader and writer
+// releases the latch before Unpin.
+func (b *BufferPool) evictLocked() (*Frame, error) {
 	for e := b.lru.Back(); e != nil; e = e.Prev() {
 		f := e.Value.(*Frame)
 		if f.pins > 0 {
@@ -207,16 +220,15 @@ func (b *BufferPool) evictLocked() error {
 		if f.dirty {
 			start := b.reg.Now()
 			if err := b.store.WritePage(f.id, f.page.Bytes()); err != nil {
-				return err
+				return nil, err
 			}
 			b.flushNS.ObserveSince(start)
 		}
 		delete(b.frames, f.id)
-		b.lru.Remove(e)
 		b.evicts.Inc()
-		return nil
+		return f, nil
 	}
-	return ErrPoolExhausted
+	return nil, ErrPoolExhausted
 }
 
 // Unpin releases a pin, marking the frame dirty if the caller modified it.
@@ -252,12 +264,6 @@ func (b *BufferPool) FlushAll() error {
 		f.dirty = false
 	}
 	return nil
-}
-
-// Stats reports hit/miss/eviction counters. It is a compatibility shim over
-// the obs registry, which is the single source of truth.
-func (b *BufferPool) Stats() (hits, misses, evictions uint64) {
-	return b.hits.Value(), b.misses.Value(), b.evicts.Value()
 }
 
 // MissStallNS returns the cumulative nanoseconds Fetch callers have spent

@@ -290,22 +290,48 @@ func (h *Heap) RestoreAt(rid RowID, rec []byte) error {
 
 // Get copies the record at rid into a fresh slice.
 func (h *Heap) Get(rid RowID) ([]byte, error) {
+	return h.AppendRecord(nil, rid)
+}
+
+// AppendRecord appends the record at rid to dst and returns the extended
+// slice — Get into a buffer the caller reuses across rows.
+func (h *Heap) AppendRecord(dst []byte, rid RowID) ([]byte, error) {
 	f, err := h.pool.Fetch(rid.Page())
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s", ErrRowNotFound, rid)
+		return dst, fmt.Errorf("%w: %s", ErrRowNotFound, rid)
 	}
 	f.Latch.RLock()
-	rec, err := f.Page().Read(rid.Slot())
-	var out []byte
+	p := f.Page()
+	if err := checkPageID(p, rid.Page()); err != nil {
+		f.Latch.RUnlock()
+		h.pool.Unpin(f, false)
+		return dst, err
+	}
+	rec, err := p.Read(rid.Slot())
 	if err == nil {
-		out = append([]byte(nil), rec...)
+		dst = append(dst, rec...)
 	}
 	f.Latch.RUnlock()
 	h.pool.Unpin(f, false)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s", ErrRowNotFound, rid)
+		return dst, fmt.Errorf("%w: %s", ErrRowNotFound, rid)
 	}
-	return out, nil
+	return dst, nil
+}
+
+// ErrFrameMismatch reports a fetched frame whose page header names another
+// page. The buffer pool recycles evicted frames, so a frame used after its
+// pin was dropped can hold a different page by the time it is read; readers
+// fail on that instead of returning another page's rows.
+var ErrFrameMismatch = errors.New("storage: frame holds a different page than requested")
+
+// checkPageID verifies that p, fetched for id, is page id. The caller holds
+// the frame latch.
+func checkPageID(p *Page, id PageID) error {
+	if got := p.ID(); got != id {
+		return fmt.Errorf("%w: want page %d, frame holds page %d", ErrFrameMismatch, id, got)
+	}
+	return nil
 }
 
 // Delete removes the record at rid.
@@ -354,11 +380,16 @@ func (h *Heap) Scan(fn func(rid RowID, rec []byte) (bool, error)) error {
 		}
 		f.Latch.RLock()
 		p := f.Page()
+		if err := checkPageID(p, id); err != nil {
+			f.Latch.RUnlock()
+			h.pool.Unpin(f, false)
+			return err
+		}
 		next := p.Next()
-		for _, slot := range p.LiveSlots() {
+		for slot, n := 0, p.SlotCount(); slot < n; slot++ {
 			rec, err := p.Read(slot)
 			if err != nil {
-				continue
+				continue // deleted slot
 			}
 			cont, err := fn(NewRowID(id, slot), rec)
 			if err != nil || !cont {

@@ -209,7 +209,8 @@ func TestBufferPoolFetchEvict(t *testing.T) {
 		}
 		pool.Unpin(f, false)
 	}
-	_, misses, evictions := pool.Stats()
+	c := pool.Obs().Snapshot().Counters
+	misses, evictions := c["storage.pool.misses"], c["storage.pool.evictions"]
 	if evictions == 0 || misses == 0 {
 		t.Fatalf("expected evictions and misses, got %d %d", evictions, misses)
 	}
